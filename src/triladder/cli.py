@@ -3,13 +3,15 @@
 All output files are ASCII CSV with LF line endings, '#'-prefixed comment
 headers echoing the configuration, and floats written in shortest
 round-trip form, so repeated runs with the same flags are bit-identical.
+
+Exit codes: 0 on success, 1 when a check fails or a result is not finite,
+2 for invalid input.
 """
 
 import argparse
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,25 +33,18 @@ PERIOD_TOL = 1e-10
 NON_PERIOD_FLOOR = 1e-3
 
 
-@dataclass
-class RunConfig:
-    """Validated command request: one command plus its parameter set."""
+def _worst(values) -> float:
+    """Largest of the non-negative ``values`` (0.0 for none), NaN if any is NaN.
 
-    command: str
-    parameters: dict
-    output_format: str = "csv"
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+    The builtin ``max(0.0, nan)`` is 0.0, so a running maximum would drop
+    the NaN and the gate after it would pass.
+    """
+    return float(np.max(values, initial=0.0))
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal form."""
-    return repr(float(value))
+def _within(worst, tol) -> bool:
+    """The one gate test: ``worst`` is finite and below ``tol``."""
+    return math.isfinite(worst) and worst < tol
 
 
 def _write_csv(path, comments, header, rows):
@@ -64,14 +59,17 @@ def _write_csv(path, comments, header, rows):
 
 
 # ---------------------------------------------------------------- verify --
+#
+# Every check takes the parsed arguments and whether its --inject-* flag is
+# set, and returns (passed, detail).
 
 
-def _check_fock_algebra(inject) -> CheckResult:
+def _check_fock_algebra(ns, inject):
     n = 60
     interior = n - 3  # rows/columns with index <= n - 4
     lowering, _ = fock.build_deformed_ladders(n)
     ag = lowering.matrix.copy()
-    if "commutator" in inject:
+    if inject:
         ag[0, 1] += 1e-3
     agd = ag.conj().T
     h = fock.build_hamiltonian(n).matrix
@@ -88,10 +86,9 @@ def _check_fock_algebra(inject) -> CheckResult:
         (comm_g - ladder_gap)[:interior, :interior]
     ) / np.linalg.norm(ladder_gap[:interior, :interior])
     dev3 = np.linalg.norm(agd @ ag - num) / np.linalg.norm(num)
-    worst = max(dev1, dev2, dev3)
-    return CheckResult(
-        "fock-algebra",
-        worst < ALGEBRA_TOL,
+    worst = _worst([dev1, dev2, dev3])
+    return (
+        _within(worst, ALGEBRA_TOL),
         f"N={n} max_rel_err={worst:.3e} (tol {ALGEBRA_TOL:g})",
     )
 
@@ -103,12 +100,12 @@ _EXPECTED_PARAMS = {
 }
 
 
-def _check_piv_parameters(inject) -> CheckResult:
+def _check_piv_parameters(ns, inject):
     problems = []
     for ordering, (want_a, want_b) in _EXPECTED_PARAMS.items():
         seed = painleve.ExtremalSeed(ordering)
         got_a, got_b = painleve.piv_parameters(seed)
-        if "piv-sign" in inject:
+        if inject:
             e1, e2, e3 = seed.energies_tilde
             got_a = e2 + e3 + 2 * e1 - 1
         if (got_a, got_b) != (want_a, want_b):
@@ -116,120 +113,103 @@ def _check_piv_parameters(inject) -> CheckResult:
                 f"ordering {ordering}: got (a, b) = ({got_a}, {got_b}),"
                 f" want ({want_a}, {want_b})"
             )
-    detail = "; ".join(problems) if problems else "three (a, b) pairs exact"
-    return CheckResult("piv-parameters", not problems, detail)
+    return not problems, "; ".join(problems) or "three (a, b) pairs exact"
 
 
-def _check_piv_residual(inject, delta) -> CheckResult:
+def _check_piv_residual(ns, inject):
     grid = GridSpec(-10.0, 10.0, 2001)
     solutions = painleve.builtin_solutions()
-    if "piv-residual" in inject:
+    if inject:
         base = solutions[0]
         solutions = [
             dataclasses.replace(base, g=lambda y: base.g(y) + 0.01, label="perturbed")
         ]
-    worst = 0.0
-    excluded = 0
-    for sol in solutions:
-        for point in painleve.residual_scan(sol, grid, delta):
-            if point.excluded:
-                excluded += 1
-            else:
-                worst = max(worst, abs(point.residual))
-    return CheckResult(
-        "piv-residual",
-        worst < RESIDUAL_TOL,
+    points = [p for s in solutions for p in painleve.residual_scan(s, grid, ns.delta)]
+    worst = _worst([abs(p.residual) for p in points if not p.excluded])
+    excluded = sum(p.excluded for p in points)
+    return (
+        _within(worst, RESIDUAL_TOL),
         f"max_residual={worst:.3e} over {len(solutions)} scans,"
         f" {excluded} excluded points (tol {RESIDUAL_TOL:g})",
     )
 
 
-def _check_cs_eigen(inject, trunc, alpha) -> CheckResult:
-    if "eigen" in inject:
-        trunc = 5
-    if trunc is not None:
-        failures = []
-        worst = 0.0
-        for j in range(3):
-            spec = coherent.CoherentSpec(j, alpha, max(trunc, j + 1))
-            res = coherent.eigen_residual(spec)
-            worst = max(worst, res)
-            if res >= EIGEN_TOL:
-                needed = coherent.adequate_truncation(j, abs(alpha))
-                failures.append(
-                    f"j={j} residual={res:.3e} at truncation {trunc};"
-                    f" suggested truncation >= {needed}"
-                )
-        if failures:
-            return CheckResult("cs-eigen", False, "; ".join(failures))
-        return CheckResult(
-            "cs-eigen",
-            True,
-            f"override truncation {trunc}: worst={worst:.3e} (tol {EIGEN_TOL:g})",
+def _check_cs_eigen(ns, inject):
+    trunc = 5 if inject else ns.trunc
+    if trunc is None:
+        rng = np.random.default_rng(20240601)
+        residuals = []
+        for _ in range(12):
+            j = int(rng.integers(0, 3))
+            alpha = rng.uniform(0.0, 5.0) * np.exp(2j * np.pi * rng.uniform())
+            residuals.append(coherent.eigen_residual(coherent.CoherentSpec(j, alpha)))
+        worst = _worst(residuals)
+        return (
+            _within(worst, EIGEN_TOL),
+            f"worst residual {worst:.3e} over 12 samples (tol {EIGEN_TOL:g})",
         )
-    rng = np.random.default_rng(20240601)
-    worst = 0.0
-    for _ in range(12):
-        j = int(rng.integers(0, 3))
-        alpha_s = rng.uniform(0.0, 5.0) * np.exp(2j * np.pi * rng.uniform())
-        worst = max(worst, coherent.eigen_residual(coherent.CoherentSpec(j, alpha_s)))
-    return CheckResult(
-        "cs-eigen",
-        worst < EIGEN_TOL,
-        f"worst residual {worst:.3e} over 12 samples (tol {EIGEN_TOL:g})",
-    )
+    alpha = complex(ns.alpha_re, ns.alpha_im)
+    residuals = [
+        coherent.eigen_residual(coherent.CoherentSpec(j, alpha, max(trunc, j + 1)))
+        for j in range(3)
+    ]
+    failures = [
+        f"j={j} residual={res:.3e} at truncation {trunc};"
+        f" suggested truncation >= {coherent.adequate_truncation(j, abs(alpha))}"
+        for j, res in enumerate(residuals)
+        if not _within(res, EIGEN_TOL)
+    ]
+    if failures:
+        return False, "; ".join(failures)
+    worst = _worst(residuals)
+    return True, f"override truncation {trunc}: worst={worst:.3e} (tol {EIGEN_TOL:g})"
 
 
-def _check_cs_statistics(inject) -> CheckResult:
-    minima_dev = max(
-        abs(coherent.a_norm_squared(j, 0.0) + 0.5 - (j + 0.5)) for j in range(3)
+def _check_cs_statistics(ns, inject):
+    minima_dev = _worst(
+        [abs(coherent.a_norm_squared(j, 0.0) + 0.5 - (j + 0.5)) for j in range(3)]
     )
-    chain_dev = 0.0
-    series_dev = 0.0
-    first = True
+    chain, series = [], []
+    perturb = 1e-6 if inject else 0.0  # applied to the first sample only
     for j in range(3):
         for alpha in (0.0, 1.0, 0.8 + 0.6j, 3.5 - 1.2j, 4.9j):
-            spec = coherent.CoherentSpec(j, alpha)
-            st = coherent.statistics(spec)
-            product = st.uncertainty_product
-            if "stats" in inject and first:
-                product += 1e-6
-                first = False
-            chain_dev = max(
-                chain_dev,
+            st = coherent.statistics(coherent.CoherentSpec(j, alpha))
+            product = st.uncertainty_product + perturb
+            perturb = 0.0
+            chain += [
                 abs(st.mean_x),
                 abs(st.mean_p),
                 abs(st.mean_x2 - st.mean_p2),
                 abs(st.mean_x2 - st.mean_H),
                 abs(st.mean_x2 - product),
-            )
-            series_dev = max(
-                series_dev,
-                abs(product - (coherent.a_norm_squared(j, abs(alpha)) + 0.5)),
-            )
-    ok = minima_dev < CHAIN_TOL and chain_dev < CHAIN_TOL and series_dev < SERIES_TOL
-    return CheckResult(
-        "cs-statistics",
+            ]
+            series.append(abs(product - (coherent.a_norm_squared(j, abs(alpha)) + 0.5)))
+    chain_dev, series_dev = _worst(chain), _worst(series)
+    ok = (
+        _within(minima_dev, CHAIN_TOL)
+        and _within(chain_dev, CHAIN_TOL)
+        and _within(series_dev, SERIES_TOL)
+    )
+    return (
         ok,
         f"minima_dev={minima_dev:.3e} chain_dev={chain_dev:.3e}"
         f" series_dev={series_dev:.3e} (tols {CHAIN_TOL:g}/{SERIES_TOL:g})",
     )
 
 
-def _check_triangle(inject) -> CheckResult:
-    worst = 0.0
+def _check_triangle(ns, inject):
+    errors = []
     for j in range(3):
         for z in (1.0, 2.0, 3.0, 0.9 + 1.1j):
             tri = coherent.triangle_decompose(z, j)
-            if "triangle" in inject:
+            if inject:
                 w0, w1, w2 = tri.weights
                 tri = dataclasses.replace(tri, weights=(w0, w1 * (1 + 1e-6), w2))
             n = tri.default_truncation()
-            err = np.max(
-                np.abs(tri.reconstruction(n).coeffs - tri.target(n).coeffs)
+            errors.append(
+                np.max(np.abs(tri.reconstruction(n).coeffs - tri.target(n).coeffs))
             )
-            worst = max(worst, float(err))
-    partition_dev = 0.0
+    partition = []
     for z in (1.0, 1.7, 3.0):
         n = max(
             coherent.adequate_truncation_standard(z),
@@ -239,125 +219,115 @@ def _check_triangle(inject) -> CheckResult:
             np.linalg.norm(coherent.deformed_cs_nonnorm(z, j, n).coeffs) ** 2
             for j in range(3)
         )
-        partition_dev = max(
-            partition_dev, abs(total - math.exp(z**2)) / math.exp(z**2)
-        )
-    ok = worst < TRIANGLE_TOL and partition_dev < PARTITION_TOL
-    return CheckResult(
-        "triangle",
-        ok,
+        partition.append(abs(total - math.exp(z**2)) / math.exp(z**2))
+    worst, partition_dev = _worst(errors), _worst(partition)
+    return (
+        _within(worst, TRIANGLE_TOL) and _within(partition_dev, PARTITION_TOL),
         f"max_coeff_err={worst:.3e} partition_dev={partition_dev:.3e}"
         f" (tols {TRIANGLE_TOL:g}/{PARTITION_TOL:g})",
     )
 
 
-def _check_density_dual(inject) -> CheckResult:
+def _check_density_dual(ns, inject):
     rng = np.random.default_rng(7)
-    worst = 0.0
+    deviations = []
     for j in range(3):
         xs = rng.uniform(-8.0, 8.0, 400)
         ts = rng.uniform(0.0, 2.0 * np.pi, 400)
         rho_f = wavepacket.rho_fock(j, 2.0, xs, ts)
-        if "density" in inject:
+        if inject:
             rho_f = rho_f + 1e-6
         rho_g = wavepacket.rho_gaussian(j, 2.0, xs, ts)
-        worst = max(worst, float(np.max(np.abs(rho_f - rho_g))))
-    return CheckResult(
-        "density-dual-path",
-        worst < DUAL_PATH_TOL,
+        deviations.append(np.max(np.abs(rho_f - rho_g)))
+    worst = _worst(deviations)
+    return (
+        _within(worst, DUAL_PATH_TOL),
         f"max |fock - gaussian| = {worst:.3e} at z=2,"
         f" 400 points per family (tol {DUAL_PATH_TOL:g})",
     )
 
 
-def _check_period(inject) -> CheckResult:
+def _check_period(ns, inject):
     grid = GridSpec(-8.0, 8.0, 161, 0.0, 2.0 * math.pi, 41)
-    candidate = 2.0 * math.pi / 6.0 if "period" in inject else 2.0 * math.pi / 3.0
-    worst = max(wavepacket.period_check(j, 2.0, grid, candidate) for j in range(3))
+    candidate = 2.0 * math.pi / 6.0 if inject else 2.0 * math.pi / 3.0
+    worst = _worst([wavepacket.period_check(j, 2.0, grid, candidate) for j in range(3)])
     off_period = wavepacket.period_check(0, 2.0, grid, 2.0 * math.pi / 6.0)
-    ok = worst < PERIOD_TOL and off_period > NON_PERIOD_FLOOR
-    return CheckResult(
-        "period",
+    ok = (
+        _within(worst, PERIOD_TOL)
+        and math.isfinite(off_period)
+        and off_period > NON_PERIOD_FLOOR
+    )
+    return (
         ok,
         f"period_dev={worst:.3e} (tol {PERIOD_TOL:g}),"
         f" 2pi/6 candidate dev={off_period:.3e} (must exceed {NON_PERIOD_FLOOR:g})",
     )
 
 
-INJECT_TARGETS = {
-    "commutator": "fock-algebra",
-    "piv-sign": "piv-parameters",
-    "piv-residual": "piv-residual",
-    "eigen": "cs-eigen",
-    "stats": "cs-statistics",
-    "triangle": "triangle",
-    "density": "density-dual-path",
-    "period": "period",
-}
+# (check name, --inject-* flag that corrupts exactly this check, check)
+CHECKS = (
+    ("fock-algebra", "commutator", _check_fock_algebra),
+    ("piv-parameters", "piv-sign", _check_piv_parameters),
+    ("piv-residual", "piv-residual", _check_piv_residual),
+    ("cs-eigen", "eigen", _check_cs_eigen),
+    ("cs-statistics", "stats", _check_cs_statistics),
+    ("triangle", "triangle", _check_triangle),
+    ("density-dual-path", "density", _check_density_dual),
+    ("period", "period", _check_period),
+)
+
+INJECT_TARGETS = {flag: name for name, flag, _ in CHECKS}
 
 
-def cmd_verify(config: RunConfig) -> int:
-    params = config.parameters
-    inject = {
-        name
-        for name in INJECT_TARGETS
-        if params.get("inject_" + name.replace("-", "_"))
-    }
-    trunc = params.get("trunc")
-    alpha_re = params.get("alpha_re") if params.get("alpha_re") is not None else 4.0
-    alpha_im = params.get("alpha_im") if params.get("alpha_im") is not None else 0.0
-    alpha = complex(alpha_re, alpha_im)
-    delta = params.get("delta") if params.get("delta") is not None else painleve.DEFAULT_DELTA
-
-    results = [
-        _check_fock_algebra(inject),
-        _check_piv_parameters(inject),
-        _check_piv_residual(inject, delta),
-        _check_cs_eigen(inject, trunc, alpha),
-        _check_cs_statistics(inject),
-        _check_triangle(inject),
-        _check_density_dual(inject),
-        _check_period(inject),
-    ]
-    for res in results:
-        print(f"{'PASS' if res.passed else 'FAIL'} {res.name:<18} {res.detail}")
+def cmd_verify(ns) -> int:
+    failed = 0
+    for name, flag, check in CHECKS:
+        passed, detail = check(ns, getattr(ns, "inject_" + flag.replace("-", "_")))
+        failed += not passed
+        print(f"{'PASS' if passed else 'FAIL'} {name:<18} {detail}")
     print(
         "note: the (a, b) map uses a = E~2 + E~3 - 2 E~1 - 1; the +2 E~1 sign"
         " variant contradicts the reference parameter table"
         " (--inject-piv-sign demonstrates the failure)"
     )
-    failed = sum(not res.passed for res in results)
-    print(f"CHECKS passed={len(results) - failed} failed={failed}")
+    print(f"CHECKS passed={len(CHECKS) - failed} failed={failed}")
     return 0 if failed == 0 else 1
 
 
 # ----------------------------------------------------------- uncertainty --
 
 
-def cmd_uncertainty(config: RunConfig) -> int:
-    params = config.parameters
-    amin = params.get("amin") if params.get("amin") is not None else 0.0
-    amax = params.get("amax") if params.get("amax") is not None else 10.0
-    asteps = params.get("asteps") if params.get("asteps") is not None else 201
+def cmd_uncertainty(ns) -> int:
+    amin, amax, asteps = ns.amin, ns.amax, ns.asteps
     if amin < 0 or asteps < 1 or (asteps > 1 and amax <= amin) or amax < amin:
         print("uncertainty: invalid sweep range", file=sys.stderr)
         return 2
-    families = [params["j"]] if params.get("j") is not None else [0, 1, 2]
-    sweep = np.linspace(amin, amax, asteps)
+    families = [0, 1, 2] if ns.j is None else [ns.j]
     rows = []
-    for abs_alpha in sweep:
+    for abs_alpha in np.linspace(amin, amax, asteps).tolist():
+        alpha_text = repr(abs_alpha)
         for j in families:
-            product = coherent.a_norm_squared(j, float(abs_alpha)) + 0.5
-            rows.append((_fmt(abs_alpha), str(j), _fmt(product)))
-    out = Path(params.get("out") or "uncertainty.csv")
+            try:
+                product = coherent.a_norm_squared(j, abs_alpha) + 0.5
+            except OverflowError:
+                product = math.nan
+            if not math.isfinite(product):
+                print(
+                    f"uncertainty: the a_norm_squared series is not finite at"
+                    f" |alpha|={abs_alpha!r}, j={j} (it overflows from about"
+                    " |alpha| = 1.9e4); no file written",
+                    file=sys.stderr,
+                )
+                return 1
+            rows.append((alpha_text, str(j), repr(product)))
     comments = [
         "command=uncertainty",
-        f"amin={_fmt(amin)} amax={_fmt(amax)} asteps={asteps}",
+        f"amin={amin!r} amax={amax!r} asteps={asteps}",
         f"families={','.join(str(j) for j in families)}",
         "uncertainty_product = a_norm_squared(j, |alpha|) + 1/2",
         f"version={__version__}",
     ]
-    _write_csv(out, comments, "abs_alpha,j,uncertainty_product", rows)
+    out = _write_csv(ns.out, comments, "abs_alpha,j,uncertainty_product", rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -365,21 +335,16 @@ def cmd_uncertainty(config: RunConfig) -> int:
 # ------------------------------------------------------------------- piv --
 
 
-def cmd_piv(config: RunConfig) -> int:
-    params = config.parameters
-    xmin = params.get("xmin") if params.get("xmin") is not None else -10.0
-    xmax = params.get("xmax") if params.get("xmax") is not None else 10.0
-    xsteps = params.get("xsteps") if params.get("xsteps") is not None else 2001
-    delta = params.get("delta") if params.get("delta") is not None else painleve.DEFAULT_DELTA
-    grid = GridSpec(xmin, xmax, xsteps)
+def cmd_piv(ns) -> int:
+    grid = ns.grid
     comments = [
         "command=piv",
-        f"y range [{_fmt(xmin)}, {_fmt(xmax)}] with {xsteps} points",
-        f"delta={_fmt(delta)} residual_tol={RESIDUAL_TOL:g}",
+        f"y range [{grid.x_min!r}, {grid.x_max!r}] with {grid.x_steps} points",
+        f"delta={ns.delta!r} residual_tol={RESIDUAL_TOL:g}",
         f"version={__version__}",
     ]
-    rows = []
-    worst = 0.0
+    ys = list(map(repr, grid.x_values().tolist()))
+    rows, included = [], []
     for sol_id, ordering in enumerate(painleve.CANONICAL_ORDERINGS, start=1):
         seed = painleve.ExtremalSeed(ordering)
         a, b = painleve.piv_parameters(seed)
@@ -388,107 +353,81 @@ def cmd_piv(config: RunConfig) -> int:
             f"solution_id={sol_id} ordering={ordering} a={a} b={b}"
             f" singularities={list(sol.singularities)}"
         )
-        for point in painleve.residual_scan(sol, grid, delta):
-            if not point.excluded:
-                worst = max(worst, abs(point.residual))
-            rows.append(
-                (
-                    str(sol_id),
-                    _fmt(point.y),
-                    _fmt(point.g),
-                    _fmt(point.residual),
-                    str(int(point.excluded)),
-                )
-            )
+        points = painleve.residual_scan(sol, grid, ns.delta)
+        rows += [
+            (str(sol_id), y, repr(p.g), repr(p.residual), str(int(p.excluded)))
+            for y, p in zip(ys, points)
+        ]
+        included += [abs(p.residual) for p in points if not p.excluded]
+    worst = _worst(included)
     comments.append(f"max_included_residual={worst!r}")
-    out = Path(params.get("out") or "piv_scan.csv")
-    _write_csv(out, comments, "solution_id,y,g,residual,excluded", rows)
+    out = _write_csv(ns.out, comments, "solution_id,y,g,residual,excluded", rows)
     print(f"wrote {out} ({len(rows)} rows), max residual {worst:.3e}")
-    return 0 if worst < RESIDUAL_TOL else 1
+    return 0 if _within(worst, RESIDUAL_TOL) else 1
 
 
 # --------------------------------------------------------------- density --
 
 
-def _density_out_path(base: Path, j: int, sweep: bool) -> Path:
-    if not sweep:
-        return base
-    return base.with_name(f"{base.stem}_j{j}{base.suffix or '.csv'}")
-
-
-def cmd_density(config: RunConfig) -> int:
-    params = config.parameters
-    z = complex(params.get("z_re") if params.get("z_re") is not None else 2.0,
-                params.get("z_im") if params.get("z_im") is not None else 0.0)
-    grid = GridSpec(
-        params.get("xmin") if params.get("xmin") is not None else wavepacket.DEFAULT_GRID.x_min,
-        params.get("xmax") if params.get("xmax") is not None else wavepacket.DEFAULT_GRID.x_max,
-        params.get("xsteps") if params.get("xsteps") is not None else wavepacket.DEFAULT_GRID.x_steps,
-        params.get("tmin") if params.get("tmin") is not None else wavepacket.DEFAULT_GRID.t_min,
-        params.get("tmax") if params.get("tmax") is not None else wavepacket.DEFAULT_GRID.t_max,
-        params.get("tsteps") if params.get("tsteps") is not None else wavepacket.DEFAULT_GRID.t_steps,
-    )
-    sweep = params.get("j") is None
-    families = [0, 1, 2] if sweep else [params["j"]]
-    base = Path(params.get("out") or "density.csv")
-    trunc = params.get("trunc")
+def cmd_density(ns) -> int:
+    z = complex(ns.z_re, ns.z_im)
+    grid = ns.grid
+    sweep = ns.j is None
+    base = Path(ns.out)
     xs, ts = grid.x_values(), grid.t_values()
-    for j in families:
+    # Rows run t-major: every x for the first t, then the next t.
+    t_col = [t for t in map(repr, ts.tolist()) for _ in range(xs.size)]
+    x_col = list(map(repr, xs.tolist())) * ts.size
+    for j in [0, 1, 2] if sweep else [ns.j]:
         field = wavepacket.density_gaussian(j, z, grid)
         rng = np.random.default_rng(42)
         ix = rng.integers(0, xs.size, 100)
         it = rng.integers(0, ts.size, 100)
         try:
-            spots = wavepacket.rho_fock(j, z, xs[ix], ts[it], trunc)
+            spots = wavepacket.rho_fock(j, z, xs[ix], ts[it], ns.trunc)
         except coherent.TruncationError as exc:
             print(f"density: {exc}", file=sys.stderr)
             return 1
-        if params.get("inject_spotcheck"):
+        if ns.inject_spotcheck:
             spots = spots + 1e-5
         spot_err = float(np.max(np.abs(spots - field.values[ix, it])))
-        if spot_err > SPOT_CHECK_TOL:
+        if not _within(spot_err, SPOT_CHECK_TOL):
             print(
                 f"density: dual-path spot check failed for j={j}:"
-                f" max |fock - gaussian| = {spot_err:.3e} > {SPOT_CHECK_TOL:g};"
-                " no file written",
+                f" max |fock - gaussian| = {spot_err:.3e}, not below"
+                f" {SPOT_CHECK_TOL:g}; no file written",
                 file=sys.stderr,
             )
             return 1
-        out = _density_out_path(base, j, sweep)
+        out = base.with_name(f"{base.stem}_j{j}{base.suffix or '.csv'}") if sweep else base
         comments = [
             "command=density",
-            f"j={j} z_re={_fmt(z.real)} z_im={_fmt(z.imag)}",
-            f"x range [{_fmt(grid.x_min)}, {_fmt(grid.x_max)}] with {grid.x_steps} points",
-            f"t range [{_fmt(grid.t_min)}, {_fmt(grid.t_max)}] with {grid.t_steps} points",
+            f"j={j} z_re={z.real!r} z_im={z.imag!r}",
+            f"x range [{grid.x_min!r}, {grid.x_max!r}] with {grid.x_steps} points",
+            f"t range [{grid.t_min!r}, {grid.t_max!r}] with {grid.t_steps} points",
             f"spot_check_max_err={spot_err!r} (tol {SPOT_CHECK_TOL:g})",
             f"version={__version__}",
         ]
-        rows = []
-        for k, t in enumerate(ts):
-            for i, xv in enumerate(xs):
-                rows.append((_fmt(t), _fmt(xv), _fmt(field.values[i, k])))
-        _write_csv(out, comments, "t,x,rho", rows)
+        rho_col = map(repr, field.values.T.ravel().tolist())
+        _write_csv(out, comments, "t,x,rho", zip(t_col, x_col, rho_col))
         meta = out.with_name(out.name + ".meta")
         with meta.open("w", encoding="ascii", newline="\n") as fh:
             fh.write(f"command=density\nj={j}\n")
-            fh.write(f"z_re={_fmt(z.real)}\nz_im={_fmt(z.imag)}\n")
+            fh.write(f"z_re={z.real!r}\nz_im={z.imag!r}\n")
             for name in ("x_min", "x_max", "x_steps", "t_min", "t_max", "t_steps"):
                 fh.write(f"{name}={getattr(grid, name)}\n")
             fh.write(f"version={__version__}\n")
-        print(f"wrote {out} ({len(rows)} rows), spot check {spot_err:.3e}")
+        print(f"wrote {out} ({len(t_col)} rows), spot check {spot_err:.3e}")
     return 0
 
 
 # ------------------------------------------------------------- decompose --
 
 
-def cmd_decompose(config: RunConfig) -> int:
-    params = config.parameters
-    j = params.get("j") if params.get("j") is not None else 0
-    z = complex(params.get("z_re") if params.get("z_re") is not None else 2.0,
-                params.get("z_im") if params.get("z_im") is not None else 0.0)
-    tri = coherent.triangle_decompose(z, j)
-    n_trunc = params.get("trunc") or tri.default_truncation()
+def cmd_decompose(ns) -> int:
+    z = complex(ns.z_re, ns.z_im)
+    tri = coherent.triangle_decompose(z, ns.j)
+    n_trunc = ns.trunc or tri.default_truncation()
     try:
         rec = tri.reconstruction(n_trunc).coeffs
         target = tri.target(n_trunc).coeffs
@@ -496,38 +435,24 @@ def cmd_decompose(config: RunConfig) -> int:
         print(f"decompose: {exc}", file=sys.stderr)
         return 1
     errors = np.abs(rec - target)
-    rows = []
-    for n in range(len(target)):
-        rows.append(
-            (
-                str(n),
-                _fmt(target[n].real),
-                _fmt(target[n].imag),
-                _fmt(rec[n].real),
-                _fmt(rec[n].imag),
-                _fmt(errors[n]),
-            )
-        )
     worst = float(np.max(errors))
     comments = [
         "command=decompose",
-        f"j={j} z_re={_fmt(z.real)} z_im={_fmt(z.imag)} truncation={n_trunc}",
-        "weights="
-        + " ".join(f"({_fmt(w.real)},{_fmt(w.imag)})" for w in tri.weights),
-        "labels="
-        + " ".join(f"({_fmt(l.real)},{_fmt(l.imag)})" for l in tri.labels),
+        f"j={ns.j} z_re={z.real!r} z_im={z.imag!r} truncation={n_trunc}",
+        "weights=" + " ".join(f"({w.real!r},{w.imag!r})" for w in tri.weights),
+        "labels=" + " ".join(f"({l.real!r},{l.imag!r})" for l in tri.labels),
         f"max_abs_error={worst!r} (tol {TRIANGLE_TOL:g})",
         f"version={__version__}",
     ]
-    out = Path(params.get("out") or "decompose.csv")
-    _write_csv(
-        out,
-        comments,
-        "n,target_re,target_im,reconstructed_re,reconstructed_im,abs_error",
-        rows,
-    )
-    print(f"wrote {out} ({len(rows)} rows), max error {worst:.3e}")
-    return 0 if worst < TRIANGLE_TOL else 1
+    columns = [
+        map(repr, arr.tolist())
+        for arr in (target.real, target.imag, rec.real, rec.imag, errors)
+    ]
+    rows = zip(map(str, range(len(target))), *columns)
+    header = "n,target_re,target_im,reconstructed_re,reconstructed_im,abs_error"
+    out = _write_csv(ns.out, comments, header, rows)
+    print(f"wrote {out} ({len(target)} rows), max error {worst:.3e}")
+    return 0 if _within(worst, TRIANGLE_TOL) else 1
 
 
 # --------------------------------------------------------------- moments --
@@ -555,42 +480,29 @@ def _read_samples(path: Path):
     return samples
 
 
-def cmd_moments(config: RunConfig) -> int:
-    params = config.parameters
-    j = params.get("j") if params.get("j") is not None else 0
-    n_max = params.get("nmax") if params.get("nmax") is not None else 5
-    rtol = params.get("rtol") if params.get("rtol") is not None else 1e-3
-    sample_path = Path(params["samples"])
+def cmd_moments(ns) -> int:
+    sample_path = Path(ns.samples)
     try:
         samples = _read_samples(sample_path)
-        rows = coherent.moment_check(j, samples, n_max)
+        rows = coherent.moment_check(ns.j, samples, ns.nmax)
     except (OSError, ValueError) as exc:
         print(f"moments: {exc}", file=sys.stderr)
         return 1
-    out_rows = []
-    failures = 0
-    for row in rows:
-        passed = row.rel_error < rtol
-        failures += not passed
-        out_rows.append(
-            (
-                str(row.n),
-                _fmt(row.computed),
-                str(row.target),
-                _fmt(row.rel_error),
-                str(int(passed)),
-            )
-        )
+    passed = [_within(row.rel_error, ns.rtol) for row in rows]
     comments = [
         "command=moments",
-        f"j={j} n_max={n_max} rtol={_fmt(rtol)} samples={sample_path}",
+        f"j={ns.j} n_max={ns.nmax} rtol={ns.rtol!r} samples={sample_path}",
         "target(n) = (3(n-1)+j)! ; computed(n) = trapezoid of x^(n-1) f(x)",
         f"version={__version__}",
     ]
-    out = Path(params.get("out") or "moments.csv")
-    _write_csv(out, comments, "n,computed,target,rel_error,passed", out_rows)
+    out_rows = [
+        (str(r.n), repr(r.computed), str(r.target), repr(r.rel_error), str(int(ok)))
+        for r, ok in zip(rows, passed)
+    ]
+    out = _write_csv(ns.out, comments, "n,computed,target,rel_error,passed", out_rows)
+    failures = passed.count(False)
     print(
-        f"wrote {out} ({len(out_rows)} rows), {len(out_rows) - failures} passed,"
+        f"wrote {out} ({len(rows)} rows), {len(rows) - failures} passed,"
         f" {failures} failed"
     )
     return 0 if failures == 0 else 1
@@ -599,34 +511,40 @@ def cmd_moments(config: RunConfig) -> int:
 # ------------------------------------------------------------------ main --
 
 
-def _add_common(parser, *names):
-    if "j" in names:
-        parser.add_argument("--j", type=int, choices=(0, 1, 2), default=None,
-                            help="coherent-state family index")
-    if "z" in names:
-        parser.add_argument("--z-re", type=float, default=None, dest="z_re",
-                            help="real part of the label z (default 2)")
-        parser.add_argument("--z-im", type=float, default=None, dest="z_im",
-                            help="imaginary part of the label z (default 0)")
-    if "alpha" in names:
-        parser.add_argument("--alpha-re", type=float, default=None, dest="alpha_re")
-        parser.add_argument("--alpha-im", type=float, default=None, dest="alpha_im")
-    if "xgrid" in names:
-        parser.add_argument("--xmin", type=float, default=None)
-        parser.add_argument("--xmax", type=float, default=None)
-        parser.add_argument("--xsteps", type=int, default=None)
-    if "tgrid" in names:
-        parser.add_argument("--tmin", type=float, default=None)
-        parser.add_argument("--tmax", type=float, default=None)
-        parser.add_argument("--tsteps", type=int, default=None)
-    if "trunc" in names:
-        parser.add_argument("--trunc", type=int, default=None,
-                            help="override the automatic Fock truncation")
-    if "delta" in names:
-        parser.add_argument("--delta", type=float, default=None,
-                            help="singularity exclusion radius (default 0.1)")
-    if "out" in names:
-        parser.add_argument("--out", type=str, default=None, help="output CSV path")
+def _finite_float(text: str) -> float:
+    """argparse type for every float flag: inf and nan are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+# Every option a command may take: dest -> (help, type). Each command sets
+# its own defaults in build_parser; the help text shows them.
+_OPTIONS = {
+    "j": ("coherent-state family index", int),
+    "z_re": ("real part of the label z", _finite_float),
+    "z_im": ("imaginary part of the label z", _finite_float),
+    "alpha_re": ("real part of alpha for the --trunc eigenstate check", _finite_float),
+    "alpha_im": ("imaginary part of that alpha", _finite_float),
+    "xmin": ("grid start", _finite_float),
+    "xmax": ("grid end", _finite_float),
+    "xsteps": ("grid points", int),
+    "tmin": ("time grid start", _finite_float),
+    "tmax": ("time grid end", _finite_float),
+    "tsteps": ("time grid points", int),
+    "trunc": ("Fock truncation; None chooses an adequate one", int),
+    "delta": ("singularity exclusion radius", _finite_float),
+    "amin": ("sweep start", _finite_float),
+    "amax": ("sweep end", _finite_float),
+    "asteps": ("sweep points", int),
+    "nmax": ("number of moments to check", int),
+    "rtol": ("relative tolerance for a moment to pass", _finite_float),
+    "out": ("output CSV path", str),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -640,59 +558,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run the full invariant suite")
-    _add_common(p_verify, "alpha", "trunc", "delta")
-    for name in INJECT_TARGETS:
-        p_verify.add_argument(
-            "--inject-" + name,
-            action="store_true",
-            dest="inject_" + name.replace("-", "_"),
-            help=argparse.SUPPRESS,
-        )
-    p_verify.set_defaults(func=cmd_verify)
+    def command(name, func, help, **defaults):
+        p = sub.add_parser(name, help=help, description=help)
+        p.set_defaults(func=func)
+        for dest, default in defaults.items():
+            text, kind = _OPTIONS[dest]
+            p.add_argument(
+                "--" + dest.replace("_", "-"),
+                type=kind,
+                default=default,
+                choices=(0, 1, 2) if dest == "j" else None,
+                help=text + " (default %(default)s)",
+            )
+        return p
 
-    p_unc = sub.add_parser("uncertainty", help="uncertainty-product sweep CSV")
-    _add_common(p_unc, "j", "out")
-    p_unc.add_argument("--amin", type=float, default=None, help="sweep start (default 0)")
-    p_unc.add_argument("--amax", type=float, default=None, help="sweep end (default 10)")
-    p_unc.add_argument("--asteps", type=int, default=None, help="sweep points (default 201)")
-    p_unc.set_defaults(func=cmd_uncertainty)
-
-    p_piv = sub.add_parser("piv", help="residual scan of the three solutions")
-    _add_common(p_piv, "xgrid", "delta", "out")
-    p_piv.set_defaults(func=cmd_piv)
-
-    p_density = sub.add_parser("density", help="space-time density CSV")
-    _add_common(p_density, "j", "z", "xgrid", "tgrid", "trunc", "out")
-    p_density.add_argument(
-        "--inject-spotcheck",
-        action="store_true",
-        dest="inject_spotcheck",
-        help=argparse.SUPPRESS,
-    )
-    p_density.set_defaults(func=cmd_density)
-
-    p_dec = sub.add_parser("decompose", help="triangle reconstruction error table")
-    _add_common(p_dec, "j", "z", "trunc", "out")
-    p_dec.set_defaults(func=cmd_decompose)
-
-    p_mom = sub.add_parser("moments", help="moment check of a sampled weight")
-    _add_common(p_mom, "j", "out")
-    p_mom.add_argument("--samples", type=str, required=True,
-                       help="two-column file of (x, f) samples")
-    p_mom.add_argument("--nmax", type=int, default=None,
-                       help="number of moments to check (default 5)")
-    p_mom.add_argument("--rtol", type=float, default=None,
-                       help="relative tolerance for a moment to pass (default 1e-3)")
-    p_mom.set_defaults(func=cmd_moments)
+    delta = painleve.DEFAULT_DELTA
+    p = command("verify", cmd_verify, "run the full invariant suite",
+                alpha_re=4.0, alpha_im=0.0, trunc=None, delta=delta)
+    for _, flag, _ in CHECKS:
+        p.add_argument("--inject-" + flag, action="store_true", help=argparse.SUPPRESS)
+    command("uncertainty", cmd_uncertainty, "uncertainty-product sweep CSV; all families unless --j is set",
+            j=None, amin=0.0, amax=10.0, asteps=201, out="uncertainty.csv")
+    command("piv", cmd_piv, "residual scan of the three solutions",
+            xmin=-10.0, xmax=10.0, xsteps=2001, delta=delta, out="piv_scan.csv")
+    grid = wavepacket.DEFAULT_GRID
+    p = command("density", cmd_density,
+                "space-time density CSV; one file per family unless --j is set",
+                j=None, z_re=2.0, z_im=0.0,
+                xmin=grid.x_min, xmax=grid.x_max, xsteps=grid.x_steps,
+                tmin=grid.t_min, tmax=grid.t_max, tsteps=grid.t_steps,
+                trunc=None, out="density.csv")
+    p.add_argument("--inject-spotcheck", action="store_true", help=argparse.SUPPRESS)
+    command("decompose", cmd_decompose, "triangle reconstruction error table",
+            j=0, z_re=2.0, z_im=0.0, trunc=None, out="decompose.csv")
+    p = command("moments", cmd_moments, "moment check of a sampled weight",
+                j=0, nmax=5, rtol=1e-3, out="moments.csv")
+    p.add_argument("--samples", required=True, help="two-column file of (x, f) samples")
     return parser
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
-    params = {k: v for k, v in vars(ns).items() if k not in ("command", "func")}
-    config = RunConfig(command=ns.command, parameters=params)
-    return ns.func(config)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if "xsteps" in ns:  # piv and density sample a grid
+        t_axis = (ns.tmin, ns.tmax, ns.tsteps) if "tsteps" in ns else ()
+        try:
+            ns.grid = GridSpec(ns.xmin, ns.xmax, ns.xsteps, *t_axis)
+        except ValueError as exc:
+            parser.error(f"{ns.command}: {exc}")
+    return ns.func(ns)
 
 
 def entry() -> None:

@@ -104,11 +104,6 @@ class FockOperator:
             raise ValueError("operator and vector truncations differ")
         return FockVector(self.matrix @ vec.coeffs)
 
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        if other.truncation != self.truncation:
-            raise ValueError("operator truncations differ")
-        return FockOperator(self.matrix @ other.matrix)
-
 
 @dataclass(frozen=True)
 class LadderIndex:

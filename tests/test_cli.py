@@ -1,9 +1,11 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
-from triladder import cli
+from triladder import cli, coherent, wavepacket
+from triladder.grid import GridSpec
 
 
 def run(argv):
@@ -52,6 +54,12 @@ class TestVerify:
         line = next(l for l in out.splitlines() if l.startswith("FAIL cs-eigen"))
         assert "suggested truncation" in line
 
+    def test_nan_residual_fails_its_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(coherent, "eigen_residual", lambda spec: math.nan)
+        assert run(["verify"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [l.split()[1] for l in out if l.startswith("FAIL")] == ["cs-eigen"]
+
     def test_report_names_parameter_sign_choice(self, capsys):
         run(["verify", "--inject-piv-sign"])
         out = capsys.readouterr().out
@@ -89,6 +97,24 @@ class TestUncertainty:
         assert run(["uncertainty", "--amin", "5", "--amax", "1",
                     "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_exact_round_trip(self, tmp_path, capsys):
+        out = tmp_path / "unc.csv"
+        assert run(["uncertainty", "--amax", "3", "--asteps", "7",
+                    "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 3 * 7
+        for r in rows:
+            want = coherent.a_norm_squared(int(r["j"]), float(r["abs_alpha"])) + 0.5
+            assert float(r["uncertainty_product"]) == want
+
+    def test_nonfinite_series_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "unc.csv"
+        assert run(["uncertainty", "--amax", "2e5", "--asteps", "3",
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "|alpha|=100000.0, j=0" in err and "no file written" in err
+
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["uncertainty", "--amax", "3", "--asteps", "7", "--out", str(a)])
@@ -118,6 +144,13 @@ class TestPiv:
             y = float(r["y"])
             if abs(2 * y * y - 3) < 0.1:
                 assert r["excluded"] == "1"
+
+    def test_nan_residual_fails(self, tmp_path, capsys):
+        # g^3 overflows here, so the included residuals are nan
+        out = tmp_path / "piv.csv"
+        assert run(["piv", "--xmin", "1e110", "--xmax", "1e111", "--xsteps", "2",
+                    "--out", str(out)]) == 1
+        assert "max residual nan" in capsys.readouterr().out
 
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -162,6 +195,25 @@ class TestDensity:
             b = [v for _, v in sorted(by_t[late])]
             assert np.max(np.abs(np.array(a) - np.array(b))) < 1e-10
 
+    def test_exact_round_trip(self, tmp_path, capsys):
+        out = tmp_path / "rho.csv"
+        assert run(["density", "--j", "0", *self.ARGS, "--out", str(out)]) == 0
+        rows = read_rows(out)
+        grid = GridSpec(-8.0, 8.0, 81, 0.0, 2 * math.pi, 7)
+        field = wavepacket.density_gaussian(0, 2.0, grid)
+        # t-major: every x for the first t, then the next t
+        assert [float(r["rho"]) for r in rows] == field.values.T.ravel().tolist()
+        assert [float(r["x"]) for r in rows[:81]] == grid.x_values().tolist()
+        assert [float(r["t"]) for r in rows[::81]] == grid.t_values().tolist()
+
+    def test_nan_spot_check_blocks_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(wavepacket, "rho_fock",
+                            lambda j, z, x, t, n_trunc=None: np.full(np.shape(x), np.nan))
+        out = tmp_path / "rho.csv"
+        assert run(["density", "--j", "0", *self.ARGS, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "no file written" in capsys.readouterr().err
+
     def test_family_sweep_emits_three_files(self, tmp_path, capsys):
         base = tmp_path / "rho.csv"
         assert run(["density", *self.ARGS, "--out", str(base)]) == 0
@@ -196,6 +248,20 @@ class TestDecompose:
             if int(r["n"]) % 3 != 1:
                 assert float(r["target_re"]) == 0.0
                 assert float(r["target_im"]) == 0.0
+
+    def test_exact_round_trip(self, tmp_path, capsys):
+        out = tmp_path / "dec.csv"
+        assert run(["decompose", "--j", "2", "--z-re", "1.3", "--z-im", "0.8",
+                    "--out", str(out)]) == 0
+        rows = read_rows(out)
+        tri = coherent.triangle_decompose(1.3 + 0.8j, 2)
+        target = tri.target(len(rows)).coeffs
+        assert len(rows) == tri.default_truncation()
+        assert [float(r["target_re"]) for r in rows] == target.real.tolist()
+        assert [float(r["target_im"]) for r in rows] == target.imag.tolist()
+        rec = tri.reconstruction(len(rows)).coeffs
+        assert [float(r["reconstructed_re"]) for r in rows] == rec.real.tolist()
+        assert [float(r["abs_error"]) for r in rows] == np.abs(rec - target).tolist()
 
     def test_trivial_vacuum(self, tmp_path, capsys):
         out = tmp_path / "dec.csv"
@@ -249,3 +315,35 @@ class TestParser:
     def test_family_choice_validated(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["density", "--j", "7"])
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["uncertainty", "--amax", "inf"], "--amax"),
+        (["uncertainty", "--amax", "nan"], "--amax"),
+        (["density", "--z-re", "nan"], "--z-re"),
+    ])
+    def test_nonfinite_float_rejected(self, capsys, argv, flag):
+        # rejected at the parser: the uncertainty sweep never returns on inf
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+
+    def test_invalid_grid_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["piv", "--xsteps", "0", "--out", str(tmp_path / "piv.csv")])
+        assert exc.value.code == 2
+        assert "grid requires at least one sample" in capsys.readouterr().err
+
+    def test_density_defaults_are_the_default_grid(self):
+        ns = cli.build_parser().parse_args(["density"])
+        grid = wavepacket.DEFAULT_GRID
+        assert (ns.xmin, ns.xmax, ns.xsteps) == (grid.x_min, grid.x_max, grid.x_steps)
+        assert (ns.tmin, ns.tmax, ns.tsteps) == (grid.t_min, grid.t_max, grid.t_steps)
+
+    def test_help_shows_every_default(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        for parser in sub.choices.values():
+            for action in parser._actions:
+                if action.dest in ("help", "samples") or action.help == argparse.SUPPRESS:
+                    continue
+                assert "%(default)s" in action.help, action.dest

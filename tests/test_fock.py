@@ -277,13 +277,6 @@ class TestVectorAndOperatorTypes:
         a = fock.build_annihilation(5)
         assert a.dagger().bands == (1, 0)
 
-    def test_operator_product(self):
-        a = fock.build_annihilation(6)
-        number = a.dagger() @ a
-        np.testing.assert_allclose(np.diag(number.matrix).real, np.arange(6), atol=1e-14)
-        with pytest.raises(ValueError):
-            fock.build_annihilation(5) @ fock.build_annihilation(6)
-
     def test_basis_state(self):
         v = fock.basis_state(2, 4)
         np.testing.assert_allclose(v.coeffs, basis(2, 4))
