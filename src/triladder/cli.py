@@ -360,10 +360,13 @@ def cmd_piv(ns) -> int:
         ]
         included += [abs(p.residual) for p in points if not p.excluded]
     worst = _worst(included)
+    if not _within(worst, RESIDUAL_TOL):
+        print(f"piv: max residual {worst:.3e}, not below {RESIDUAL_TOL:g}; no file written")
+        return 1
     comments.append(f"max_included_residual={worst!r}")
     out = _write_csv(ns.out, comments, "solution_id,y,g,residual,excluded", rows)
     print(f"wrote {out} ({len(rows)} rows), max residual {worst:.3e}")
-    return 0 if _within(worst, RESIDUAL_TOL) else 1
+    return 0
 
 
 # --------------------------------------------------------------- density --
@@ -606,7 +609,11 @@ def main(argv=None) -> int:
             ns.grid = GridSpec(ns.xmin, ns.xmax, ns.xsteps, *t_axis)
         except ValueError as exc:
             parser.error(f"{ns.command}: {exc}")
-    return ns.func(ns)
+    try:
+        return ns.func(ns)
+    except OSError as exc:  # moments reports its own read errors; only writes get here
+        print(f"{ns.command}: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -173,14 +173,15 @@ def build_cs(spec: CoherentSpec) -> FockVector:
 def eigen_residual(spec: CoherentSpec) -> float:
     """|| a_g |alpha>_j - alpha |alpha>_j || at the spec's truncation.
 
+    a_g lowers by three levels: (a_g c)_{n-3} = sqrt(n (n-1) (n-2)) c_n.
     Deliberately skips the adequacy check so undersized truncations report
     their (large) residual instead of raising.
     """
-    n_op = max(spec.truncation, 4)
-    vec = np.zeros(n_op, dtype=complex)
-    vec[: spec.truncation] = cs_coefficients(spec.j, spec.alpha, spec.truncation)
-    lowering = fock.build_deformed_ladders(n_op)[0].matrix
-    return float(np.linalg.norm(lowering @ vec - spec.alpha * vec))
+    coeffs = cs_coefficients(spec.j, spec.alpha, spec.truncation)
+    n = np.arange(3.0, coeffs.size)
+    lowered = np.zeros_like(coeffs)
+    lowered[: n.size] = np.sqrt(n * (n - 1.0) * (n - 2.0)) * coeffs[3:]
+    return float(np.linalg.norm(lowered - spec.alpha * coeffs))
 
 
 def _ladder_series(x: float, offset: int) -> float:
@@ -219,21 +220,21 @@ def a_norm_squared(j, abs_alpha: float) -> float:
 def statistics(spec: CoherentSpec) -> CSStatistics:
     """Quadratic-form moments of x, p and H.
 
-    Operators act on a slightly larger space than the state so the
-    raising parts of x^2, p^2 and H are not clipped by the truncation.
+    a and a+ act as one-level shifts weighted by sqrt(n), so x c and p c are
+    sums of two shifted arrays and H is the diagonal n + 1/2. The state is
+    padded by one level so the raising part is not clipped by the truncation.
     """
-    coeffs = build_cs(spec).coeffs
-    n_op = spec.truncation + 3
-    vec = np.zeros(n_op, dtype=complex)
-    vec[: spec.truncation] = coeffs
-    x_op = fock.build_position(n_op).matrix
-    p_op = fock.build_momentum(n_op).matrix
-    h_op = fock.build_hamiltonian(n_op).matrix
-    mean_x = float(np.vdot(vec, x_op @ vec).real)
-    mean_p = float(np.vdot(vec, p_op @ vec).real)
-    mean_x2 = float(np.linalg.norm(x_op @ vec) ** 2)
-    mean_p2 = float(np.linalg.norm(p_op @ vec) ** 2)
-    mean_h = float(np.vdot(vec, h_op @ vec).real)
+    vec = np.append(build_cs(spec).coeffs, 0.0)
+    weights = np.sqrt(np.arange(1.0, vec.size)) / math.sqrt(2.0)
+    lowered = np.append(weights * vec[1:], 0.0)  # (a c)_n / sqrt(2)
+    raised = np.insert(weights * vec[:-1], 0, 0.0)  # (a+ c)_n / sqrt(2)
+    x_vec = lowered + raised
+    p_vec = 1j * (raised - lowered)
+    mean_x = float(np.vdot(vec, x_vec).real)
+    mean_p = float(np.vdot(vec, p_vec).real)
+    mean_x2 = float(np.linalg.norm(x_vec) ** 2)
+    mean_p2 = float(np.linalg.norm(p_vec) ** 2)
+    mean_h = float(np.sum((np.arange(vec.size) + 0.5) * np.abs(vec) ** 2))
     product = math.sqrt((mean_x2 - mean_x**2) * (mean_p2 - mean_p**2))
     return CSStatistics(mean_x, mean_p, mean_x2, mean_p2, mean_h, product)
 

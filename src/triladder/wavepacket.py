@@ -1,8 +1,11 @@
 """Position-space densities of the evolving deformed coherent states.
 
-Two independent evaluation paths exist on purpose. The Fock path sums the
-truncated number-basis expansion against Hermite functions; the Gaussian
-path evaluates the closed form
+Two independent evaluation paths exist on purpose. The Fock path walks
+only the family's ladder n = 3k + j: one Hermite recurrence runs over the
+x values as given, keeping two rows alive, and every third row is added
+to psi with the rung phase e^(-3ikt) taken from the t values as given, so
+its memory is of the order of the broadcast x-t shape. The Gaussian path
+evaluates the closed form
 
     <x|z> = pi^(-1/4) exp(-x^2/2 + sqrt(2) z x - z^2/2)
 
@@ -11,6 +14,7 @@ Their agreement validates the expansion coefficients, the Hermite
 evaluator, the triangle weights and the evolution law in one shot.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,25 +62,26 @@ class DensityField:
         return np.trapezoid(self.values, x=self.grid.x_values(), axis=0)
 
 
-def hermite_basis(n_levels: int, x) -> np.ndarray:
-    """Rows psi_0 .. psi_{n_levels-1} of the oscillator eigenfunctions on x.
+def _hermite_rows(x: np.ndarray):
+    """Yield psi_0(x), psi_1(x), ... without end, holding two rows at a time.
 
     Uses the normalized recurrence
         psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1},
     which keeps every value of order one and cannot overflow.
     """
+    prev = np.zeros_like(x)
+    cur = np.pi**-0.25 * np.exp(-x * x / 2.0)
+    for n in itertools.count():
+        yield cur
+        prev, cur = cur, math.sqrt(2.0 / (n + 1)) * x * cur - math.sqrt(n / (n + 1.0)) * prev
+
+
+def hermite_basis(n_levels: int, x) -> np.ndarray:
+    """Rows psi_0 .. psi_{n_levels-1} of the oscillator eigenfunctions on x."""
     if n_levels < 1:
         raise ValueError("need at least one level")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros((n_levels, x.size))
-    out[0] = np.pi**-0.25 * np.exp(-x * x / 2.0)
-    if n_levels > 1:
-        out[1] = _SQRT2 * x * out[0]
-    for n in range(1, n_levels - 1):
-        out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(
-            n / (n + 1.0)
-        ) * out[n - 1]
-    return out
+    x = np.asarray(x, dtype=float).ravel()
+    return np.array(list(itertools.islice(_hermite_rows(x), n_levels)))
 
 
 def hermite_function(n: int, x):
@@ -88,23 +93,26 @@ def hermite_function(n: int, x):
 
 
 def rho_fock(j, z: complex, x, t, n_trunc: int | None = None) -> np.ndarray:
-    """Density of the evolving family-j state, summed in the number basis.
+    """Density of the evolving family-j state, summed along its ladder.
 
-    x and t broadcast against each other; the global evolution phase drops
-    out of the modulus squared.
+    psi(x, t) = sum_k c_k e^(-3ikt) psi_{3k+j}(x), with the global phase
+    e^(-i(j+1/2)t) dropped since it leaves |psi|^2 unchanged. x and t
+    broadcast against each other; the recurrence runs on x and the phase
+    on t as given, so an (nx, 1) by (1, nt) grid costs nx Hermite points
+    and memory of the order of nx * nt.
     """
-    z = complex(z)
-    spec = coherent.CoherentSpec(j, z**3, n_trunc)
-    base = coherent.build_cs(spec).coeffs
-    idx = np.arange(spec.j, spec.truncation, 3)
-    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    shape = xb.shape
-    xf, tf = xb.ravel(), tb.ravel()
-    basis = hermite_basis(spec.truncation, xf)
-    phases = np.exp(-1j * np.outer(idx, tf))
-    psi = np.sum(base[idx, None] * phases * basis[idx, :], axis=0)
+    spec = coherent.CoherentSpec(j, complex(z) ** 3, n_trunc)
+    coeffs = coherent.build_cs(spec).coeffs
+    x = np.asarray(x, dtype=float)
+    step = np.exp(-3j * np.asarray(t, dtype=float))
+    phase = np.ones_like(step)
+    psi = np.zeros(np.broadcast_shapes(x.shape, step.shape), dtype=complex)
+    for n, row in zip(range(spec.truncation), _hermite_rows(x)):
+        if n % 3 == spec.j:
+            psi += (coeffs[n] * phase) * row
+            phase = phase * step
     rho = np.abs(psi) ** 2
-    return float(rho[0]) if shape == () else rho.reshape(shape)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
@@ -141,21 +149,12 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
 def density_fock(j, z: complex, grid: GridSpec, n_trunc: int | None = None) -> DensityField:
     """Density field on a grid via the number-basis path.
 
-    Each time slice rebuilds the evolved state through the coherent-state
-    evolution law before projecting onto the Hermite functions.
+    One rho_fock call on the grid's x column and t row: the recurrence
+    runs on x_steps points, not x_steps * t_steps.
     """
-    xs = grid.x_values()
-    ts = grid.t_values()
-    z = complex(z)
-    spec = coherent.CoherentSpec(j, z**3, n_trunc)
-    basis = hermite_basis(spec.truncation, xs)
-    values = np.empty((xs.size, ts.size))
-    for k, t in enumerate(ts):
-        _, evolved = coherent.evolve(spec, float(t))
-        coeffs = coherent.build_cs(evolved).coeffs
-        psi = coeffs @ basis
-        values[:, k] = np.abs(psi) ** 2
-    return DensityField(grid, values)
+    xs = grid.x_values()[:, None]
+    ts = grid.t_values()[None, :]
+    return DensityField(grid, rho_fock(j, z, xs, ts, n_trunc))
 
 
 def density_gaussian(j, z: complex, grid: GridSpec) -> DensityField:
@@ -178,22 +177,11 @@ def period_check(
     Vanishes (to rounding) for the fundamental period 2 pi / 3 and is
     order one for shorter candidates at generic z.
     """
-    if path == "gaussian":
-        xs = grid.x_values()[:, None]
-        ts = grid.t_values()[None, :]
-        base = rho_gaussian(j, z, xs, ts)
-        shifted = rho_gaussian(j, z, xs, ts + candidate)
-    elif path == "fock":
-        base = density_fock(j, z, grid).values
-        moved = GridSpec(
-            grid.x_min,
-            grid.x_max,
-            grid.x_steps,
-            grid.t_min + candidate,
-            grid.t_max + candidate,
-            grid.t_steps,
-        )
-        shifted = density_fock(j, z, moved).values
-    else:
+    rho = {"gaussian": rho_gaussian, "fock": rho_fock}.get(path)
+    if rho is None:
         raise ValueError("path must be 'gaussian' or 'fock'")
+    xs = grid.x_values()[:, None]
+    ts = grid.t_values()[None, :]
+    base = rho(j, z, xs, ts)
+    shifted = rho(j, z, xs, ts + candidate)
     return float(np.max(np.abs(shifted - base)))

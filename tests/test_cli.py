@@ -152,6 +152,13 @@ class TestPiv:
                     "--out", str(out)]) == 1
         assert "max residual nan" in capsys.readouterr().out
 
+    def test_failed_scan_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "piv.csv"
+        assert run(["piv", "--xmin", "1e110", "--xmax", "1e111", "--xsteps", "2",
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "no file written" in capsys.readouterr().out
+
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["piv", "--xsteps", "101", "--out", str(a)])
@@ -301,6 +308,34 @@ class TestMoments:
     def test_missing_file(self, tmp_path, capsys):
         assert run(["moments", "--samples", str(tmp_path / "absent.txt"),
                     "--out", str(tmp_path / "m.csv")]) == 1
+
+
+class TestWriteErrors:
+    COMMANDS = [
+        ["uncertainty", "--asteps", "3"],
+        ["piv", "--xsteps", "11"],
+        ["density", "--j", "0", "--xsteps", "11", "--tsteps", "3"],
+        ["decompose"],
+        ["moments", "--nmax", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_missing_directory_is_a_usage_error(self, tmp_path, capsys, argv):
+        if argv[0] == "moments":
+            write_exp_weight(tmp_path / "w.txt")
+            argv = [*argv, "--samples", str(tmp_path / "w.txt")]
+        out = tmp_path / "absent" / "out.csv"
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: cannot write {tmp_path / 'absent'}")
+        assert "No such file or directory" in err
+        assert not (tmp_path / "absent").exists()
+
+    def test_empty_path_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["uncertainty", "--asteps", "3", "--out", ""]) == 2
+        assert capsys.readouterr().err.startswith("uncertainty: cannot write ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParser:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,68 @@ class TestEigenResidual:
     def test_undersized_truncation_flagged(self):
         res = coherent.eigen_residual(coherent.CoherentSpec(2, 5.0, truncation=9))
         assert res > 1e-3
+
+
+def dense_eigen_residual(spec):
+    """The residual with a_g as the dense cube of the annihilation matrix."""
+    n_op = max(spec.truncation, 4)
+    vec = np.zeros(n_op, dtype=complex)
+    vec[: spec.truncation] = coherent.cs_coefficients(spec.j, spec.alpha, spec.truncation)
+    lowering = fock.build_deformed_ladders(n_op)[0].matrix
+    return float(np.linalg.norm(lowering @ vec - spec.alpha * vec))
+
+
+def dense_statistics(spec):
+    """Every statistics field as a quadratic form of the dense x, p and H."""
+    n_op = spec.truncation + 3
+    vec = np.zeros(n_op, dtype=complex)
+    vec[: spec.truncation] = coherent.build_cs(spec).coeffs
+    x = fock.build_position(n_op).matrix @ vec
+    p = fock.build_momentum(n_op).matrix @ vec
+    mean_x, mean_p = np.vdot(vec, x).real, np.vdot(vec, p).real
+    mean_x2, mean_p2 = np.linalg.norm(x) ** 2, np.linalg.norm(p) ** 2
+    mean_h = np.vdot(vec, fock.build_hamiltonian(n_op).matrix @ vec).real
+    product = math.sqrt((mean_x2 - mean_x**2) * (mean_p2 - mean_p**2))
+    return coherent.CSStatistics(mean_x, mean_p, mean_x2, mean_p2, mean_h, product)
+
+
+ORACLE_LABELS = [0.0, 1.0, 30.0, 1e3]
+
+
+class TestShiftFormAgainstDenseOracle:
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    @pytest.mark.parametrize("abs_alpha", ORACLE_LABELS)
+    def test_statistics(self, j, abs_alpha):
+        spec = coherent.CoherentSpec(j, abs_alpha * cmath.exp(0.4j))
+        got, want = coherent.statistics(spec), dense_statistics(spec)
+        # <x> and <p> vanish on a ladder, so the energy sets their scale
+        scale = 1e-12 * want.mean_H
+        for field in dataclasses.fields(coherent.CSStatistics):
+            value = getattr(want, field.name)
+            assert getattr(got, field.name) == pytest.approx(
+                value, rel=1e-12, abs=scale
+            ), field.name
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    @pytest.mark.parametrize("abs_alpha", ORACLE_LABELS)
+    def test_eigen_residual(self, j, abs_alpha):
+        alpha = abs_alpha * cmath.exp(0.4j)
+        adequate = coherent.adequate_truncation(j, abs_alpha)
+        half = 3 * ((adequate - j - 1) // 6) + j + 1
+        for size in sorted({adequate, half, j + 4, j + 1}):
+            spec = coherent.CoherentSpec(j, alpha, size)
+            got, want = coherent.eigen_residual(spec), dense_eigen_residual(spec)
+            # an adequate residual is rounding noise on terms of size |alpha|
+            assert abs(got - want) <= 1e-12 * max(want, abs_alpha), size
+            if size < adequate:
+                assert got > 1e-10, size  # fails the verify tolerance
+
+    def test_no_dense_operator_is_built(self, monkeypatch):
+        for name in [n for n in vars(fock) if n.startswith("build_")]:
+            monkeypatch.setattr(fock, name, None)
+        spec = coherent.CoherentSpec(2, 1e3)
+        coherent.statistics(spec)
+        coherent.eigen_residual(spec)
 
 
 class TestMeanOccupationSeries:

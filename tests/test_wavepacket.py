@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from triladder import coherent, wavepacket
+from triladder import cli, coherent, wavepacket
 from triladder.grid import GridSpec
 
 
@@ -136,11 +136,47 @@ class TestDualPath:
             f_gauss = wavepacket.density_gaussian(j, z, grid)
             assert np.max(np.abs(f_fock.values - f_gauss.values)) < 1e-8
 
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    @pytest.mark.parametrize("z", [8.0, 8.0 * np.exp(0.7j)])
+    def test_large_label_agrees(self, j, z):
+        # the window covers the packet, whose centre reaches sqrt(2) |z|
+        half = math.sqrt(2.0) * abs(z) + 6.0
+        grid = GridSpec(-half, half, 201, 0.0, 2 * math.pi, 37)
+        f_fock = wavepacket.density_fock(j, z, grid)
+        f_gauss = wavepacket.density_gaussian(j, z, grid)
+        assert np.max(np.abs(f_fock.values - f_gauss.values)) < cli.DUAL_PATH_TOL
+
     def test_scalar_point(self):
         a = wavepacket.rho_fock(0, 2.0, 1.3, 0.7)
         b = wavepacket.rho_gaussian(0, 2.0, 1.3, 0.7)
         assert isinstance(a, float) and isinstance(b, float)
         assert a == pytest.approx(b, abs=1e-10)
+
+
+class TestLadderKernel:
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_evolution_law(self, j):
+        # the kernel's rung phases against the state rebuilt at alpha e^(-3it)
+        z = 2.0
+        spec = coherent.CoherentSpec(j, z**3)
+        x = np.linspace(-8.0, 8.0, 161)
+        basis = wavepacket.hermite_basis(spec.truncation, x)
+        for t in (0.0, 0.7, 5.3):
+            evolved = coherent.evolve(spec, t)[1]
+            want = np.abs(coherent.build_cs(evolved).coeffs @ basis) ** 2
+            got = wavepacket.rho_fock(j, z, x, t)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_full_mesh_matches_broadcast_grid(self):
+        xs = np.linspace(-8.0, 8.0, 41)
+        ts = np.linspace(0.0, 2 * math.pi, 9)
+        z = 1.7 - 0.9j
+        for j in range(3):
+            grid = wavepacket.rho_fock(j, z, xs[:, None], ts[None, :])
+            mesh_x, mesh_t = np.meshgrid(xs, ts, indexing="ij")
+            mesh = wavepacket.rho_fock(j, z, mesh_x, mesh_t)
+            assert grid.shape == mesh.shape == (41, 9)
+            np.testing.assert_allclose(mesh, grid, rtol=0, atol=1e-15)
 
 
 class TestTimeStructure:
