@@ -316,14 +316,10 @@ class TestWriteErrors:
         ["piv", "--xsteps", "11"],
         ["density", "--j", "0", "--xsteps", "11", "--tsteps", "3"],
         ["decompose"],
-        ["moments", "--nmax", "1"],
     ]
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_missing_directory_is_a_usage_error(self, tmp_path, capsys, argv):
-        if argv[0] == "moments":
-            write_exp_weight(tmp_path / "w.txt")
-            argv = [*argv, "--samples", str(tmp_path / "w.txt")]
         out = tmp_path / "absent" / "out.csv"
         assert run([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -150,8 +150,7 @@ class TestShiftFormAgainstDenseOracle:
     def test_eigen_residual(self, j, abs_alpha):
         alpha = abs_alpha * cmath.exp(0.4j)
         adequate = coherent.adequate_truncation(j, abs_alpha)
-        half = 3 * ((adequate - j - 1) // 6) + j + 1
-        for size in sorted({adequate, half, j + 4, j + 1}):
+        for size in sorted({adequate, max(adequate // 2, j + 1), j + 4, j + 1}):
             spec = coherent.CoherentSpec(j, alpha, size)
             got, want = coherent.eigen_residual(spec), dense_eigen_residual(spec)
             # an adequate residual is rounding noise on terms of size |alpha|
