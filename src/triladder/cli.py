@@ -439,6 +439,12 @@ def cmd_decompose(ns) -> int:
         return 1
     errors = np.abs(rec - target)
     worst = float(np.max(errors))
+    if not _within(worst, TRIANGLE_TOL):
+        print(
+            f"decompose: max error {worst:.3e}, not below {TRIANGLE_TOL:g}; no file written",
+            file=sys.stderr,
+        )
+        return 1
     comments = [
         "command=decompose",
         f"j={ns.j} z_re={z.real!r} z_im={z.imag!r} truncation={n_trunc}",
@@ -455,7 +461,7 @@ def cmd_decompose(ns) -> int:
     header = "n,target_re,target_im,reconstructed_re,reconstructed_im,abs_error"
     out = _write_csv(ns.out, comments, header, rows)
     print(f"wrote {out} ({len(target)} rows), max error {worst:.3e}")
-    return 0 if _within(worst, TRIANGLE_TOL) else 1
+    return 0
 
 
 # --------------------------------------------------------------- moments --

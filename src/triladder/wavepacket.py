@@ -1,11 +1,12 @@
 """Position-space densities of the evolving deformed coherent states.
 
 Two independent evaluation paths exist on purpose. The Fock path walks
-only the family's ladder n = 3k + j: one Hermite recurrence runs over the
-x values as given, keeping two rows alive, and every third row is added
-to psi with the rung phase e^(-3ikt) taken from the t values as given, so
-its memory is of the order of the broadcast x-t shape. The Gaussian path
-evaluates the closed form
+only the family's ladder n = 3k + j: the Hermite rows are built once on
+the x values as given, not broadcast against t, and every third row is
+added to psi with the rung phase e^(-3ikt) taken from the t values as
+given. On an (nx, 1) by (1, nt) grid that is N * nx basis values plus one
+psi of nx * nt, instead of N * nx * nt. The Gaussian path evaluates the
+closed form
 
     <x|z> = pi^(-1/4) exp(-x^2/2 + sqrt(2) z x - z^2/2)
 
@@ -14,7 +15,6 @@ Their agreement validates the expansion coefficients, the Hermite
 evaluator, the triangle weights and the evolution law in one shot.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,26 +62,21 @@ class DensityField:
         return np.trapezoid(self.values, x=self.grid.x_values(), axis=0)
 
 
-def _hermite_rows(x: np.ndarray):
-    """Yield psi_0(x), psi_1(x), ... without end, holding two rows at a time.
+def hermite_basis(n_levels: int, x) -> np.ndarray:
+    """Rows psi_0 .. psi_{n_levels-1} of the oscillator eigenfunctions on x.
 
     Uses the normalized recurrence
         psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1},
     which keeps every value of order one and cannot overflow.
     """
-    prev = np.zeros_like(x)
-    cur = np.pi**-0.25 * np.exp(-x * x / 2.0)
-    for n in itertools.count():
-        yield cur
-        prev, cur = cur, math.sqrt(2.0 / (n + 1)) * x * cur - math.sqrt(n / (n + 1.0)) * prev
-
-
-def hermite_basis(n_levels: int, x) -> np.ndarray:
-    """Rows psi_0 .. psi_{n_levels-1} of the oscillator eigenfunctions on x."""
     if n_levels < 1:
         raise ValueError("need at least one level")
     x = np.asarray(x, dtype=float).ravel()
-    return np.array(list(itertools.islice(_hermite_rows(x), n_levels)))
+    out = np.zeros((n_levels, x.size))
+    out[0] = np.pi**-0.25 * np.exp(-x * x / 2.0)
+    for n in range(n_levels - 1):  # at n = 0 the weight on out[n - 1] is 0
+        out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
+    return out
 
 
 def hermite_function(n: int, x):
@@ -97,20 +92,20 @@ def rho_fock(j, z: complex, x, t, n_trunc: int | None = None) -> np.ndarray:
 
     psi(x, t) = sum_k c_k e^(-3ikt) psi_{3k+j}(x), with the global phase
     e^(-i(j+1/2)t) dropped since it leaves |psi|^2 unchanged. x and t
-    broadcast against each other; the recurrence runs on x and the phase
-    on t as given, so an (nx, 1) by (1, nt) grid costs nx Hermite points
-    and memory of the order of nx * nt.
+    broadcast against each other; the Hermite rows are built on x and the
+    phases on t as given, so an (nx, 1) by (1, nt) grid costs N * nx
+    basis values, not N * nx * nt.
     """
     spec = coherent.CoherentSpec(j, complex(z) ** 3, n_trunc)
-    coeffs = coherent.build_cs(spec).coeffs
+    coeffs = coherent.build_cs(spec).coeffs[spec.j :: 3]
     x = np.asarray(x, dtype=float)
+    rows = hermite_basis(spec.truncation, x)[spec.j :: 3]
     step = np.exp(-3j * np.asarray(t, dtype=float))
     phase = np.ones_like(step)
     psi = np.zeros(np.broadcast_shapes(x.shape, step.shape), dtype=complex)
-    for n, row in zip(range(spec.truncation), _hermite_rows(x)):
-        if n % 3 == spec.j:
-            psi += (coeffs[n] * phase) * row
-            phase = phase * step
+    for c, row in zip(coeffs, rows):
+        psi += (c * phase) * row.reshape(x.shape)
+        phase = phase * step
     rho = np.abs(psi) ** 2
     return float(rho) if rho.ndim == 0 else rho
 

@@ -270,6 +270,13 @@ class TestDecompose:
         assert [float(r["reconstructed_re"]) for r in rows] == rec.real.tolist()
         assert [float(r["abs_error"]) for r in rows] == np.abs(rec - target).tolist()
 
+    def test_failed_reconstruction_writes_nothing(self, tmp_path, capsys):
+        # at z = 5 the reconstruction error is about 4e-10, above TRIANGLE_TOL
+        out = tmp_path / "dec.csv"
+        assert run(["decompose", "--j", "1", "--z-re", "5", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "no file written" in capsys.readouterr().err
+
     def test_trivial_vacuum(self, tmp_path, capsys):
         out = tmp_path / "dec.csv"
         assert run(["decompose", "--j", "0", "--z-re", "0", "--z-im", "0",
