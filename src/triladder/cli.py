@@ -124,9 +124,9 @@ def _check_piv_residual(ns, inject):
         solutions = [
             dataclasses.replace(base, g=lambda y: base.g(y) + 0.01, label="perturbed")
         ]
-    points = [p for s in solutions for p in painleve.residual_scan(s, grid, ns.delta)]
-    worst = _worst([abs(p.residual) for p in points if not p.excluded])
-    excluded = sum(p.excluded for p in points)
+    scans = [painleve.residual_scan(s, grid, ns.delta) for s in solutions]
+    worst = _worst(np.concatenate([np.abs(s.residual[~s.excluded]) for s in scans]))
+    excluded = sum(np.count_nonzero(s.excluded) for s in scans)
     return (
         _within(worst, RESIDUAL_TOL),
         f"max_residual={worst:.3e} over {len(solutions)} scans,"
@@ -353,15 +353,21 @@ def cmd_piv(ns) -> int:
             f"solution_id={sol_id} ordering={ordering} a={a} b={b}"
             f" singularities={list(sol.singularities)}"
         )
-        points = painleve.residual_scan(sol, grid, ns.delta)
-        rows += [
-            (str(sol_id), y, repr(p.g), repr(p.residual), str(int(p.excluded)))
-            for y, p in zip(ys, points)
-        ]
-        included += [abs(p.residual) for p in points if not p.excluded]
-    worst = _worst(included)
+        scan = painleve.residual_scan(sol, grid, ns.delta)
+        rows += zip(
+            [str(sol_id)] * len(ys),
+            ys,
+            map(repr, scan.g.tolist()),
+            map(repr, scan.residual.tolist()),
+            map(str, scan.excluded.astype(int).tolist()),
+        )
+        included.append(np.abs(scan.residual[~scan.excluded]))
+    worst = _worst(np.concatenate(included))
     if not _within(worst, RESIDUAL_TOL):
-        print(f"piv: max residual {worst:.3e}, not below {RESIDUAL_TOL:g}; no file written")
+        print(
+            f"piv: max residual {worst:.3e}, not below {RESIDUAL_TOL:g}; no file written",
+            file=sys.stderr,
+        )
         return 1
     comments.append(f"max_included_residual={worst!r}")
     out = _write_csv(ns.out, comments, "solution_id,y,g,residual,excluded", rows)

@@ -14,12 +14,18 @@ parameter map uses the scaled extremal energies E~_j = (j - 1/2)/3 as
 The sign of the 2 E~_1 term is fixed by requiring the map to reproduce the
 (a, b) pairs of the three closed-form solutions; the opposite sign fails
 that table (the verify command demonstrates this via --inject-piv-sign).
+
+A solution's g, g' and g'' accept a float or an ndarray of y: the residual
+and the scan evaluate them on a whole grid at once, with numpy's
+elementwise arithmetic rounding exactly as Python floats do.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 from .grid import GridSpec
 
@@ -28,7 +34,6 @@ __all__ = [
     "CANONICAL_ORDERINGS",
     "ExtremalSeed",
     "PIVSolution",
-    "ScanPoint",
     "SingularPointError",
     "piv_parameters",
     "solution_from_extremal",
@@ -82,8 +87,10 @@ class PIVSolution:
     """Closed-form solution descriptor with analytic derivatives.
 
     ``singularities`` lists the real poles of g; g, g', g'' are finite
-    everywhere else. A descriptor is only as good as its residual, which
-    piv_residual measures pointwise.
+    everywhere else. Each of g, g', g'' takes a float or an ndarray of y
+    and returns a value of the same shape, or a constant for every y. A
+    descriptor is only as good as its residual, which piv_residual measures
+    pointwise.
     """
 
     g: Callable[[float], float]
@@ -93,14 +100,6 @@ class PIVSolution:
     b_param: float
     singularities: tuple[float, ...] = ()
     label: str = ""
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    y: float
-    g: float
-    residual: float
-    excluded: bool
 
 
 def piv_parameters(seed: ExtremalSeed) -> tuple[Fraction, Fraction]:
@@ -183,55 +182,79 @@ def builtin_solutions() -> list[PIVSolution]:
     return [solution_from_extremal(ExtremalSeed(o)) for o in CANONICAL_ORDERINGS]
 
 
-def piv_residual(sol: PIVSolution, y: float, delta: float = DEFAULT_DELTA) -> float:
-    """Defect g'' - RHS of the equation at a single point.
+def piv_residual(sol: PIVSolution, y, delta: float = DEFAULT_DELTA):
+    """Defect g'' - RHS of the equation at each of the points ``y``.
 
-    Raises SingularPointError within ``delta`` of a pole of g and
-    ZeroDivisionError where g vanishes (the b/g term is undefined there).
+    ``y`` is a float, for which a float is returned, or an ndarray, for
+    which an ndarray of the same shape is. Raises SingularPointError if any
+    y lies within ``delta`` of a pole of g and ZeroDivisionError if g
+    vanishes at any y (the b/g term is undefined there).
     """
-    y = float(y)
+    scalar = np.ndim(y) == 0
+    y = float(y) if scalar else np.asarray(y, dtype=float)
     for pole in sol.singularities:
-        if abs(y - pole) < delta:
+        near = np.abs(y - pole) < delta
+        if np.any(near):
             raise SingularPointError(
-                f"y = {y} lies within {delta} of the pole at {pole}"
+                f"y = {np.extract(near, y)[0]} lies within {delta} of the pole at {pole}"
             )
-    g = sol.g(y)
-    if g == 0.0:
-        raise ZeroDivisionError(f"g({y}) = 0; the residual terms b/g are undefined")
-    gp = sol.g_prime(y)
-    gpp = sol.g_double_prime(y)
-    rhs = (
-        gp * gp / (2.0 * g)
-        + 1.5 * g * g * g
-        + 4.0 * y * g * g
-        + 2.0 * (y * y - sol.a_param) * g
-        + sol.b_param / g
-    )
-    return gpp - rhs
+    with np.errstate(all="ignore"):
+        g = sol.g(y)
+        if np.any(g == 0.0):
+            raise ZeroDivisionError(
+                f"g({np.extract(g == 0.0, y)[0]}) = 0; the residual terms b/g are undefined"
+            )
+        gp = sol.g_prime(y)
+        gpp = sol.g_double_prime(y)
+        rhs = (
+            gp * gp / (2.0 * g)
+            + 1.5 * g * g * g
+            + 4.0 * y * g * g
+            + 2.0 * (y * y - sol.a_param) * g
+            + sol.b_param / g
+        )
+        residual = gpp - rhs
+    return float(residual) if scalar else residual
+
+
+def _scalar_g(sol: PIVSolution, y: float) -> float:
+    """g at one point as Python float arithmetic gives it: nan where it divides by 0."""
+    try:
+        return float(sol.g(y))
+    except ZeroDivisionError:
+        return math.nan
 
 
 def residual_scan(
     sol: PIVSolution, grid: GridSpec, delta: float = DEFAULT_DELTA
-) -> list[ScanPoint]:
-    """Residuals over grid.x_values(), with unusable points marked excluded.
+) -> np.recarray:
+    """Residuals over grid.x_values() in one array pass.
 
-    A point is excluded when it falls within ``delta`` of a pole or when
-    |g| < G_FLOOR (including exact zeros of g); excluded points carry
-    residual = nan.
+    Returns a record array with one record per grid point and the fields
+    ``y``, ``g``, ``residual`` (float) and ``excluded`` (bool); ``len()``
+    counts the points and each column reads as ``scan.residual``. A point
+    is excluded when it falls within ``delta`` of a pole, when g is not
+    finite there, or when |g| < G_FLOOR (including exact zeros of g);
+    excluded points carry residual = nan. Where g is not finite its column
+    holds what Python float arithmetic gives: nan where g divides by zero
+    (numpy would give +-inf), +-inf where it overflows.
     """
-    points = []
-    for y in grid.x_values():
-        y = float(y)
-        near_pole = any(abs(y - pole) < delta for pole in sol.singularities)
-        try:
-            g = sol.g(y)
-        except ZeroDivisionError:
-            g = math.nan
-        if near_pole or not math.isfinite(g) or abs(g) < G_FLOOR:
-            points.append(ScanPoint(y, g, math.nan, True))
-        else:
-            points.append(ScanPoint(y, g, piv_residual(sol, y, delta), False))
-    return points
+    y = grid.x_values()
+    with np.errstate(all="ignore"):
+        g = np.array(np.broadcast_to(sol.g(y), y.shape), dtype=float)
+    bad = ~np.isfinite(g)
+    # Where g is not finite (at a pole, or past float range) ask the scalar g
+    # again: numpy gives +-inf both for a division by zero, which Python
+    # floats raise on, and for an overflow, which they give as +-inf too.
+    g[bad] = [_scalar_g(sol, v) for v in y[bad].tolist()]
+    excluded = bad | (np.abs(g) < G_FLOOR)
+    for pole in sol.singularities:
+        excluded |= np.abs(y - pole) < delta
+    residual = np.full(y.shape, math.nan)
+    residual[~excluded] = piv_residual(sol, y[~excluded], delta)
+    return np.rec.fromarrays(
+        [y, g, residual, excluded], names=["y", "g", "residual", "excluded"]
+    )
 
 
 def finite_difference_solution(sol: PIVSolution, step: float = 1e-4) -> PIVSolution:

@@ -150,14 +150,14 @@ class TestPiv:
         out = tmp_path / "piv.csv"
         assert run(["piv", "--xmin", "1e110", "--xmax", "1e111", "--xsteps", "2",
                     "--out", str(out)]) == 1
-        assert "max residual nan" in capsys.readouterr().out
+        assert "max residual nan" in capsys.readouterr().err
 
     def test_failed_scan_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "piv.csv"
         assert run(["piv", "--xmin", "1e110", "--xmax", "1e111", "--xsteps", "2",
                     "--out", str(out)]) == 1
         assert not out.exists()
-        assert "no file written" in capsys.readouterr().out
+        assert "no file written" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

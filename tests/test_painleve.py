@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -175,6 +176,102 @@ class TestResidualScan:
         points = painleve.residual_scan(bumped, self.GRID)
         worst = max(abs(p.residual) for p in points if not p.excluded)
         assert worst > 1e-3
+
+
+def scalar_scan(sol, grid, delta=painleve.DEFAULT_DELTA):
+    """The per-point loop of scalar g and piv_residual calls, kept as the oracle."""
+    gs, residuals, excluded = [], [], []
+    for y in grid.x_values().tolist():
+        try:
+            g = sol.g(y)
+        except ZeroDivisionError:
+            g = math.nan
+        skip = (
+            any(abs(y - pole) < delta for pole in sol.singularities)
+            or not math.isfinite(g)
+            or abs(g) < painleve.G_FLOOR
+        )
+        gs.append(g)
+        residuals.append(math.nan if skip else painleve.piv_residual(sol, y, delta))
+        excluded.append(skip)
+    return np.array(gs), np.array(residuals), np.array(excluded)
+
+
+class TestArrayScan:
+    DEFAULT_PIV_GRID = GridSpec(-10.0, 10.0, 2001)
+
+    def assert_matches_loop(self, sol, grid, delta=painleve.DEFAULT_DELTA):
+        scan = painleve.residual_scan(sol, grid, delta)
+        g, residual, excluded = scalar_scan(sol, grid, delta)
+        assert len(scan) == grid.x_steps
+        assert np.array_equal(scan.y, grid.x_values())
+        assert np.array_equal(scan.g, g, equal_nan=True)
+        assert np.array_equal(np.signbit(scan.g), np.signbit(g))
+        assert np.array_equal(scan.residual, residual, equal_nan=True)
+        assert scan.excluded.tolist() == excluded.tolist()
+        return scan
+
+    @pytest.mark.parametrize("ordering", list(EXPECTED))
+    def test_default_piv_grid(self, ordering):
+        sol = painleve.solution_from_extremal(painleve.ExtremalSeed(ordering))
+        scan = self.assert_matches_loop(sol, self.DEFAULT_PIV_GRID)
+        origin = scan[scan.y == 0.0]
+        assert len(origin) == 1 and origin.excluded[0]
+        if ordering[0] == 1:
+            assert origin.g[0] == 0.0 and np.signbit(origin.g[0])
+        if ordering[0] == 2:
+            assert math.isnan(origin.g[0])
+
+    @pytest.mark.parametrize("ordering", list(EXPECTED))
+    def test_grid_straddling_seed3_poles(self, ordering):
+        sol = painleve.solution_from_extremal(painleve.ExtremalSeed(ordering))
+        root = math.sqrt(1.5)
+        self.assert_matches_loop(sol, GridSpec(-root - 0.3, root + 0.3, 1999))
+        self.assert_matches_loop(sol, GridSpec(-root, root, 7), delta=0.0)
+
+    def test_perturbed_solution(self):
+        base = painleve.solution_from_extremal(painleve.ExtremalSeed((1, 2, 3)))
+        bumped = dataclasses.replace(base, g=lambda y: base.g(y) + 0.01)
+        scan = self.assert_matches_loop(bumped, self.DEFAULT_PIV_GRID)
+        assert np.max(np.abs(scan.residual[~scan.excluded])) > 1e-3
+
+    @pytest.mark.parametrize("ordering", list(EXPECTED))
+    def test_overflow_grid(self, ordering):
+        sol = painleve.solution_from_extremal(painleve.ExtremalSeed(ordering))
+        scan = self.assert_matches_loop(sol, GridSpec(1e110, 1e111, 5))
+        assert np.isnan(scan.residual[~scan.excluded]).all()
+
+    @pytest.mark.parametrize("x_min, x_max", [(1e308, 1.7e308), (-1.0, -0.0)])
+    def test_nonfinite_g_as_python_floats_give_it(self, x_min, x_max):
+        # past float range g overflows to -inf; at y = -0.0 seed 2 divides
+        # by zero, where numpy alone would give +inf
+        for sol in painleve.builtin_solutions():
+            self.assert_matches_loop(sol, GridSpec(x_min, x_max, 3))
+
+    def test_one_residual_call_per_scan(self, monkeypatch):
+        calls = []
+        residual = painleve.piv_residual
+        monkeypatch.setattr(
+            painleve, "piv_residual", lambda *a: calls.append(a) or residual(*a)
+        )
+        for sol in painleve.builtin_solutions():
+            painleve.residual_scan(sol, self.DEFAULT_PIV_GRID)
+        assert len(calls) == 3
+
+    def test_scalar_residual_is_python_float(self):
+        sol = painleve.solution_from_extremal(painleve.ExtremalSeed((3, 1, 2)))
+        assert type(painleve.piv_residual(sol, 2.0)) is float
+        assert type(painleve.piv_residual(sol, np.float64(2.0))) is float
+        residual = painleve.piv_residual(sol, np.array([2.0, 3.0]))
+        assert residual.shape == (2,)
+
+    def test_array_residual_keeps_its_raises(self):
+        sol1 = painleve.solution_from_extremal(painleve.ExtremalSeed((1, 2, 3)))
+        with pytest.raises(ZeroDivisionError):
+            painleve.piv_residual(sol1, np.array([1.0, 0.0]))
+        sol2 = painleve.solution_from_extremal(painleve.ExtremalSeed((2, 1, 3)))
+        with pytest.raises(painleve.SingularPointError):
+            painleve.piv_residual(sol2, np.array([1.0, 0.05]))
 
 
 class TestFiniteDifferenceCrossCheck:

@@ -117,11 +117,15 @@ class TestStationaryStates:
         )
 
 
+RANDOM_POINT_LABELS = [1.0, 2.0, 2.5, 1.5 + 1.2j]
+
+
 class TestDualPath:
     @pytest.mark.parametrize("j", [0, 1, 2])
-    @pytest.mark.parametrize("z", [1.0, 2.0, 2.5, 1.5 + 1.2j])
+    @pytest.mark.parametrize("z", RANDOM_POINT_LABELS)
     def test_random_points_agree(self, j, z):
-        rng = np.random.default_rng(abs(hash((j, str(z)))) % 2**32)
+        # seeded from the source, so a failing case replays in any process
+        rng = np.random.default_rng([j, RANDOM_POINT_LABELS.index(z)])
         x = rng.uniform(-8, 8, 500)
         t = rng.uniform(0, 2 * np.pi, 500)
         diff = np.abs(
