@@ -11,6 +11,7 @@ Exit codes: 0 on success, 1 when a check fails or a result is not finite,
 import argparse
 import dataclasses
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -537,6 +538,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every token like -1e-3 or -inf as a value.
+
+    Python 3.11's argparse takes only -3 or -0.5 style tokens as negative
+    numbers and reads -1e-3 as an unknown option, so `--xmin -1e-3` would
+    fail while `--xmin=-1e-3` works. No option here starts with a digit,
+    a dot or "inf"/"nan", so the wider pattern shadows none; -inf and -nan
+    reach _finite_float and are rejected there.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 # Every option a command may take: dest -> (help, type). Each command sets
 # its own defaults in build_parser; the help text shows them.
 _OPTIONS = {
@@ -563,7 +579,7 @@ _OPTIONS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triladder",
         description=(
             "Cubed-ladder oscillator toolkit: verify the operator algebra,"

@@ -188,10 +188,12 @@ def piv_residual(sol: PIVSolution, y, delta: float = DEFAULT_DELTA):
     ``y`` is a float, for which a float is returned, or an ndarray, for
     which an ndarray of the same shape is. Raises SingularPointError if any
     y lies within ``delta`` of a pole of g and ZeroDivisionError if g
-    vanishes at any y (the b/g term is undefined there).
+    vanishes at any y (the b/g term is undefined there). A float goes
+    through the same numpy arithmetic as an array, so a term that divides
+    by zero or overflows gives inf or nan for both rather than raising.
     """
     scalar = np.ndim(y) == 0
-    y = float(y) if scalar else np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
     for pole in sol.singularities:
         near = np.abs(y - pole) < delta
         if np.any(near):

@@ -2,15 +2,17 @@
 
 Two independent evaluation paths exist on purpose. The Fock path walks
 only the family's ladder n = 3k + j: the Hermite rows are built once on
-the x values as given, not broadcast against t, and every third row is
-added to psi with the rung phase e^(-3ikt) taken from the t values as
-given. On an (nx, 1) by (1, nt) grid that is N * nx basis values plus one
-psi of nx * nt, instead of N * nx * nt. The Gaussian path evaluates the
+the x values as given, the weighted rung phases c_k e^(-3ikt) once on the
+t values as given, and one contraction over the rung index k gives psi.
+On an (nx, 1) by (1, nt) grid that is a single (nx x K) by (K x nt)
+matrix product, with K = N/3 rungs. The Gaussian path evaluates the
 closed form
 
     <x|z> = pi^(-1/4) exp(-x^2/2 + sqrt(2) z x - z^2/2)
 
-for each vertex of the triangle decomposition, with no truncation at all.
+for each vertex of the triangle decomposition, with no truncation at all;
+each factor that depends on x alone or on t alone is computed on that
+axis, and only the exponent's sum and its exponential on the full grid.
 Their agreement validates the expansion coefficients, the Hermite
 evaluator, the triangle weights and the evolution law in one shot.
 """
@@ -92,20 +94,23 @@ def rho_fock(j, z: complex, x, t, n_trunc: int | None = None) -> np.ndarray:
 
     psi(x, t) = sum_k c_k e^(-3ikt) psi_{3k+j}(x), with the global phase
     e^(-i(j+1/2)t) dropped since it leaves |psi|^2 unchanged. x and t
-    broadcast against each other; the Hermite rows are built on x and the
-    phases on t as given, so an (nx, 1) by (1, nt) grid costs N * nx
-    basis values, not N * nx * nt.
+    broadcast against each other. The Hermite rows are built on x and the
+    K = N/3 weighted phases c_k e^(-3ikt) on t as given, and one einsum
+    contracts the rung index k: on an (nx, 1) by (1, nt) grid that is one
+    (nx x K) by (K x nt) matrix product, with N * nx basis values and
+    K * nt phases in memory; M flat points hold N * M and K * M.
     """
     spec = coherent.CoherentSpec(j, complex(z) ** 3, n_trunc)
     coeffs = coherent.build_cs(spec).coeffs[spec.j :: 3]
     x = np.asarray(x, dtype=float)
-    rows = hermite_basis(spec.truncation, x)[spec.j :: 3]
+    rows = hermite_basis(spec.truncation, x)[spec.j :: 3].reshape(-1, *x.shape)
     step = np.exp(-3j * np.asarray(t, dtype=float))
+    weighted = np.empty((len(coeffs), *step.shape), dtype=complex)
     phase = np.ones_like(step)
-    psi = np.zeros(np.broadcast_shapes(x.shape, step.shape), dtype=complex)
-    for c, row in zip(coeffs, rows):
-        psi += (c * phase) * row.reshape(x.shape)
+    for k, c in enumerate(coeffs):
+        weighted[k] = c * phase
         phase = phase * step
+    psi = np.einsum("k...,k...->...", rows, weighted, optimize=True)
     rho = np.abs(psi) ** 2
     return float(rho) if rho.ndim == 0 else rho
 
@@ -115,23 +120,28 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
 
     The three vertex labels rotate rigidly as z_k e^(-it); the squared norm
     of the superposition is the label Gram sum sum_{k,l} w_k* w_l e^(z_k* z_l),
-    which is time independent. No Fock truncation enters anywhere.
+    which is time independent. No Fock truncation enters anywhere. x and t
+    broadcast against each other: -x^2/2 is computed on x, the rotated
+    label zeta and zeta^2/2 on t as given, and only the exponent's sum and
+    its exponential on the broadcast grid.
     """
     z = complex(z)
-    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    shape = xb.shape
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(x.shape, t.shape)
     if z == 0:
         # Degenerate triangle: the normalized family-j state is the number
         # state |j>, stationary in time.
         jj = fock.cs_index(j)
-        flat = hermite_basis(jj + 1, xb.ravel())[jj] ** 2
-        return float(flat[0]) if shape == () else flat.reshape(shape)
+        rho = hermite_basis(jj + 1, x)[jj].reshape(x.shape) ** 2
+        return float(rho) if shape == () else np.broadcast_to(rho, shape).copy()
     tri = coherent.triangle_decompose(z, j)
-    rot = np.exp(-1j * tb)
-    psi = np.zeros(np.broadcast_shapes(xb.shape, tb.shape), dtype=complex)
+    rot = np.exp(-1j * t)
+    gx = -x * x / 2.0
+    psi = np.zeros(shape, dtype=complex)
     for weight, label in zip(tri.weights, tri.labels):
         zeta = label * rot
-        psi += weight * np.exp(-xb * xb / 2.0 + _SQRT2 * zeta * xb - zeta * zeta / 2.0)
+        psi += weight * np.exp(gx + _SQRT2 * zeta * x - zeta * zeta / 2.0)
     psi *= np.pi**-0.25
     norm2 = 0.0
     for wk, lk in zip(tri.weights, tri.labels):

@@ -358,6 +358,8 @@ class TestParser:
         (["uncertainty", "--amax", "inf"], "--amax"),
         (["uncertainty", "--amax", "nan"], "--amax"),
         (["density", "--z-re", "nan"], "--z-re"),
+        (["density", "--z-re", "-inf"], "--z-re"),
+        (["piv", "--xmin", "-NaN"], "--xmin"),
     ])
     def test_nonfinite_float_rejected(self, capsys, argv, flag):
         # rejected at the parser: the uncertainty sweep never returns on inf
@@ -365,6 +367,34 @@ class TestParser:
             cli.build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+
+    def test_every_float_flag_takes_a_negative_exponent_form(self):
+        # argparse alone reads -1e-3 as an unknown option, not a value
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        seen = set()
+        for name, parser in sub.choices.items():
+            extra = ["--samples", "w.txt"] if name == "moments" else []
+            for action in parser._actions:
+                if action.type is cli._finite_float:
+                    ns = parser.parse_args([*extra, action.option_strings[0], "-1e-3"])
+                    assert getattr(ns, action.dest) == -1e-3, (name, action.dest)
+                    seen.add(action.dest)
+        assert seen == {d for d, (_, kind) in cli._OPTIONS.items() if kind is cli._finite_float}
+
+    def test_piv_negative_exponent_start(self, tmp_path, capsys):
+        out = tmp_path / "piv.csv"
+        assert run(["piv", "--xmin", "-1e-3", "--xmax", "1", "--xsteps", "3",
+                    "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [float(r["y"]) for r in rows[:3]] == GridSpec(-1e-3, 1.0, 3).x_values().tolist()
+
+    def test_density_negative_exponent_label(self, tmp_path, capsys):
+        out = tmp_path / "rho.csv"
+        argv = ["density", "--z-re", "-2.5e0", "--j", "0", *TestDensity.ARGS]
+        assert run([*argv, "--out", str(out)]) == 0
+        assert "z_re=-2.5" in (tmp_path / "rho.csv.meta").read_text()
+        field = wavepacket.density_gaussian(0, -2.5, GridSpec(-8.0, 8.0, 81, 0.0, 2 * math.pi, 7))
+        assert [float(r["rho"]) for r in read_rows(out)] == field.values.T.ravel().tolist()
 
     def test_invalid_grid_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -265,6 +265,14 @@ class TestArrayScan:
         residual = painleve.piv_residual(sol, np.array([2.0, 3.0]))
         assert residual.shape == (2,)
 
+    def test_scalar_underflow_gives_what_the_array_gives(self):
+        # y*y underflows to 0 in seed 2's g' while g = -1e300 is not 0
+        sol2 = painleve.solution_from_extremal(painleve.ExtremalSeed((2, 1, 3)))
+        scalar = painleve.piv_residual(sol2, 1e-300, delta=0.0)
+        array = painleve.piv_residual(sol2, np.array([1e-300]), delta=0.0)
+        assert type(scalar) is float
+        assert np.array_equal([scalar], array, equal_nan=True)
+
     def test_array_residual_keeps_its_raises(self):
         sol1 = painleve.solution_from_extremal(painleve.ExtremalSeed((1, 2, 3)))
         with pytest.raises(ZeroDivisionError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,95 @@ class TestLadderKernel:
             mesh = wavepacket.rho_fock(j, z, mesh_x, mesh_t)
             assert grid.shape == mesh.shape == (41, 9)
             np.testing.assert_allclose(mesh, grid, rtol=0, atol=1e-15)
+
+
+def fock_per_rung(j, z, x, t):
+    """One rank-one update of psi per rung, kept as the oracle."""
+    spec = coherent.CoherentSpec(j, complex(z) ** 3)
+    coeffs = coherent.build_cs(spec).coeffs[spec.j :: 3]
+    x = np.asarray(x, dtype=float)
+    rows = wavepacket.hermite_basis(spec.truncation, x)[spec.j :: 3]
+    step = np.exp(-3j * np.asarray(t, dtype=float))
+    phase = np.ones_like(step)
+    psi = np.zeros(np.broadcast_shapes(x.shape, step.shape), dtype=complex)
+    for c, row in zip(coeffs, rows):
+        psi += (c * phase) * row.reshape(x.shape)
+        phase = phase * step
+    return np.abs(psi) ** 2
+
+
+class TestRungContraction:
+    XS = np.linspace(-8.0, 8.0, 41)
+    TS = np.linspace(0.0, 2 * math.pi, 9)
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    @pytest.mark.parametrize("z", [2.0, 1.3 + 1.5j, 8.0])
+    def test_every_input_shape_matches_per_rung_sum(self, j, z):
+        mesh_x, mesh_t = np.meshgrid(self.XS, self.TS, indexing="ij")
+        cases = [
+            (self.XS[:, None], self.TS[None, :]),
+            (mesh_x.ravel(), mesh_t.ravel()),
+            (1.3, self.TS),
+            (self.XS, 0.7),
+        ]
+        for x, t in cases:
+            got = wavepacket.rho_fock(j, z, x, t)
+            want = fock_per_rung(j, z, x, t)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        got = wavepacket.rho_fock(j, z, 1.3, 0.7)
+        assert type(got) is float
+        assert got == pytest.approx(float(fock_per_rung(j, z, 1.3, 0.7)), rel=0, abs=1e-15)
+
+    def test_grid_peak_memory(self):
+        # an intermediate of nx * nt * K complex values would be about 90 MB
+        grid = wavepacket.DEFAULT_GRID
+        xs, ts = grid.x_values(), grid.t_values()
+        wavepacket.rho_fock(0, 8.0, xs[:, None], ts[None, :])
+        tracemalloc.start()
+        try:
+            wavepacket.rho_fock(0, 8.0, xs[:, None], ts[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+
+def gaussian_full_mesh(j, z, x, t):
+    """The closed form evaluated term by term on the broadcast mesh, kept as the oracle."""
+    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    if z == 0:  # the number state |j>
+        return wavepacket.hermite_basis(j + 1, xb.ravel())[j].reshape(xb.shape) ** 2
+    tri = coherent.triangle_decompose(z, j)
+    rot = np.exp(-1j * tb)
+    psi = np.zeros(xb.shape, dtype=complex)
+    for weight, label in zip(tri.weights, tri.labels):
+        zeta = label * rot
+        psi += weight * np.exp(-xb * xb / 2.0 + math.sqrt(2.0) * zeta * xb - zeta * zeta / 2.0)
+    psi *= np.pi**-0.25
+    norm2 = 0.0
+    for wk, lk in zip(tri.weights, tri.labels):
+        for wl, ll in zip(tri.weights, tri.labels):
+            norm2 += (wk.conjugate() * wl * np.exp(lk.conjugate() * ll)).real
+    return np.abs(psi) ** 2 / norm2
+
+
+class TestGaussianFactors:
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    @pytest.mark.parametrize("z", [0, 2.0, 1.3 + 1.5j, 8.0])
+    def test_bit_identical_to_full_mesh(self, j, z):
+        # the per-axis factors do the same float operations in the same order
+        half = math.sqrt(2.0) * abs(z) + 6.0
+        xs = np.linspace(-half, half, 61)
+        ts = np.linspace(0.0, 2 * math.pi, 13)
+        mesh_x, mesh_t = np.meshgrid(xs, ts, indexing="ij")
+        for x, t in [
+            (xs[:, None], ts[None, :]),
+            (mesh_x, mesh_t),
+            (mesh_x.ravel(), mesh_t.ravel()),
+        ]:
+            got = wavepacket.rho_gaussian(j, z, x, t)
+            assert np.array_equal(got, gaussian_full_mesh(j, z, x, t))
 
 
 class TestTimeStructure:
