@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .coherent import (
     CoherentSpec,
     CSStatistics,
+    LabelRangeError,
     TriangleDecomposition,
     TruncationError,
     a_norm_squared,
@@ -61,6 +62,7 @@ __all__ = [
     "__version__",
     "CoherentSpec",
     "CSStatistics",
+    "LabelRangeError",
     "TriangleDecomposition",
     "TruncationError",
     "a_norm_squared",

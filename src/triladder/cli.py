@@ -155,8 +155,7 @@ def _check_cs_eigen(ns, inject):
         for j in range(3)
     ]
     failures = [
-        f"j={j} residual={res:.3e} at truncation {trunc};"
-        f" suggested truncation >= {coherent.adequate_truncation(j, abs(alpha))}"
+        f"j={j} residual={res:.3e} at truncation {trunc}; {_suggestion(j, alpha)}"
         for j, res in enumerate(residuals)
         if not _within(res, EIGEN_TOL)
     ]
@@ -164,6 +163,13 @@ def _check_cs_eigen(ns, inject):
         return False, "; ".join(failures)
     worst = _worst(residuals)
     return True, f"override truncation {trunc}: worst={worst:.3e} (tol {EIGEN_TOL:g})"
+
+
+def _suggestion(j, alpha):
+    try:
+        return f"suggested truncation >= {coherent.adequate_truncation(j, abs(alpha))}"
+    except coherent.LabelRangeError as exc:
+        return str(exc)
 
 
 def _check_cs_statistics(ns, inject):
@@ -389,15 +395,15 @@ def cmd_density(ns) -> int:
     t_col = [t for t in map(repr, ts.tolist()) for _ in range(xs.size)]
     x_col = list(map(repr, xs.tolist())) * ts.size
     for j in [0, 1, 2] if sweep else [ns.j]:
-        field = wavepacket.density_gaussian(j, z, grid)
         rng = np.random.default_rng(42)
         ix = rng.integers(0, xs.size, 100)
         it = rng.integers(0, ts.size, 100)
-        try:
+        try:  # before the Gaussian field, so a rejected label costs no grid work
             spots = wavepacket.rho_fock(j, z, xs[ix], ts[it], ns.trunc)
-        except coherent.TruncationError as exc:
+        except (coherent.TruncationError, coherent.LabelRangeError) as exc:
             print(f"density: {exc}", file=sys.stderr)
             return 1
+        field = wavepacket.density_gaussian(j, z, grid)
         if ns.inject_spotcheck:
             spots = spots + 1e-5
         spot_err = float(np.max(np.abs(spots - field.values[ix, it])))
@@ -437,11 +443,11 @@ def cmd_density(ns) -> int:
 def cmd_decompose(ns) -> int:
     z = complex(ns.z_re, ns.z_im)
     tri = coherent.triangle_decompose(z, ns.j)
-    n_trunc = ns.trunc or tri.default_truncation()
     try:
+        n_trunc = ns.trunc or tri.default_truncation()
         rec = tri.reconstruction(n_trunc).coeffs
         target = tri.target(n_trunc).coeffs
-    except coherent.TruncationError as exc:
+    except (coherent.TruncationError, coherent.LabelRangeError) as exc:
         print(f"decompose: {exc}", file=sys.stderr)
         return 1
     errors = np.abs(rec - target)

@@ -14,7 +14,10 @@ labels, and a moment-check harness for candidate completeness weights.
 """
 
 import cmath
+import functools
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,7 @@ from .fock import FockVector
 __all__ = [
     "TAIL_RELATIVE",
     "TruncationError",
+    "LabelRangeError",
     "CoherentSpec",
     "CSStatistics",
     "TriangleDecomposition",
@@ -61,40 +65,64 @@ class TruncationError(ValueError):
         )
 
 
+class LabelRangeError(ValueError):
+    """Label modulus past float64: the tail-rule walk's terms would overflow."""
+
+    def __init__(self, name: str, modulus: float):
+        self.modulus = modulus
+        super().__init__(
+            f"|{name}| = {modulus:.6g} is beyond the float64 limit of the tail rule:"
+            f" its series terms overflow {sys.float_info.max:.4g}"
+            " (labels up to |alpha| = 1.8e4, i.e. |z| = 26.2, are supported)"
+        )
+
+
+def _squared_modulus(name: str, modulus: float) -> float:
+    try:
+        return float(modulus) ** 2
+    except OverflowError:
+        raise LabelRangeError(name, modulus) from None
+
+
 def adequate_truncation(j, abs_alpha: float, tail: float = TAIL_RELATIVE) -> int:
     """Smallest N = 3m + j + 1 whose first dropped term is below the tail bound.
 
-    Terms are |alpha|^(2m) / (3m+j)!; factorial decay makes the bound cheap
-    to reach even for the largest eigenvalues used here.
+    Terms are |alpha|^(2m) / (3m+j)!. From |alpha| = 18296 (j = 0; 18555
+    and 18816 for j = 1, 2) the step ``term * x`` overflows float64 before
+    the bound is met, and ``LabelRangeError`` is raised instead.
     """
     j = fock.cs_index(j)
-    x = float(abs_alpha) ** 2
+    x = _squared_modulus("alpha", abs_alpha)
+    inf = math.inf
     term = 1.0 / math.factorial(j)
     partial = 0.0
-    m = 0
-    while True:
+    for k in itertools.count(j, 3):
         partial += term
-        k = 3 * m + j
         nxt = term * x / ((k + 1.0) * (k + 2.0) * (k + 3.0))
         if nxt < tail * partial:
-            return 3 * m + j + 1
+            return k + 1
+        if not nxt < inf:  # inf (or nan) never meets the bound
+            raise LabelRangeError("alpha", abs_alpha)
         term = nxt
-        m += 1
 
 
 def adequate_truncation_standard(abs_z: float, tail: float = TAIL_RELATIVE) -> int:
-    """Truncation rule for a standard coherent state with label modulus |z|."""
-    x = float(abs_z) ** 2
+    """Truncation rule for a standard coherent state with label modulus |z|.
+
+    Raises ``LabelRangeError`` from |z| = 26.6, where the terms overflow.
+    """
+    x = _squared_modulus("z", abs_z)
+    inf = math.inf
     term = 1.0
     partial = 0.0
-    n = 0
-    while True:
+    for n in itertools.count():
         partial += term
         nxt = term * x / (n + 1.0)
         if nxt < tail * partial:
             return n + 1
+        if not nxt < inf:
+            raise LabelRangeError("z", abs_z)
         term = nxt
-        n += 1
 
 
 @dataclass(frozen=True)
@@ -104,6 +132,10 @@ class CoherentSpec:
     When ``truncation`` is omitted it is chosen by the tail rule, which is
     always adequate; an explicit value is kept as given so undersized
     probes remain expressible.
+
+    The spec is where its state gets built, once: ``required`` walks the
+    tail rule and ``coeffs`` runs the coefficient recurrence, each on first
+    use, and ``build_cs``, ``statistics`` and ``eigen_residual`` reuse them.
     """
 
     j: int
@@ -118,7 +150,7 @@ class CoherentSpec:
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "alpha", alpha)
         if self.truncation is None:
-            object.__setattr__(self, "truncation", adequate_truncation(j, abs(alpha)))
+            object.__setattr__(self, "truncation", self.required)
         else:
             trunc = int(self.truncation)
             if trunc < j + 1:
@@ -126,6 +158,21 @@ class CoherentSpec:
                     f"truncation {trunc} cannot even hold the extremal state |{j}>"
                 )
             object.__setattr__(self, "truncation", trunc)
+
+    @functools.cached_property
+    def required(self) -> int:
+        """The tail-rule size for this label (``adequate_truncation``)."""
+        return adequate_truncation(self.j, abs(self.alpha))
+
+    @functools.cached_property
+    def coeffs(self) -> np.ndarray:
+        """Normalized coefficients at ``truncation``, read-only.
+
+        Unchecked against ``required``, like ``cs_coefficients``.
+        """
+        coeffs = cs_coefficients(self.j, self.alpha, self.truncation)
+        coeffs.flags.writeable = False
+        return coeffs
 
 
 @dataclass(frozen=True)
@@ -151,23 +198,26 @@ def cs_coefficients(j, alpha: complex, n_trunc: int) -> np.ndarray:
     if n_trunc < j + 1:
         raise ValueError(f"truncation {n_trunc} cannot hold the extremal state |{j}>")
     alpha = complex(alpha)
-    coeffs = np.zeros(n_trunc, dtype=complex)
+    rungs = []
     c = 1.0 / math.sqrt(math.factorial(j))
-    idx = j
-    while idx < n_trunc:
-        coeffs[idx] = c
+    for idx in range(j, n_trunc, 3):
+        rungs.append(c)
         c = c * alpha / math.sqrt((idx + 1.0) * (idx + 2.0) * (idx + 3.0))
-        idx += 3
+    coeffs = np.zeros(n_trunc, dtype=complex)
+    coeffs[j::3] = rungs
     coeffs /= np.linalg.norm(coeffs)
     return coeffs
 
 
 def build_cs(spec: CoherentSpec) -> FockVector:
-    """Normalized coherent state; rejects truncations below the tail rule."""
-    required = adequate_truncation(spec.j, abs(spec.alpha))
-    if spec.truncation < required:
-        raise TruncationError(required, spec.truncation)
-    return FockVector(cs_coefficients(spec.j, spec.alpha, spec.truncation), ladder=spec.j)
+    """Normalized coherent state; rejects truncations below the tail rule.
+
+    Reads the spec's cached ``required`` and ``coeffs``; the returned
+    vector holds its own writable copy of the coefficients.
+    """
+    if spec.truncation < spec.required:
+        raise TruncationError(spec.required, spec.truncation)
+    return FockVector(spec.coeffs, ladder=spec.j)
 
 
 def eigen_residual(spec: CoherentSpec) -> float:
@@ -177,7 +227,7 @@ def eigen_residual(spec: CoherentSpec) -> float:
     Deliberately skips the adequacy check so undersized truncations report
     their (large) residual instead of raising.
     """
-    coeffs = cs_coefficients(spec.j, spec.alpha, spec.truncation)
+    coeffs = spec.coeffs
     n = np.arange(3.0, coeffs.size)
     lowered = np.zeros_like(coeffs)
     lowered[: n.size] = np.sqrt(n * (n - 1.0) * (n - 2.0)) * coeffs[3:]
@@ -223,11 +273,17 @@ def statistics(spec: CoherentSpec) -> CSStatistics:
     a and a+ act as one-level shifts weighted by sqrt(n), so x c and p c are
     sums of two shifted arrays and H is the diagonal n + 1/2. The state is
     padded by one level so the raising part is not clipped by the truncation.
+    It comes from ``build_cs``, so the spec's cached coefficients are reused.
     """
-    vec = np.append(build_cs(spec).coeffs, 0.0)
-    weights = np.sqrt(np.arange(1.0, vec.size)) / math.sqrt(2.0)
-    lowered = np.append(weights * vec[1:], 0.0)  # (a c)_n / sqrt(2)
-    raised = np.insert(weights * vec[:-1], 0, 0.0)  # (a+ c)_n / sqrt(2)
+    coeffs = build_cs(spec).coeffs
+    size = coeffs.size + 1
+    vec = np.zeros(size, dtype=complex)
+    lowered = np.zeros_like(vec)
+    raised = np.zeros_like(vec)
+    vec[:-1] = coeffs
+    weights = np.sqrt(np.arange(1.0, size)) / math.sqrt(2.0)
+    lowered[:-1] = weights * vec[1:]  # (a c)_n / sqrt(2)
+    raised[1:] = weights * vec[:-1]  # (a+ c)_n / sqrt(2)
     x_vec = lowered + raised
     p_vec = 1j * (raised - lowered)
     mean_x = float(np.vdot(vec, x_vec).real)

@@ -1,5 +1,9 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +244,45 @@ class TestDensity:
         assert run(["density", "--j", "0", *self.ARGS, "--trunc", "5",
                     "--out", str(out)]) == 1
         assert not out.exists()
+
+
+class TestLabelLimit:
+    """Labels past the tail rule's float64 limit once hung these commands;
+    each runs in a fresh interpreter that is killed after 10 s."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--z-re", "30"],
+            ["decompose", "--z-re", "30", "--trunc", "3000"],
+            ["density", "--z-re", "30"],
+            ["density", "--z-re", "30", "--trunc", "3000"],
+            ["verify", "--trunc", "5", "--alpha-re", "2e4"],
+        ],
+    )
+    def test_fails_naming_the_limit(self, tmp_path, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        if argv[0] != "verify":
+            argv = [*argv, "--out", "out.csv"]
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "triladder.cli", *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"triladder {' '.join(argv)} hung")
+        assert done.returncode == 1
+        if argv[0] == "verify":
+            assert done.stderr == ""
+            failed = [l for l in done.stdout.splitlines() if l.startswith("FAIL")]
+            assert len(failed) == 1 and failed[0].startswith("FAIL cs-eigen")
+            message = failed[0]
+        else:
+            assert done.stdout == ""
+            message, = done.stderr.splitlines()
+            assert message.startswith(argv[0] + ": |")
+        assert "beyond the float64 limit" in message and "1.8e4" in message
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDecompose:

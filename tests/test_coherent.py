@@ -1,11 +1,47 @@
 import cmath
+import collections
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from triladder import coherent, fock
+
+
+def loop_truncation(j, abs_alpha, tail=coherent.TAIL_RELATIVE):
+    """The tail-rule walk without its overflow guard; hangs past |alpha| ~ 1.83e4."""
+    x = float(abs_alpha) ** 2
+    term = 1.0 / math.factorial(j)
+    partial = 0.0
+    m = 0
+    while True:
+        partial += term
+        k = 3 * m + j
+        nxt = term * x / ((k + 1.0) * (k + 2.0) * (k + 3.0))
+        if nxt < tail * partial:
+            return 3 * m + j + 1
+        term = nxt
+        m += 1
+
+
+def loop_truncation_standard(abs_z, tail=coherent.TAIL_RELATIVE):
+    """The standard walk without its overflow guard; hangs past |z| ~ 26.6."""
+    x = float(abs_z) ** 2
+    term = 1.0
+    partial = 0.0
+    n = 0
+    while True:
+        partial += term
+        nxt = term * x / (n + 1.0)
+        if nxt < tail * partial:
+            return n + 1
+        term = nxt
+        n += 1
 
 
 class TestTruncationRule:
@@ -40,6 +76,64 @@ class TestTruncationRule:
                 k = 3 * m + j
                 term *= x / ((k + 1) * (k + 2) * (k + 3))
             assert tail / total < 1e-24
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_same_size_as_the_unguarded_walk(self, j):
+        for a in [0.0, *np.geomspace(1e-3, 1.8e4, 1500).tolist()]:
+            assert coherent.adequate_truncation(j, a) == loop_truncation(j, a), a
+
+    def test_standard_same_size_as_the_unguarded_walk(self):
+        for z in [0.0, *np.geomspace(1e-3, 26.2, 1500).tolist()]:
+            assert coherent.adequate_truncation_standard(z) == loop_truncation_standard(z), z
+
+    def test_labels_past_float64_raise_in_bounded_time(self):
+        # Each case hangs or raises OverflowError without the guard, so they
+        # run in a fresh interpreter that is killed if it does not finish.
+        script = "\n".join([
+            "import math",
+            "from triladder import coherent as c",
+            "cases = [",
+            "    lambda: c.adequate_truncation(0, 18296.27),",
+            "    lambda: c.adequate_truncation(0, 18296.28),",
+            "    lambda: c.adequate_truncation(1, 18555.0),",
+            "    lambda: c.adequate_truncation(2, 18816.0),",
+            "    lambda: c.adequate_truncation(0, 2.5e4),",
+            "    lambda: c.adequate_truncation(1, 1e200),",
+            "    lambda: c.adequate_truncation(2, math.inf),",
+            "    lambda: c.adequate_truncation(0, math.nan),",
+            "    lambda: c.adequate_truncation_standard(26.59),",
+            "    lambda: c.adequate_truncation_standard(26.6),",
+            "    lambda: c.CoherentSpec(0, 1e200),",
+            "    lambda: c.build_cs(c.CoherentSpec(0, 2e4, 10)),",
+            "]",
+            "for case in cases:",
+            "    try:",
+            "        print(case())",
+            "    except c.LabelRangeError as exc:",
+            "        print(type(exc).__name__, exc)",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(coherent.__file__).parents[1]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=10,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("a label past the float64 limit hung the tail-rule walk")
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        # the last labels the unguarded walks finish on
+        assert lines[0] == str(loop_truncation(0, 18296.27))
+        assert lines[8] == str(loop_truncation_standard(26.59))
+        raised = [line for i, line in enumerate(lines) if i not in (0, 8)]
+        assert len(raised) == 10
+        for line in raised:
+            assert line.startswith("LabelRangeError |")
+            assert "beyond the float64 limit" in line and "1.8e4" in line
+        assert "|alpha| = 18296.3 " in lines[1]
+        assert "|alpha| = 1e+200 " in lines[5]
+        assert "|z| = 26.6 " in lines[9]
+        assert issubclass(coherent.LabelRangeError, ValueError)
 
     def test_spec_auto_and_explicit(self):
         spec = coherent.CoherentSpec(1, 2.0)
@@ -164,6 +258,99 @@ class TestShiftFormAgainstDenseOracle:
         spec = coherent.CoherentSpec(2, 1e3)
         coherent.statistics(spec)
         coherent.eigen_residual(spec)
+
+
+def loop_coefficients(j, alpha, n_trunc):
+    """cs_coefficients set element by element."""
+    coeffs = np.zeros(n_trunc, dtype=complex)
+    c = 1.0 / math.sqrt(math.factorial(j))
+    idx = j
+    while idx < n_trunc:
+        coeffs[idx] = c
+        c = c * complex(alpha) / math.sqrt((idx + 1.0) * (idx + 2.0) * (idx + 3.0))
+        idx += 3
+    coeffs /= np.linalg.norm(coeffs)
+    return coeffs
+
+
+def loop_eigen_residual(alpha, coeffs):
+    n = np.arange(3.0, coeffs.size)
+    lowered = np.zeros_like(coeffs)
+    lowered[: n.size] = np.sqrt(n * (n - 1.0) * (n - 2.0)) * coeffs[3:]
+    return float(np.linalg.norm(lowered - alpha * coeffs))
+
+
+def appended_statistics(coeffs):
+    """statistics with the padded arrays made by np.append and np.insert."""
+    vec = np.append(coeffs, 0.0)
+    weights = np.sqrt(np.arange(1.0, vec.size)) / math.sqrt(2.0)
+    lowered = np.append(weights * vec[1:], 0.0)
+    raised = np.insert(weights * vec[:-1], 0, 0.0)
+    x_vec = lowered + raised
+    p_vec = 1j * (raised - lowered)
+    mean_x = float(np.vdot(vec, x_vec).real)
+    mean_p = float(np.vdot(vec, p_vec).real)
+    mean_x2 = float(np.linalg.norm(x_vec) ** 2)
+    mean_p2 = float(np.linalg.norm(p_vec) ** 2)
+    mean_h = float(np.sum((np.arange(vec.size) + 0.5) * np.abs(vec) ** 2))
+    product = math.sqrt((mean_x2 - mean_x**2) * (mean_p2 - mean_p**2))
+    return coherent.CSStatistics(mean_x, mean_p, mean_x2, mean_p2, mean_h, product)
+
+
+class TestStateBuiltOnce:
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    @pytest.mark.parametrize("abs_alpha", [0.0, 1.0, 30.0, 1e3, 1.5e4])
+    def test_bit_identical_to_loop_oracle(self, j, abs_alpha):
+        rng = np.random.default_rng([j, int(abs_alpha)])
+        alpha = abs_alpha * cmath.exp(2j * math.pi * rng.uniform())
+        adequate = loop_truncation(j, abs_alpha)
+        auto = coherent.CoherentSpec(j, alpha)
+        assert auto.truncation == auto.required == adequate
+        for size in (adequate, adequate + 7, j + 1):
+            spec = coherent.CoherentSpec(j, alpha, size)
+            want = loop_coefficients(j, alpha, size)
+            assert np.array_equal(coherent.cs_coefficients(j, alpha, size), want)
+            assert np.array_equal(spec.coeffs, want)
+            residual = coherent.eigen_residual(spec)
+            assert residual == loop_eigen_residual(alpha, want)
+            if size < adequate:
+                assert residual > 1e-10  # the verify tolerance
+                for build in (coherent.build_cs, coherent.statistics):
+                    with pytest.raises(coherent.TruncationError) as info:
+                        build(spec)
+                    assert (info.value.required, info.value.given) == (adequate, size)
+                continue
+            assert np.array_equal(coherent.build_cs(spec).coeffs, want)
+            assert coherent.statistics(spec) == appended_statistics(want)
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_walk_and_recurrence_run_once_per_spec(self, monkeypatch, explicit):
+        truncation = coherent.adequate_truncation(1, 4.0) + 7 if explicit else None
+        calls = collections.Counter()
+        for name in ("adequate_truncation", "cs_coefficients"):
+
+            def counted(*args, _real=getattr(coherent, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(coherent, name, counted)
+        spec = coherent.CoherentSpec(1, 2.4 + 3.2j, truncation)
+        coherent.build_cs(spec)
+        coherent.statistics(spec)
+        coherent.eigen_residual(spec)
+        assert calls == {"adequate_truncation": 1, "cs_coefficients": 1}
+
+    def test_coeffs_read_only_and_build_copies(self):
+        spec = coherent.CoherentSpec(2, 3.0 + 1.0j)
+        with pytest.raises(ValueError):
+            spec.coeffs[2] = 0.0
+        vec = coherent.build_cs(spec).coeffs
+        assert vec.flags.writeable
+        assert not np.shares_memory(vec, spec.coeffs)
+        vec[:] = 0.0
+        want = loop_coefficients(2, 3.0 + 1.0j, spec.truncation)
+        assert np.array_equal(spec.coeffs, want)
+        assert np.array_equal(coherent.build_cs(spec).coeffs, want)
 
 
 class TestMeanOccupationSeries:
