@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -89,29 +90,30 @@ class TestTruncationRule:
     def test_labels_past_float64_raise_in_bounded_time(self):
         # Each case hangs or raises OverflowError without the guard, so they
         # run in a fresh interpreter that is killed if it does not finish.
-        script = "\n".join([
-            "import math",
-            "from triladder import coherent as c",
-            "cases = [",
-            "    lambda: c.adequate_truncation(0, 18296.27),",
-            "    lambda: c.adequate_truncation(0, 18296.28),",
-            "    lambda: c.adequate_truncation(1, 18555.0),",
-            "    lambda: c.adequate_truncation(2, 18816.0),",
-            "    lambda: c.adequate_truncation(0, 2.5e4),",
-            "    lambda: c.adequate_truncation(1, 1e200),",
-            "    lambda: c.adequate_truncation(2, math.inf),",
-            "    lambda: c.adequate_truncation(0, math.nan),",
-            "    lambda: c.adequate_truncation_standard(26.59),",
-            "    lambda: c.adequate_truncation_standard(26.6),",
-            "    lambda: c.CoherentSpec(0, 1e200),",
-            "    lambda: c.build_cs(c.CoherentSpec(0, 2e4, 10)),",
-            "]",
-            "for case in cases:",
-            "    try:",
-            "        print(case())",
-            "    except c.LabelRangeError as exc:",
-            "        print(type(exc).__name__, exc)",
-        ])
+        script = textwrap.dedent("""
+            import math
+            from triladder import coherent as c
+
+            cases = [
+                lambda: c.adequate_truncation(0, 18296.27),
+                lambda: c.adequate_truncation(0, 18296.28),
+                lambda: c.adequate_truncation(1, 18555.0),
+                lambda: c.adequate_truncation(2, 18816.0),
+                lambda: c.adequate_truncation(0, 2.5e4),
+                lambda: c.adequate_truncation(1, 1e200),
+                lambda: c.adequate_truncation(2, math.inf),
+                lambda: c.adequate_truncation(0, math.nan),
+                lambda: c.adequate_truncation_standard(26.59),
+                lambda: c.adequate_truncation_standard(26.6),
+                lambda: c.CoherentSpec(0, 1e200),
+                lambda: c.build_cs(c.CoherentSpec(0, 2e4, 10)),
+            ]
+            for case in cases:
+                try:
+                    print(case())
+                except c.LabelRangeError as exc:
+                    print(type(exc).__name__, exc)
+        """)
         env = dict(os.environ, PYTHONPATH=str(Path(coherent.__file__).parents[1]))
         try:
             done = subprocess.run(
