@@ -29,14 +29,11 @@ from .coherent import (
 from .fock import (
     FockOperator,
     FockVector,
-    LadderIndex,
     build_annihilation,
     build_deformed_ladders,
     build_hamiltonian,
-    commutator,
     ladder_state,
     number_analogue,
-    spectrum_decomposition,
 )
 from .grid import GridSpec
 from .painleve import (
@@ -52,7 +49,6 @@ from .wavepacket import (
     DensityField,
     density_fock,
     density_gaussian,
-    hermite_function,
     period_check,
     rho_fock,
     rho_gaussian,
@@ -76,14 +72,11 @@ __all__ = [
     "triangle_decompose",
     "FockOperator",
     "FockVector",
-    "LadderIndex",
     "build_annihilation",
     "build_deformed_ladders",
     "build_hamiltonian",
-    "commutator",
     "ladder_state",
     "number_analogue",
-    "spectrum_decomposition",
     "GridSpec",
     "ExtremalSeed",
     "PIVSolution",
@@ -95,7 +88,6 @@ __all__ = [
     "DensityField",
     "density_fock",
     "density_gaussian",
-    "hermite_function",
     "period_check",
     "rho_fock",
     "rho_gaussian",

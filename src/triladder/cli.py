@@ -218,10 +218,7 @@ def _check_triangle(ns, inject):
             )
     partition = []
     for z in (1.0, 1.7, 3.0):
-        n = max(
-            coherent.adequate_truncation_standard(z),
-            max(coherent.adequate_truncation(j, z**3) for j in range(3)),
-        )
+        n = max(coherent.triangle_decompose(z, j).default_truncation() for j in range(3))
         total = sum(
             np.linalg.norm(coherent.deformed_cs_nonnorm(z, j, n).coeffs) ** 2
             for j in range(3)
@@ -389,12 +386,20 @@ def cmd_density(ns) -> int:
     z = complex(ns.z_re, ns.z_im)
     grid = ns.grid
     sweep = ns.j is None
+    families = [0, 1, 2] if sweep else [ns.j]
+    if ns.trunc is not None and ns.trunc < families[-1] + 1:
+        print(
+            f"density: truncation {ns.trunc} cannot hold the extremal state"
+            f" |{families[-1]}>; it must be at least {families[-1] + 1}",
+            file=sys.stderr,
+        )
+        return 2
     base = Path(ns.out)
     xs, ts = grid.x_values(), grid.t_values()
     # Rows run t-major: every x for the first t, then the next t.
     t_col = [t for t in map(repr, ts.tolist()) for _ in range(xs.size)]
     x_col = list(map(repr, xs.tolist())) * ts.size
-    for j in [0, 1, 2] if sweep else [ns.j]:
+    for j in families:
         rng = np.random.default_rng(42)
         ix = rng.integers(0, xs.size, 100)
         it = rng.integers(0, ts.size, 100)
@@ -444,7 +449,7 @@ def cmd_decompose(ns) -> int:
     z = complex(ns.z_re, ns.z_im)
     tri = coherent.triangle_decompose(z, ns.j)
     try:
-        n_trunc = ns.trunc or tri.default_truncation()
+        n_trunc = tri.default_truncation() if ns.trunc is None else ns.trunc
         rec = tri.reconstruction(n_trunc).coeffs
         target = tri.target(n_trunc).coeffs
     except (coherent.TruncationError, coherent.LabelRangeError) as exc:
@@ -533,6 +538,17 @@ def cmd_moments(ns) -> int:
 # ------------------------------------------------------------------ main --
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --trunc: a truncation holds at least one level."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     """argparse type for every float flag: inf and nan are rejected."""
     try:
@@ -573,7 +589,7 @@ _OPTIONS = {
     "tmin": ("time grid start", _finite_float),
     "tmax": ("time grid end", _finite_float),
     "tsteps": ("time grid points", int),
-    "trunc": ("Fock truncation; None chooses an adequate one", int),
+    "trunc": ("Fock truncation; None chooses an adequate one", _positive_int),
     "delta": ("singularity exclusion radius", _finite_float),
     "amin": ("sweep start", _finite_float),
     "amax": ("sweep end", _finite_float),

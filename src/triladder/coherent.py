@@ -84,7 +84,7 @@ def _squared_modulus(name: str, modulus: float) -> float:
         raise LabelRangeError(name, modulus) from None
 
 
-def adequate_truncation(j, abs_alpha: float, tail: float = TAIL_RELATIVE) -> int:
+def adequate_truncation(j, abs_alpha: float) -> int:
     """Smallest N = 3m + j + 1 whose first dropped term is below the tail bound.
 
     Terms are |alpha|^(2m) / (3m+j)!. From |alpha| = 18296 (j = 0; 18555
@@ -99,14 +99,14 @@ def adequate_truncation(j, abs_alpha: float, tail: float = TAIL_RELATIVE) -> int
     for k in itertools.count(j, 3):
         partial += term
         nxt = term * x / ((k + 1.0) * (k + 2.0) * (k + 3.0))
-        if nxt < tail * partial:
+        if nxt < TAIL_RELATIVE * partial:
             return k + 1
         if not nxt < inf:  # inf (or nan) never meets the bound
             raise LabelRangeError("alpha", abs_alpha)
         term = nxt
 
 
-def adequate_truncation_standard(abs_z: float, tail: float = TAIL_RELATIVE) -> int:
+def adequate_truncation_standard(abs_z: float) -> int:
     """Truncation rule for a standard coherent state with label modulus |z|.
 
     Raises ``LabelRangeError`` from |z| = 26.6, where the terms overflow.
@@ -118,7 +118,7 @@ def adequate_truncation_standard(abs_z: float, tail: float = TAIL_RELATIVE) -> i
     for n in itertools.count():
         partial += term
         nxt = term * x / (n + 1.0)
-        if nxt < tail * partial:
+        if nxt < TAIL_RELATIVE * partial:
             return n + 1
         if not nxt < inf:
             raise LabelRangeError("z", abs_z)
@@ -197,15 +197,25 @@ def cs_coefficients(j, alpha: complex, n_trunc: int) -> np.ndarray:
     n_trunc = int(n_trunc)
     if n_trunc < j + 1:
         raise ValueError(f"truncation {n_trunc} cannot hold the extremal state |{j}>")
-    alpha = complex(alpha)
+    coeffs = _ladder_rungs(j, 1.0 / math.sqrt(math.factorial(j)), complex(alpha), n_trunc)
+    coeffs /= np.linalg.norm(coeffs)
+    return coeffs
+
+
+def _ladder_rungs(j: int, first, ratio: complex, n_trunc: int) -> np.ndarray:
+    """Coefficients on |0> .. |N-1> that vanish off the ladder n = 3k + j.
+
+    c_j = first and c_{n+3} = c_n * ratio / sqrt((n+1)(n+2)(n+3)), the one
+    step-3 recurrence behind the family coefficients (ratio alpha) and the
+    non-normalized slices of a standard coherent state (ratio z^3).
+    """
     rungs = []
-    c = 1.0 / math.sqrt(math.factorial(j))
-    for idx in range(j, n_trunc, 3):
+    c = first
+    for n in range(j, n_trunc, 3):
         rungs.append(c)
-        c = c * alpha / math.sqrt((idx + 1.0) * (idx + 2.0) * (idx + 3.0))
+        c = c * ratio / math.sqrt((n + 1.0) * (n + 2.0) * (n + 3.0))
     coeffs = np.zeros(n_trunc, dtype=complex)
     coeffs[j::3] = rungs
-    coeffs /= np.linalg.norm(coeffs)
     return coeffs
 
 
@@ -299,7 +309,9 @@ def evolve(spec: CoherentSpec, t: float) -> tuple[complex, CoherentSpec]:
     """Time evolution: a global phase and a rotated eigenvalue.
 
     U(t)|alpha>_j = e^(-i (j + 1/2) t) |alpha e^(-3it)>_j, so evolution
-    never leaves the family and the truncation can be carried over.
+    never leaves the family and the truncation can be carried over. It is
+    the oracle for the rung phases of ``wavepacket.rho_fock``, in
+    tests/test_wavepacket.py::TestLadderKernel::test_evolution_law.
     """
     phase = cmath.exp(-1j * (spec.j + 0.5) * t)
     rotated = spec.alpha * cmath.exp(-3j * t)
@@ -335,13 +347,7 @@ def deformed_cs_nonnorm(z: complex, j, n_trunc: int | None = None) -> FockVector
         n_trunc = required
     elif n_trunc < required:
         raise TruncationError(required, n_trunc)
-    coeffs = np.zeros(int(n_trunc), dtype=complex)
-    c = z**j / math.sqrt(math.factorial(j))
-    idx = j
-    while idx < coeffs.size:
-        coeffs[idx] = c
-        c = c * z**3 / math.sqrt((idx + 1.0) * (idx + 2.0) * (idx + 3.0))
-        idx += 3
+    coeffs = _ladder_rungs(j, z**j / math.sqrt(math.factorial(j)), z**3, int(n_trunc))
     return FockVector(coeffs, ladder=j)
 
 

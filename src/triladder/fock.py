@@ -10,6 +10,11 @@ Builds the standard and cubed ladder operators on the number basis
 Each residue class n = 3k + j of the number basis carries one infinite
 ladder of eigenstates with spacing 3. Units: hbar = m = omega = 1, with
 x = (a + a+)/sqrt(2) and p = i(a+ - a)/sqrt(2).
+
+The dense N x N matrices are the oracle: the ``fock-algebra`` check of
+``triladder verify`` and the statistics and eigen-residual tests compare
+against them, while the coherent-state code applies the same operators
+as shifts and diagonals.
 """
 
 import math
@@ -20,18 +25,13 @@ import numpy as np
 __all__ = [
     "FockVector",
     "FockOperator",
-    "LadderIndex",
-    "basis_state",
     "build_annihilation",
-    "build_creation",
     "build_hamiltonian",
     "build_position",
     "build_momentum",
     "build_deformed_ladders",
-    "commutator",
     "number_analogue",
     "ladder_state",
-    "spectrum_decomposition",
 ]
 
 
@@ -67,23 +67,12 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def inner(self, other: "FockVector") -> complex:
-        """<self|other>; antilinear in self."""
-        if other.truncation != self.truncation:
-            raise ValueError("vectors live in different truncations")
-        return complex(np.vdot(self.coeffs, other.coeffs))
-
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense complex N x N operator on the truncated Fock space.
-
-    ``bands`` is an optional (lower, upper) bandwidth annotation for
-    operators whose sparsity pattern is known by construction.
-    """
+    """Dense complex N x N operator on the truncated Fock space."""
 
     matrix: np.ndarray
-    bands: tuple[int, int] | None = None
 
     def __post_init__(self):
         arr = np.array(self.matrix, dtype=complex)
@@ -91,69 +80,13 @@ class FockOperator:
             raise ValueError("operator matrix must be square and nonempty")
         object.__setattr__(self, "matrix", arr)
 
-    @property
-    def truncation(self) -> int:
-        return self.matrix.shape[0]
-
-    def dagger(self) -> "FockOperator":
-        bands = None if self.bands is None else (self.bands[1], self.bands[0])
-        return FockOperator(self.matrix.conj().T, bands=bands)
-
-    def apply(self, vec: FockVector) -> FockVector:
-        if vec.truncation != self.truncation:
-            raise ValueError("operator and vector truncations differ")
-        return FockVector(self.matrix @ vec.coeffs)
-
-
-@dataclass(frozen=True)
-class LadderIndex:
-    """Ladder label with its numbering convention made explicit.
-
-    Extremal states are numbered 1, 2, 3 while the coherent-state families
-    use 0, 1, 2; the fixed bridge is cs = extremal - 1. Keeping the
-    convention on the value prevents silent off-by-one drift.
-    """
-
-    value: int
-    convention: str = "cs"
-
-    def __post_init__(self):
-        if self.convention not in ("extremal", "cs"):
-            raise ValueError("convention must be 'extremal' or 'cs'")
-        lo = 1 if self.convention == "extremal" else 0
-        if self.value not in range(lo, lo + 3):
-            raise ValueError(
-                f"{self.convention} ladder index must lie in "
-                f"{{{lo}, {lo + 1}, {lo + 2}}}, got {self.value}"
-            )
-
-    @classmethod
-    def extremal(cls, value: int) -> "LadderIndex":
-        return cls(value, "extremal")
-
-    @classmethod
-    def cs(cls, value: int) -> "LadderIndex":
-        return cls(value, "cs")
-
-    def as_extremal(self) -> int:
-        return self.value if self.convention == "extremal" else self.value + 1
-
-    def as_cs(self) -> int:
-        return self.value if self.convention == "cs" else self.value - 1
-
-
-def extremal_index(j) -> int:
-    """Coerce an int or LadderIndex to the extremal numbering 1..3."""
-    if isinstance(j, LadderIndex):
-        return j.as_extremal()
-    return LadderIndex.extremal(int(j)).value
-
 
 def cs_index(j) -> int:
-    """Coerce an int or LadderIndex to the coherent-state numbering 0..2."""
-    if isinstance(j, LadderIndex):
-        return j.as_cs()
-    return LadderIndex.cs(int(j)).value
+    """Check a coherent-state family index, numbered 0..2, and return it as an int."""
+    value = int(j)
+    if value not in (0, 1, 2):
+        raise ValueError(f"family index must lie in {{0, 1, 2}}, got {j}")
+    return value
 
 
 def _check_truncation(n_trunc: int, minimum: int = 1) -> int:
@@ -163,45 +96,30 @@ def _check_truncation(n_trunc: int, minimum: int = 1) -> int:
     return n
 
 
-def basis_state(n: int, n_trunc: int) -> FockVector:
-    """Unit vector |n> in an N-dimensional truncation."""
-    n_trunc = _check_truncation(n_trunc)
-    if not 0 <= n < n_trunc:
-        raise ValueError(f"basis index {n} outside truncation {n_trunc}")
-    coeffs = np.zeros(n_trunc, dtype=complex)
-    coeffs[n] = 1.0
-    return FockVector(coeffs)
-
-
 def build_annihilation(n_trunc: int) -> FockOperator:
     """Annihilation operator: entries[n-1, n] = sqrt(n)."""
     n_trunc = _check_truncation(n_trunc)
     mat = np.diag(np.sqrt(np.arange(1, n_trunc, dtype=float)), k=1)
-    return FockOperator(mat.astype(complex), bands=(0, 1))
-
-
-def build_creation(n_trunc: int) -> FockOperator:
-    """Creation operator, the conjugate transpose of the annihilation one."""
-    return build_annihilation(n_trunc).dagger()
+    return FockOperator(mat.astype(complex))
 
 
 def build_hamiltonian(n_trunc: int) -> FockOperator:
     """Oscillator Hamiltonian, diagonal with entries n + 1/2."""
     n_trunc = _check_truncation(n_trunc)
     diag = np.arange(n_trunc, dtype=float) + 0.5
-    return FockOperator(np.diag(diag).astype(complex), bands=(0, 0))
+    return FockOperator(np.diag(diag).astype(complex))
 
 
 def build_position(n_trunc: int) -> FockOperator:
     """x = (a + a+)/sqrt(2)."""
     a = build_annihilation(n_trunc).matrix
-    return FockOperator((a + a.conj().T) / math.sqrt(2.0), bands=(1, 1))
+    return FockOperator((a + a.conj().T) / math.sqrt(2.0))
 
 
 def build_momentum(n_trunc: int) -> FockOperator:
     """p = i (a+ - a)/sqrt(2)."""
     a = build_annihilation(n_trunc).matrix
-    return FockOperator(1j * (a.conj().T - a) / math.sqrt(2.0), bands=(1, 1))
+    return FockOperator(1j * (a.conj().T - a) / math.sqrt(2.0))
 
 
 def build_deformed_ladders(n_trunc: int) -> tuple[FockOperator, FockOperator]:
@@ -214,20 +132,7 @@ def build_deformed_ladders(n_trunc: int) -> tuple[FockOperator, FockOperator]:
     n_trunc = _check_truncation(n_trunc, minimum=4)
     a = build_annihilation(n_trunc).matrix
     cube = a @ a @ a
-    return (
-        FockOperator(cube, bands=(0, 3)),
-        FockOperator(cube.conj().T, bands=(3, 0)),
-    )
-
-
-def commutator(op_a: FockOperator, op_b: FockOperator) -> FockOperator:
-    """AB - BA."""
-    if op_a.truncation != op_b.truncation:
-        raise ValueError(
-            f"operator shapes differ: {op_a.truncation} vs {op_b.truncation}"
-        )
-    ma, mb = op_a.matrix, op_b.matrix
-    return FockOperator(ma @ mb - mb @ ma)
+    return FockOperator(cube), FockOperator(cube.conj().T)
 
 
 def number_analogue(n_trunc: int, shift: float = 0.0) -> FockOperator:
@@ -241,7 +146,7 @@ def number_analogue(n_trunc: int, shift: float = 0.0) -> FockOperator:
     n_trunc = _check_truncation(n_trunc, minimum=4)
     energies = np.arange(n_trunc, dtype=float) + 0.5 + shift
     diag = (energies - 0.5) * (energies - 1.5) * (energies - 2.5)
-    return FockOperator(np.diag(diag).astype(complex), bands=(0, 0))
+    return FockOperator(np.diag(diag).astype(complex))
 
 
 def ladder_state(j_ext, n: int, n_trunc: int) -> FockVector:
@@ -252,7 +157,9 @@ def ladder_state(j_ext, n: int, n_trunc: int) -> FockVector:
     with energy 3n + j - 1/2. The norm is restored after every
     application so deep rungs cannot overflow.
     """
-    j = extremal_index(j_ext)
+    j = int(j_ext)
+    if j not in (1, 2, 3):
+        raise ValueError(f"extremal ladder index must lie in {{1, 2, 3}}, got {j_ext}")
     if n < 0:
         raise ValueError("rung index must be nonnegative")
     n_trunc = _check_truncation(n_trunc)
@@ -269,19 +176,4 @@ def ladder_state(j_ext, n: int, n_trunc: int) -> FockVector:
         for _ in range(n):
             vec = raising @ vec
             vec /= np.linalg.norm(vec)
-    return FockVector(vec, ladder=(j - 1) % 3)
-
-
-def spectrum_decomposition(n_trunc: int) -> tuple[list, list, list]:
-    """The truncated spectrum split into the three ladders.
-
-    Ladder j in {1, 2, 3} holds the energies j - 1/2 + 3n that fit below
-    the truncation. The three lists are pairwise disjoint and their union
-    is the oscillator spectrum {n + 1/2 : n < N}.
-    """
-    n_trunc = _check_truncation(n_trunc, minimum=3)
-    ladders = []
-    for j in (1, 2, 3):
-        count = (n_trunc - j) // 3 + 1
-        ladders.append([3.0 * n + j - 0.5 for n in range(count)])
-    return tuple(ladders)
+    return FockVector(vec, ladder=j - 1)

@@ -28,7 +28,6 @@ from .grid import GridSpec
 __all__ = [
     "DEFAULT_GRID",
     "DensityField",
-    "hermite_function",
     "hermite_basis",
     "rho_fock",
     "rho_gaussian",
@@ -67,7 +66,8 @@ class DensityField:
 def hermite_basis(n_levels: int, x) -> np.ndarray:
     """Rows psi_0 .. psi_{n_levels-1} of the oscillator eigenfunctions on x.
 
-    Uses the normalized recurrence
+    Row n is psi_n(x) = pi^(-1/4) (2^n n!)^(-1/2) H_n(x) e^(-x^2/2), on x
+    raveled. Uses the normalized recurrence
         psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1},
     which keeps every value of order one and cannot overflow.
     """
@@ -79,14 +79,6 @@ def hermite_basis(n_levels: int, x) -> np.ndarray:
     for n in range(n_levels - 1):  # at n = 0 the weight on out[n - 1] is 0
         out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
     return out
-
-
-def hermite_function(n: int, x):
-    """Normalized eigenfunction psi_n(x) = pi^(-1/4) (2^n n!)^(-1/2) H_n(x) e^(-x^2/2)."""
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    values = hermite_basis(n + 1, x)[n]
-    return float(values[0]) if np.ndim(x) == 0 else values.reshape(np.shape(x))
 
 
 def rho_fock(j, z: complex, x, t, n_trunc: int | None = None) -> np.ndarray:
@@ -170,23 +162,14 @@ def density_gaussian(j, z: complex, grid: GridSpec) -> DensityField:
     return DensityField(grid, values)
 
 
-def period_check(
-    j,
-    z: complex,
-    grid: GridSpec,
-    candidate: float = 2.0 * math.pi / 3.0,
-    path: str = "gaussian",
-) -> float:
-    """max |rho(x, t + candidate) - rho(x, t)| over the grid.
+def period_check(j, z: complex, grid: GridSpec, candidate: float = 2.0 * math.pi / 3.0) -> float:
+    """max |rho(x, t + candidate) - rho(x, t)| over the grid, on the Gaussian path.
 
     Vanishes (to rounding) for the fundamental period 2 pi / 3 and is
     order one for shorter candidates at generic z.
     """
-    rho = {"gaussian": rho_gaussian, "fock": rho_fock}.get(path)
-    if rho is None:
-        raise ValueError("path must be 'gaussian' or 'fock'")
     xs = grid.x_values()[:, None]
     ts = grid.t_values()[None, :]
-    base = rho(j, z, xs, ts)
-    shifted = rho(j, z, xs, ts + candidate)
+    base = rho_gaussian(j, z, xs, ts)
+    shifted = rho_gaussian(j, z, xs, ts + candidate)
     return float(np.max(np.abs(shifted - base)))

@@ -245,6 +245,18 @@ class TestDensity:
                     "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("family,trunc", [(["--j", "2"], "1"), ([], "2")])
+    def test_truncation_below_extremal_state_is_a_usage_error(
+        self, tmp_path, capsys, family, trunc
+    ):
+        out = tmp_path / "rho.csv"
+        assert run(["density", *family, *self.ARGS, "--trunc", trunc,
+                    "--out", str(out)]) == 2
+        err, = capsys.readouterr().err.splitlines()
+        assert err == (f"density: truncation {trunc} cannot hold the extremal state |2>;"
+                       " it must be at least 3")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLabelLimit:
     """Labels past the tail rule's float64 limit once hung these commands;
@@ -410,6 +422,23 @@ class TestParser:
             cli.build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--trunc", "0"],
+        ["decompose", "--trunc", "-5"],
+        ["decompose", "--trunc", "0"],
+        ["verify", "--trunc", "-3"],
+        ["verify", "--trunc", "2.5"],
+    ])
+    def test_nonpositive_truncation_rejected(self, tmp_path, capsys, argv):
+        # decompose --trunc 0 once wrote the default table and -5 a traceback
+        if argv[0] != "verify":
+            argv = [*argv, "--out", str(tmp_path / "out.csv")]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "argument --trunc: expected a positive integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_every_float_flag_takes_a_negative_exponent_form(self):
         # argparse alone reads -1e-3 as an unknown option, not a value

@@ -14,7 +14,7 @@ import pytest
 from triladder import coherent, fock
 
 
-def loop_truncation(j, abs_alpha, tail=coherent.TAIL_RELATIVE):
+def loop_truncation(j, abs_alpha):
     """The tail-rule walk without its overflow guard; hangs past |alpha| ~ 1.83e4."""
     x = float(abs_alpha) ** 2
     term = 1.0 / math.factorial(j)
@@ -24,13 +24,13 @@ def loop_truncation(j, abs_alpha, tail=coherent.TAIL_RELATIVE):
         partial += term
         k = 3 * m + j
         nxt = term * x / ((k + 1.0) * (k + 2.0) * (k + 3.0))
-        if nxt < tail * partial:
+        if nxt < coherent.TAIL_RELATIVE * partial:
             return 3 * m + j + 1
         term = nxt
         m += 1
 
 
-def loop_truncation_standard(abs_z, tail=coherent.TAIL_RELATIVE):
+def loop_truncation_standard(abs_z):
     """The standard walk without its overflow guard; hangs past |z| ~ 26.6."""
     x = float(abs_z) ** 2
     term = 1.0
@@ -39,7 +39,7 @@ def loop_truncation_standard(abs_z, tail=coherent.TAIL_RELATIVE):
     while True:
         partial += term
         nxt = term * x / (n + 1.0)
-        if nxt < tail * partial:
+        if nxt < coherent.TAIL_RELATIVE * partial:
             return n + 1
         term = nxt
         n += 1

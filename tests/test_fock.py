@@ -12,6 +12,10 @@ def basis(n, dim):
     return vec
 
 
+def commutator(op_a, op_b):
+    return op_a @ op_b - op_b @ op_a
+
+
 class TestBuilders:
     def test_annihilation_action(self):
         a = fock.build_annihilation(6).matrix
@@ -28,7 +32,6 @@ class TestBuilders:
             assert mat[n - 1, n] == pytest.approx(math.sqrt(n), abs=1e-15)
         off = mat - np.diag(np.diag(mat, 1), 1)
         assert np.all(off == 0)
-        assert a.bands == (0, 1)
 
     def test_invalid_truncation(self):
         with pytest.raises(ValueError):
@@ -44,9 +47,12 @@ class TestBuilders:
         assert np.all(h == np.diag(np.diag(h)))
 
     def test_creation_is_adjoint(self):
-        a = fock.build_annihilation(7)
-        adag = fock.build_creation(7)
-        np.testing.assert_allclose(adag.matrix, a.matrix.conj().T)
+        # the conjugate transpose of a raises: a+ |n> = sqrt(n + 1) |n + 1>
+        adag = fock.build_annihilation(7).matrix.conj().T
+        for n in range(6):
+            np.testing.assert_allclose(
+                adag @ basis(n, 7), math.sqrt(n + 1) * basis(n + 1, 7), atol=1e-15
+            )
 
     def test_position_momentum_hermitian(self):
         for build in (fock.build_position, fock.build_momentum):
@@ -86,7 +92,7 @@ class TestCommutators:
         interior = n - 3
         ag, _ = fock.build_deformed_ladders(n)
         h = fock.build_hamiltonian(n)
-        resid = fock.commutator(h, ag).matrix + 3.0 * ag.matrix
+        resid = commutator(h.matrix, ag.matrix) + 3.0 * ag.matrix
         block = resid[:interior, :interior]
         scale = np.linalg.norm(ag.matrix[:interior, :interior])
         assert np.linalg.norm(block) <= 1e-12 * scale
@@ -96,18 +102,19 @@ class TestCommutators:
         interior = n - 3
         _, agd = fock.build_deformed_ladders(n)
         h = fock.build_hamiltonian(n)
-        resid = fock.commutator(h, agd).matrix - 3.0 * agd.matrix
+        resid = commutator(h.matrix, agd.matrix) - 3.0 * agd.matrix
         block = resid[:interior, :interior]
         scale = np.linalg.norm(agd.matrix[:interior, :interior])
         assert np.linalg.norm(block) <= 1e-12 * scale
 
     def test_self_commutator_vanishes(self):
-        h = fock.build_hamiltonian(9)
-        assert np.all(fock.commutator(h, h).matrix == 0)
+        # N(H) is a polynomial in H, so the two commute exactly
+        h = fock.build_hamiltonian(9).matrix
+        assert np.all(commutator(h, fock.number_analogue(9).matrix) == 0)
 
     def test_deformed_pair_on_vacuum(self):
         ag, agd = fock.build_deformed_ladders(8)
-        comm = fock.commutator(ag, agd).matrix
+        comm = commutator(ag.matrix, agd.matrix)
         # N(1/2 + 3) - N(1/2) = 3*2*1 - 0 = 6
         np.testing.assert_allclose(comm @ basis(0, 8), 6.0 * basis(0, 8), atol=1e-12)
 
@@ -115,16 +122,12 @@ class TestCommutators:
         n = 15
         interior = n - 3
         ag, agd = fock.build_deformed_ladders(n)
-        comm = fock.commutator(ag, agd).matrix
+        comm = commutator(ag.matrix, agd.matrix)
         gap = (
             fock.number_analogue(n, shift=3.0).matrix - fock.number_analogue(n).matrix
         )
         diff = (comm - gap)[:interior, :interior]
         assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(gap[:interior, :interior])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            fock.commutator(fock.build_hamiltonian(5), fock.build_hamiltonian(6))
 
 
 class TestNumberAnalogue:
@@ -191,61 +194,64 @@ class TestLadderState:
             fock.ladder_state(3, 2, 8)  # needs |8> in an 8-dim space
         with pytest.raises(ValueError):
             fock.ladder_state(1, -1, 8)
+        for j in (0, 4):  # extremal ladders are numbered 1..3
+            with pytest.raises(ValueError):
+                fock.ladder_state(j, 0, 8)
+
+
+def ladder_energies(n_trunc):
+    """<H> on every rung of the three extremal ladders that fits in the truncation."""
+    h = fock.build_hamiltonian(n_trunc).matrix
+    ladders = []
+    for j in (1, 2, 3):
+        rungs = [fock.ladder_state(j, n, n_trunc).coeffs for n in range((n_trunc - j) // 3 + 1)]
+        ladders.append([float(np.vdot(v, h @ v).real) for v in rungs])
+    return ladders
 
 
 class TestSpectrumDecomposition:
     def test_small_case(self):
-        ladders = fock.spectrum_decomposition(6)
-        assert ladders == ([0.5, 3.5], [1.5, 4.5], [2.5, 5.5])
+        ladders = ladder_energies(6)
+        expected = [[0.5, 3.5], [1.5, 4.5], [2.5, 5.5]]
+        for got, want in zip(ladders, expected):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 7, 20, 61])
     def test_partition_of_spectrum(self, n):
-        ladders = fock.spectrum_decomposition(n)
+        ladders = ladder_energies(n)
         merged = sorted(e for ladder in ladders for e in ladder)
-        expected = [k + 0.5 for k in range(n)]
-        assert merged == expected
-        sets = [set(ladder) for ladder in ladders]
+        np.testing.assert_allclose(merged, [k + 0.5 for k in range(n)], rtol=0, atol=1e-11)
+        sets = [{round(e - 0.5) for e in ladder} for ladder in ladders]
         assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
 
     @pytest.mark.parametrize("n", [7, 20, 61])
     def test_spacing_three(self, n):
-        for ladder in fock.spectrum_decomposition(n):
+        for ladder in ladder_energies(n):
             assert np.allclose(np.diff(ladder), 3.0)
 
     @pytest.mark.parametrize("n", [3, 10, 25])
     def test_every_index_in_exactly_one_ladder(self, n):
-        ladders = fock.spectrum_decomposition(n)
+        ladders = ladder_energies(n)
         indices = sorted(int(round(e - 0.5)) for ladder in ladders for e in ladder)
         assert indices == list(range(n))
 
 
 class TestLadderIndex:
     def test_conversion_bridge(self):
-        for j_ext in (1, 2, 3):
-            assert fock.LadderIndex.extremal(j_ext).as_cs() == j_ext - 1
+        # extremal ladder j_ext in 1..3 is coherent-state family j_ext - 1
         for j_cs in (0, 1, 2):
-            assert fock.LadderIndex.cs(j_cs).as_extremal() == j_cs + 1
+            v = fock.ladder_state(j_cs + 1, 2, 12)
+            assert v.ladder == fock.cs_index(j_cs)
+            np.testing.assert_allclose(v.coeffs, basis(6 + j_cs, 12), atol=1e-12)
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            fock.LadderIndex.extremal(0)
-        with pytest.raises(ValueError):
-            fock.LadderIndex.cs(3)
-        with pytest.raises(ValueError):
-            fock.LadderIndex(1, "other")
+        for bad in (-1, 3):
+            with pytest.raises(ValueError):
+                fock.cs_index(bad)
 
     def test_coercion_helpers(self):
-        assert fock.extremal_index(2) == 2
-        assert fock.extremal_index(fock.LadderIndex.cs(0)) == 1
-        assert fock.cs_index(fock.LadderIndex.extremal(3)) == 2
-        with pytest.raises(ValueError):
-            fock.cs_index(3)
-
-    def test_ladder_state_accepts_tagged_index(self):
-        tagged = fock.LadderIndex.cs(1)  # same ladder as extremal 2
-        v1 = fock.ladder_state(tagged, 1, 8)
-        v2 = fock.ladder_state(2, 1, 8)
-        np.testing.assert_allclose(v1.coeffs, v2.coeffs)
+        value = fock.cs_index(np.int64(2))
+        assert value == 2 and type(value) is int
 
 
 class TestVectorAndOperatorTypes:
@@ -259,26 +265,8 @@ class TestVectorAndOperatorTypes:
         with pytest.raises(ValueError):
             fock.FockVector(np.array([1.0, 1.0, 0.0]), ladder=0)
 
-    def test_inner_product(self):
-        v = fock.FockVector(np.array([1.0, 1j]))
-        w = fock.FockVector(np.array([1.0, 1.0]))
-        assert v.inner(w) == pytest.approx(1.0 - 1j)
-        with pytest.raises(ValueError):
-            v.inner(fock.FockVector(np.array([1.0])))
-
-    def test_operator_validation_and_apply(self):
+    def test_operator_validation(self):
         with pytest.raises(ValueError):
             fock.FockOperator(np.zeros((2, 3)))
-        h = fock.build_hamiltonian(4)
         with pytest.raises(ValueError):
-            h.apply(fock.FockVector(np.zeros(5) + 1.0))
-
-    def test_dagger_swaps_bands(self):
-        a = fock.build_annihilation(5)
-        assert a.dagger().bands == (1, 0)
-
-    def test_basis_state(self):
-        v = fock.basis_state(2, 4)
-        np.testing.assert_allclose(v.coeffs, basis(2, 4))
-        with pytest.raises(ValueError):
-            fock.basis_state(4, 4)
+            fock.FockOperator(np.zeros((0, 0)))

@@ -25,34 +25,35 @@ class TestGridSpec:
 
 class TestHermiteFunctions:
     def test_ground_state_peak(self):
-        assert wavepacket.hermite_function(0, 0.0) == pytest.approx(
+        assert wavepacket.hermite_basis(1, 0.0)[0, 0] == pytest.approx(
             math.pi**-0.25, abs=1e-15
         )
 
     def test_first_excited_node(self):
-        assert wavepacket.hermite_function(1, 0.0) == 0.0
+        assert wavepacket.hermite_basis(2, 0.0)[1, 0] == 0.0
 
     def test_against_explicit_polynomials(self):
         # psi_2 = pi^(-1/4) (2x^2 - 1)/sqrt(2) e^(-x^2/2)
         # psi_3 = pi^(-1/4) (2x^3 - 3x)/sqrt(3) e^(-x^2/2)
         x = np.linspace(-4, 4, 41)
         envelope = np.pi**-0.25 * np.exp(-x * x / 2)
+        basis = wavepacket.hermite_basis(4, x)
         np.testing.assert_allclose(
-            wavepacket.hermite_function(2, x),
+            basis[2],
             envelope * (2 * x * x - 1) / math.sqrt(2),
             atol=1e-13,
         )
         np.testing.assert_allclose(
-            wavepacket.hermite_function(3, x),
+            basis[3],
             envelope * (2 * x**3 - 3 * x) / math.sqrt(3),
             atol=1e-13,
         )
 
     def test_orthonormality_by_quadrature(self):
         x = np.arange(-15.0, 15.0 + 1e-3, 1e-3)
-        psi7 = wavepacket.hermite_function(7, x)
+        basis = wavepacket.hermite_basis(8, x)
+        psi7, psi4 = basis[7], basis[4]
         assert np.trapezoid(psi7 * psi7, x) == pytest.approx(1.0, abs=1e-8)
-        psi4 = wavepacket.hermite_function(4, x)
         assert np.trapezoid(psi7 * psi4, x) == pytest.approx(0.0, abs=1e-8)
 
     def test_no_overflow_deep_levels(self):
@@ -61,8 +62,9 @@ class TestHermiteFunctions:
         assert np.max(np.abs(basis)) < 2.0
 
     def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
-            wavepacket.hermite_function(-1, 0.0)
+        for n_levels in (0, -1):
+            with pytest.raises(ValueError):
+                wavepacket.hermite_basis(n_levels, 0.0)
 
     def test_basis_shape(self):
         basis = wavepacket.hermite_basis(4, np.linspace(-1, 1, 7))
@@ -107,7 +109,7 @@ class TestStationaryStates:
 
     def test_first_fock_state_two_lobes(self):
         x = np.linspace(-5, 5, 41)
-        expected = wavepacket.hermite_function(1, x) ** 2
+        expected = wavepacket.hermite_basis(2, x)[1] ** 2
         rho0 = wavepacket.rho_fock(1, 0.0, x, 0.0)
         rho1 = wavepacket.rho_fock(1, 0.0, x, 2.3)
         np.testing.assert_allclose(rho0, expected, atol=1e-14)
@@ -315,15 +317,15 @@ class TestPeriodicity:
 
     def test_fock_path_period(self):
         grid = GridSpec(-8.0, 8.0, 81, 0.0, 2 * math.pi, 7)
-        assert wavepacket.period_check(1, 2.0, grid, path="fock") < 1e-10
+        xs = grid.x_values()[:, None]
+        ts = grid.t_values()[None, :]
+        base = wavepacket.rho_fock(1, 2.0, xs, ts)
+        shifted = wavepacket.rho_fock(1, 2.0, xs, ts + 2 * math.pi / 3)
+        assert np.max(np.abs(shifted - base)) < 1e-10
 
     def test_sixth_period_rejected(self):
         dev = wavepacket.period_check(0, 2.0, self.GRID, candidate=2 * math.pi / 6)
         assert dev > 1e-3
-
-    def test_unknown_path(self):
-        with pytest.raises(ValueError):
-            wavepacket.period_check(0, 2.0, self.GRID, path="exact")
 
 
 class TestTruncationPropagation:
