@@ -150,13 +150,12 @@ def _check_cs_eigen(ns, inject):
             f"worst residual {worst:.3e} over 12 samples (tol {EIGEN_TOL:g})",
         )
     alpha = complex(ns.alpha_re, ns.alpha_im)
-    residuals = [
-        coherent.eigen_residual(coherent.CoherentSpec(j, alpha, max(trunc, j + 1)))
-        for j in range(3)
-    ]
+    specs = [coherent.CoherentSpec(j, alpha, max(trunc, j + 1)) for j in range(3)]
+    residuals = [coherent.eigen_residual(spec) for spec in specs]
     failures = [
-        f"j={j} residual={res:.3e} at truncation {trunc}; {_suggestion(j, alpha)}"
-        for j, res in enumerate(residuals)
+        f"j={spec.j} residual={res:.3e} at truncation {spec.truncation};"
+        f" {_suggestion(spec.j, alpha)}"
+        for spec, res in zip(specs, residuals)
         if not _within(res, EIGEN_TOL)
     ]
     if failures:

@@ -11,6 +11,15 @@ Besides construction, this module evaluates their statistics, the simple
 time evolution alpha(t) = alpha e^(-3it), the decomposition of each family
 into three standard coherent states sitting on an equilateral triangle of
 labels, and a moment-check harness for candidate completeness weights.
+
+All three families step along their ladder by the same ratio
+|alpha|^2 / ((n+1)(n+2)(n+3)), n = 3k + j. The label-free factor
+(n+1)(n+2)(n+3) and its square root are kept in one ladder-step table, a
+list per residue class j = n mod 3, which the tail rule, the coefficient
+recurrence and the norm series walk. Each entry is computed by the
+expression a walk would otherwise evaluate on every term, so every result
+is the same to the bit; below n = 2e5 the factor is an integer under 2^53,
+so the table is also exact.
 """
 
 import cmath
@@ -53,6 +62,36 @@ TAIL_RELATIVE = 1e-28
 
 _OMEGA = cmath.exp(2j * math.pi / 3)
 
+# The ladder-step table: _STEPS[j][m] = (n+1)(n+2)(n+3) and _ROOTS[j][m] its
+# square root, for n = 3m + j. The walks iterate these lists directly, as a
+# slice would copy them on every call. The initial rows cover n < 1026: the
+# longest walk any finite label takes uses n = 1019 (the tail rule at
+# |alpha| = 18736, j = 2; the norm series reaches n = 971 at most), measured
+# by tests/test_coherent.py. Longer explicit truncations grow the table.
+_TABLE_ROWS = 342
+_STEPS = ([], [], [])
+_ROOTS = ([], [], [])
+
+
+def _grow_steps(rows: int) -> None:
+    """Extend every residue class of the ladder-step table to ``rows`` rows."""
+    for j in range(3):
+        steps, roots = _STEPS[j], _ROOTS[j]
+        for n in range(3 * len(steps) + j, 3 * rows + j, 3):
+            step = (n + 1.0) * (n + 2.0) * (n + 3.0)
+            steps.append(step)
+            roots.append(math.sqrt(step))
+
+
+_grow_steps(_TABLE_ROWS)
+
+
+def _past_table(walk: str, j: int) -> ArithmeticError:
+    return ArithmeticError(
+        f"the {walk} for residue {j} ran past the {len(_STEPS[j])} rows of the"
+        " ladder-step table without meeting its stopping rule"
+    )
+
 
 class TruncationError(ValueError):
     """Truncation too small for the tail bound; carries the adequate size."""
@@ -87,23 +126,25 @@ def _squared_modulus(name: str, modulus: float) -> float:
 def adequate_truncation(j, abs_alpha: float) -> int:
     """Smallest N = 3m + j + 1 whose first dropped term is below the tail bound.
 
-    Terms are |alpha|^(2m) / (3m+j)!. From |alpha| = 18296 (j = 0; 18555
-    and 18816 for j = 1, 2) the step ``term * x`` overflows float64 before
-    the bound is met, and ``LabelRangeError`` is raised instead.
+    Terms are |alpha|^(2m) / (3m+j)!, each the last times x over the row of
+    the ladder-step table. From |alpha| = 18296 (j = 0; 18555 and 18816 for
+    j = 1, 2) the step ``term * x`` overflows float64 before the bound is
+    met, and ``LabelRangeError`` is raised instead.
     """
     j = fock.cs_index(j)
     x = _squared_modulus("alpha", abs_alpha)
     inf = math.inf
     term = 1.0 / math.factorial(j)
     partial = 0.0
-    for k in itertools.count(j, 3):
+    for m, step in enumerate(_STEPS[j]):
         partial += term
-        nxt = term * x / ((k + 1.0) * (k + 2.0) * (k + 3.0))
+        nxt = term * x / step
         if nxt < TAIL_RELATIVE * partial:
-            return k + 1
+            return 3 * m + j + 1
         if not nxt < inf:  # inf (or nan) never meets the bound
             raise LabelRangeError("alpha", abs_alpha)
         term = nxt
+    raise _past_table("tail-rule walk", j)
 
 
 def adequate_truncation_standard(abs_z: float) -> int:
@@ -207,13 +248,18 @@ def _ladder_rungs(j: int, first, ratio: complex, n_trunc: int) -> np.ndarray:
 
     c_j = first and c_{n+3} = c_n * ratio / sqrt((n+1)(n+2)(n+3)), the one
     step-3 recurrence behind the family coefficients (ratio alpha) and the
-    non-normalized slices of a standard coherent state (ratio z^3).
+    non-normalized slices of a standard coherent state (ratio z^3). The
+    square roots come from the ladder-step table, grown first if the
+    truncation reaches past it.
     """
+    count = len(range(j, n_trunc, 3))
+    if count > len(_ROOTS[j]):
+        _grow_steps(count)
     rungs = []
     c = first
-    for n in range(j, n_trunc, 3):
+    for root in itertools.islice(_ROOTS[j], count):
         rungs.append(c)
-        c = c * ratio / math.sqrt((n + 1.0) * (n + 2.0) * (n + 3.0))
+        c = c * ratio / root
     coeffs = np.zeros(n_trunc, dtype=complex)
     coeffs[j::3] = rungs
     return coeffs
@@ -245,20 +291,24 @@ def eigen_residual(spec: CoherentSpec) -> float:
 
 
 def _ladder_series(x: float, offset: int) -> float:
-    """sum_{k>=0} x^k / (3k + offset)! by compensated forward summation."""
+    """sum_{k>=0} x^k / (3k + offset)! by compensated forward summation.
+
+    Each term is the last times x over the row of the ladder-step table.
+    A finite x stops well inside the table (an overflow ends the walk with
+    an infinite total); a walk that reaches its end raises.
+    """
     term = 1.0 / math.factorial(offset)
     total = 0.0
     carry = 0.0
-    k = offset
-    while True:
+    for step in _STEPS[offset]:
         value = term - carry
         fresh = total + value
         carry = (fresh - total) - value
         total = fresh
-        term *= x / ((k + 1.0) * (k + 2.0) * (k + 3.0))
-        k += 3
+        term *= x / step
         if term <= total * 1e-18:
             return total
+    raise _past_table("norm series", offset)
 
 
 def a_norm_squared(j, abs_alpha: float) -> float:
@@ -266,10 +316,15 @@ def a_norm_squared(j, abs_alpha: float) -> float:
 
     Evaluated from the defining series ratios; agrees with the matrix
     quadratic form <a+ a> and fixes the uncertainty product via
-    Dx Dp = <H> = a_norm_squared + 1/2.
+    Dx Dp = <H> = a_norm_squared + 1/2. A non-finite |alpha| raises
+    ``ValueError``; from |alpha| = 18692 (j = 0; 18954 and 19217 for
+    j = 1, 2) the series overflows and the result is inf or nan.
     """
     j = fock.cs_index(j)
-    x = float(abs_alpha) ** 2
+    modulus = float(abs_alpha)
+    if not math.isfinite(modulus):
+        raise ValueError(f"|alpha| must be finite, got {modulus!r}")
+    x = modulus**2
     if j == 0:
         return x * _ladder_series(x, 2) / _ladder_series(x, 0)
     if j == 1:

@@ -58,6 +58,15 @@ class TestVerify:
         line = next(l for l in out.splitlines() if l.startswith("FAIL cs-eigen"))
         assert "suggested truncation" in line
 
+    @pytest.mark.parametrize("trunc", ["1", "2"])
+    def test_failure_names_the_truncation_each_family_ran_at(self, capsys, trunc):
+        # family j runs at no less than j + 1, which holds its extremal state
+        assert run(["verify", "--trunc", trunc]) == 1
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if l.startswith("FAIL cs-eigen"))
+        ran_at = [int(part.split(";")[0]) for part in line.split("at truncation ")[1:]]
+        assert ran_at == [max(int(trunc), j + 1) for j in range(3)]
+
     def test_nan_residual_fails_its_check(self, capsys, monkeypatch):
         monkeypatch.setattr(coherent, "eigen_residual", lambda spec: math.nan)
         assert run(["verify"]) == 1

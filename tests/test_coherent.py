@@ -15,7 +15,11 @@ from triladder import coherent, fock
 
 
 def loop_truncation(j, abs_alpha):
-    """The tail-rule walk without its overflow guard; hangs past |alpha| ~ 1.83e4."""
+    """The tail-rule walk with its step factor computed on every term.
+
+    Returns None where the term overflows, past |alpha| ~ 1.83e4, which is
+    where the module raises ``LabelRangeError``; without that stop it hangs.
+    """
     x = float(abs_alpha) ** 2
     term = 1.0 / math.factorial(j)
     partial = 0.0
@@ -26,6 +30,8 @@ def loop_truncation(j, abs_alpha):
         nxt = term * x / ((k + 1.0) * (k + 2.0) * (k + 3.0))
         if nxt < coherent.TAIL_RELATIVE * partial:
             return 3 * m + j + 1
+        if not nxt < math.inf:
+            return None
         term = nxt
         m += 1
 
@@ -377,6 +383,214 @@ class TestMeanOccupationSeries:
 
     def test_growth_without_bound(self):
         assert coherent.a_norm_squared(0, 10.0) > coherent.a_norm_squared(0, 1.0)
+
+    def test_nonfinite_label_rejected_in_bounded_time(self):
+        # nan never met the series' stopping rule, so the calls run in a fresh
+        # interpreter that is killed if it does not finish
+        script = textwrap.dedent("""
+            import math
+            from triladder import coherent as c
+
+            cases = [
+                lambda: c.a_norm_squared(0, math.nan),
+                lambda: c.a_norm_squared(1, math.inf),
+                lambda: c.a_norm_squared(2, -math.inf),
+                lambda: c._ladder_series(math.nan, 1),
+                lambda: c.a_norm_squared(0, 1.87e4),
+                lambda: c.a_norm_squared(2, 2e5),
+            ]
+            for case in cases:
+                try:
+                    print(repr(case()))
+                except (ValueError, ArithmeticError) as exc:
+                    print(type(exc).__name__, exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(coherent.__file__).parents[1]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=10,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("a non-finite label hung the norm series")
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[:3] == [
+            "ValueError |alpha| must be finite, got nan",
+            "ValueError |alpha| must be finite, got inf",
+            "ValueError |alpha| must be finite, got -inf",
+        ]
+        # a walk that reaches the end of the table raises, never a partial sum
+        assert lines[3].startswith("ArithmeticError the norm series for residue 1 ran past")
+        # finite labels keep their results, the overflow's inf and nan included
+        assert lines[4:] == [repr(loop_a_norm_squared(0, 1.87e4)), "nan"]
+        assert lines[4] == "inf"
+
+
+def loop_norm_series(x, offset):
+    """_ladder_series with the step factor computed on every term."""
+    term = 1.0 / math.factorial(offset)
+    total = 0.0
+    carry = 0.0
+    k = offset
+    while True:
+        value = term - carry
+        fresh = total + value
+        carry = (fresh - total) - value
+        total = fresh
+        term *= x / ((k + 1.0) * (k + 2.0) * (k + 3.0))
+        k += 3
+        if term <= total * 1e-18:
+            return total
+
+
+def loop_a_norm_squared(j, abs_alpha):
+    x = float(abs_alpha) ** 2
+    if j == 0:
+        return x * loop_norm_series(x, 2) / loop_norm_series(x, 0)
+    if j == 1:
+        return loop_norm_series(x, 0) / loop_norm_series(x, 1)
+    return loop_norm_series(x, 1) / loop_norm_series(x, 2)
+
+
+def loop_deformed(z, j, n_trunc):
+    """deformed_cs_nonnorm's coefficients set element by element."""
+    coeffs = np.zeros(n_trunc, dtype=complex)
+    c = z**j / math.sqrt(math.factorial(j))
+    idx = j
+    while idx < n_trunc:
+        coeffs[idx] = c
+        c = c * z**3 / math.sqrt((idx + 1.0) * (idx + 2.0) * (idx + 3.0))
+        idx += 3
+    return coeffs
+
+
+@pytest.fixture
+def initial_table(monkeypatch):
+    """A ladder-step table built as at import, so a test may grow it."""
+    monkeypatch.setattr(coherent, "_STEPS", ([], [], []))
+    monkeypatch.setattr(coherent, "_ROOTS", ([], [], []))
+    coherent._grow_steps(coherent._TABLE_ROWS)
+
+
+def assert_rows_are_the_walks_expressions():
+    for j in range(3):
+        steps, roots = coherent._STEPS[j], coherent._ROOTS[j]
+        assert len(steps) == len(roots) >= coherent._TABLE_ROWS
+        for m, (step, root) in enumerate(zip(steps, roots)):
+            n = 3 * m + j
+            # the float product is the exact integer, far below 2^53 here
+            assert step == (n + 1.0) * (n + 2.0) * (n + 3.0) == (n + 1) * (n + 2) * (n + 3)
+            assert root == math.sqrt((n + 1.0) * (n + 2.0) * (n + 3.0))
+
+
+class DeepestRow(list):
+    """One residue of the table that records the deepest row a walk reads."""
+
+    deepest = -1
+
+    def __iter__(self):
+        m = -1
+        try:
+            for m, row in enumerate(super().__iter__()):
+                yield row
+        finally:
+            self.deepest = max(self.deepest, m)
+
+
+class TestLadderStepTable:
+    """The table-driven walks against the per-term loops they replace."""
+
+    def test_rows_are_the_walks_expressions(self):
+        assert_rows_are_the_walks_expressions()
+
+    def test_norm_series_bit_for_bit(self):
+        sweep = np.geomspace(1e-3, 2e5, 1200).tolist()
+        nonfinite = 0
+        for a in [0.0, *sweep]:
+            for j in range(3):
+                got = coherent.a_norm_squared(j, a)
+                assert got.hex() == loop_a_norm_squared(j, a).hex(), (j, a)
+                nonfinite += not math.isfinite(got)
+        assert nonfinite > 0  # the sweep crosses the band where the series overflows
+
+    @pytest.mark.parametrize("j,threshold", [(0, 18296), (1, 18555), (2, 18816)])
+    def test_tail_rule_sizes_and_label_limit(self, j, threshold):
+        sweep = [
+            0.0,
+            *np.geomspace(1e-3, 1e154, 600).tolist(),
+            *np.linspace(threshold - 2.0, threshold + 2.0, 401).tolist(),
+        ]
+        raised = []
+        for a in sweep:
+            want = loop_truncation(j, a)
+            if want is None:
+                with pytest.raises(coherent.LabelRangeError):
+                    coherent.adequate_truncation(j, a)
+                raised.append(a)
+            else:
+                assert coherent.adequate_truncation(j, a) == want, a
+        near = [a for a in raised if a < threshold + 2.0]
+        assert threshold - 1.0 < min(near) <= threshold + 1.0
+        assert all(a >= min(near) for a in raised)
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    @pytest.mark.parametrize("abs_alpha", [0.0, 1.0, 30.0, 1e3, 1.5e4])
+    def test_coefficients_bit_for_bit(self, initial_table, j, abs_alpha):
+        rng = np.random.default_rng([7, j, int(abs_alpha)])
+        alpha = abs_alpha * cmath.exp(2j * math.pi * rng.uniform())
+        z = abs_alpha ** (1.0 / 3.0) * cmath.exp(2j * math.pi * rng.uniform())
+        steps = coherent._STEPS[j]
+        edge = 3 * coherent._TABLE_ROWS  # the first level past the initial table
+        adequate = loop_truncation(j, abs_alpha)
+        sizes = (j + 1, max(j + 1, adequate // 2), adequate, edge - 1, edge, edge + 1, 3 * edge)
+        for size in sizes:
+            got = coherent.cs_coefficients(j, alpha, size)
+            want = loop_coefficients(j, alpha, size)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), size
+        required = loop_truncation(j, abs(z) ** 3)
+        for size in (required, edge - 1, edge, edge + 1, 3 * edge):
+            got = coherent.deformed_cs_nonnorm(z, j, size).coeffs
+            want = loop_deformed(z, j, size)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), size
+        # the explicit truncations grew the same lists in place
+        assert coherent._STEPS[j] is steps
+        assert len(steps) == len(range(j, 3 * edge, 3))
+        assert_rows_are_the_walks_expressions()
+
+    def test_longest_walk_stays_inside_the_initial_table(self, initial_table, monkeypatch):
+        recorded = tuple(DeepestRow(steps) for steps in coherent._STEPS)
+        monkeypatch.setattr(coherent, "_STEPS", recorded)
+        sweep = [
+            0.0,
+            *np.geomspace(1e-3, 1e154, 400).tolist(),
+            *np.arange(18000.0, 21000.0, 10.0).tolist(),
+        ]
+        for a in sweep:
+            for j in range(3):
+                try:
+                    coherent.adequate_truncation(j, a)
+                except coherent.LabelRangeError:
+                    pass
+        tail = max(3 * rows.deepest + j for j, rows in enumerate(recorded))
+        for rows in recorded:
+            rows.deepest = -1
+        for a in sweep:
+            for j in range(3):
+                coherent.a_norm_squared(j, a)
+        series = max(3 * rows.deepest + j for j, rows in enumerate(recorded))
+        # the step levels the walks used at most, against the table's first
+        # level past its end
+        assert (tail, series) == (1019, 971)
+        assert max(tail, series) < 3 * coherent._TABLE_ROWS
+
+    def test_walk_past_the_table_raises(self, monkeypatch):
+        monkeypatch.setattr(coherent, "_STEPS", ([6.0], [24.0], [60.0]))
+        with pytest.raises(ArithmeticError, match="tail-rule walk for residue 0 ran past the 1 rows"):
+            coherent.adequate_truncation(0, 5.0)
+        with pytest.raises(ArithmeticError, match="norm series for residue 0 ran past"):
+            coherent.a_norm_squared(1, 5.0)
+
 
 
 class TestStatistics:
