@@ -114,7 +114,14 @@ def _check_piv_parameters(ns, inject):
                 f"ordering {ordering}: got (a, b) = ({got_a}, {got_b}),"
                 f" want ({want_a}, {want_b})"
             )
-    return not problems, "; ".join(problems) or "three (a, b) pairs exact"
+        if any(painleve.residual_numerator(ordering[0], got_a, got_b)):
+            problems.append(
+                f"ordering {ordering}: the residual numerator at ({got_a}, {got_b})"
+                " is not the zero polynomial"
+            )
+    return not problems, "; ".join(problems) or (
+        "three (a, b) pairs exact; each residual numerator is the zero polynomial"
+    )
 
 
 def _check_piv_residual(ns, inject):
@@ -312,7 +319,7 @@ def cmd_uncertainty(ns) -> int:
         for j in families:
             try:
                 product = coherent.a_norm_squared(j, abs_alpha) + 0.5
-            except OverflowError:
+            except coherent.LabelRangeError:
                 product = math.nan
             if not math.isfinite(product):
                 print(

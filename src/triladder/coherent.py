@@ -318,13 +318,15 @@ def a_norm_squared(j, abs_alpha: float) -> float:
     quadratic form <a+ a> and fixes the uncertainty product via
     Dx Dp = <H> = a_norm_squared + 1/2. A non-finite |alpha| raises
     ``ValueError``; from |alpha| = 18692 (j = 0; 18954 and 19217 for
-    j = 1, 2) the series overflows and the result is inf or nan.
+    j = 1, 2) the series overflows and the result is inf or nan, and from
+    |alpha| = 1.34e154, where |alpha|^2 overflows, ``LabelRangeError``
+    is raised.
     """
     j = fock.cs_index(j)
     modulus = float(abs_alpha)
     if not math.isfinite(modulus):
         raise ValueError(f"|alpha| must be finite, got {modulus!r}")
-    x = modulus**2
+    x = _squared_modulus("alpha", modulus)
     if j == 0:
         return x * _ladder_series(x, 2) / _ladder_series(x, 0)
     if j == 1:

@@ -5,19 +5,16 @@ The equation, in the scaled variable y = sqrt(3) x, is
 
     g'' = (g')^2 / (2g) + (3/2) g^3 + 4 y g^2 + 2 (y^2 - a) g + b / g.
 
-Seeding the construction g(y) = -y - d/dy ln(phi(y)) with the first three
-oscillator eigenfunctions gives three rational-plus-linear solutions. The
-parameter map uses the scaled extremal energies E~_j = (j - 1/2)/3 as
+One rule gives the three solutions: an extremal state phi = D(y) exp(-y^2/6),
+D a multiple of H_{j-1}(y/sqrt(3)), seeds g = -y - d/dy ln(phi) = -2y/3 - D'/D.
+residual_numerator certifies each exactly: the equation with its denominators
+cleared must leave the zero polynomial. The parameter map uses the scaled
+extremal energies E~_j = (j - 1/2)/3 as
 
     a = E~_2 + E~_3 - 2 E~_1 - 1,    b = -2 (E~_2 - E~_3)^2.
 
-The sign of the 2 E~_1 term is fixed by requiring the map to reproduce the
-(a, b) pairs of the three closed-form solutions; the opposite sign fails
-that table (the verify command demonstrates this via --inject-piv-sign).
-
-A solution's g, g' and g'' accept a float or an ndarray of y: the residual
-and the scan evaluate them on a whole grid at once, with numpy's
-elementwise arithmetic rounding exactly as Python floats do.
+The opposite sign of the 2 E~_1 term fails both the (a, b) table of the three
+solutions and their certificate (verify --inject-piv-sign demonstrates this).
 """
 
 import math
@@ -40,7 +37,7 @@ __all__ = [
     "builtin_solutions",
     "piv_residual",
     "residual_scan",
-    "finite_difference_solution",
+    "residual_numerator",
 ]
 
 # Exclusion radius around poles of g; residuals diverge like 1/(y - y0)
@@ -108,72 +105,101 @@ def piv_parameters(seed: ExtremalSeed) -> tuple[Fraction, Fraction]:
     return e2 + e3 - 2 * e1 - 1, -2 * (e2 - e3) ** 2
 
 
-def _g_seed1(y):
-    return -2.0 * y / 3.0
+# D for each extremal state j: the primitive integer multiple of H_{j-1}(y/sqrt 3).
+_SEED_POLYNOMIALS = {1: [1], 2: [0, 1], 3: [-3, 0, 2]}
 
 
-def _gp_seed1(y):
-    return -2.0 / 3.0
+def _combine(*terms) -> list:
+    """Sum of factor * p over (factor, p) pairs, trimmed of leading zeros."""
+    out = [0] * max(len(p) for _, p in terms)
+    for factor, p in terms:
+        for k, c in enumerate(p):
+            out[k] += factor * c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _gpp_seed1(y):
-    return 0.0
+def _mul(p: list, q: list) -> list:
+    return _combine(*((c, [0] * i + q) for i, c in enumerate(p)))
 
 
-def _g_seed2(y):
-    return -2.0 * y / 3.0 - 1.0 / y
+def _derivative(p: list) -> list:
+    return [k * c for k, c in enumerate(p)][1:] or [0]
 
 
-def _gp_seed2(y):
-    return -2.0 / 3.0 + 1.0 / (y * y)
+def _quotient_derivative(p: list, d: list, k: int) -> list:
+    """Numerator of (p / d^k)' over d^(k+1): p' d - k p d'."""
+    return _combine((1, _mul(_derivative(p), d)), (-k, _mul(p, _derivative(d))))
 
 
-def _gpp_seed2(y):
-    return -2.0 / (y * y * y)
+def _real_zeros(d: list[int]) -> tuple[float, ...]:
+    """Real zeros of the seed polynomial 1, y or d0 + d2 y^2, from exact d0/d2."""
+    if len(d) < 3:
+        return (0.0,) * (len(d) - 1)
+    root = math.sqrt(Fraction(-d[0], d[2]))
+    return (-root, root)
 
 
-def _g_seed3(y):
-    return -2.0 * y / 3.0 - 4.0 * y / (2.0 * y * y - 3.0)
+def _horner(p: list, y):
+    """p(y) by Horner's rule; a zero coefficient is skipped so -0.0 keeps its sign."""
+    acc = float(p[-1])
+    for c in reversed(p[:-1]):
+        acc = acc * y + c if c else acc * y
+    return acc
 
 
-def _gp_seed3(y):
-    u = 2.0 * y * y - 3.0
-    return -2.0 / 3.0 + (8.0 * y * y + 12.0) / (u * u)
-
-
-def _gpp_seed3(y):
-    u = 2.0 * y * y - 3.0
-    return -16.0 * y * (2.0 * y * y + 9.0) / (u * u * u)
-
-
-_SEED_FUNCTIONS = {
-    1: (_g_seed1, _gp_seed1, _gpp_seed1, ()),
-    2: (_g_seed2, _gp_seed2, _gpp_seed2, (0.0,)),
-    3: (_g_seed3, _gp_seed3, _gpp_seed3, (-math.sqrt(1.5), math.sqrt(1.5))),
-}
+def _ratio(p: list, d: list, k: int, y):
+    """p(y) / d(y)^k, the power taken as the product d(y) * ... * d(y)."""
+    return _horner(p, y) / math.prod([_horner(d, y)] * k)
 
 
 def solution_from_extremal(seed: ExtremalSeed) -> PIVSolution:
     """Closed-form solution g(y) = -y - d/dy ln(phi(y)) for the seed state.
 
-    In the variable y = sqrt(3) x the three seeds are exp(-y^2/6),
-    y exp(-y^2/6) and (2y^2 - 3) exp(-y^2/6), giving
-
-        g = -2y/3,  g = -2y/3 - 1/y,  g = -2y/3 - 4y/(2y^2 - 3),
-
-    with (a, b) from piv_parameters attached.
+    phi = D(y) exp(-y^2/6), with D the seed polynomial of the ordering's
+    first entry, gives g = -2y/3 - D'/D, g' = -2/3 + A/D^2 and g'' = C/D^3,
+    where A = D'^2 - D D'' and C = A' D - 2 A D' are derived exactly from D.
+    Horner's rule evaluates them on a float, or elementwise on an ndarray
+    as Python floats round. The poles are the real zeros of D and (a, b),
+    from piv_parameters, is the pair residual_numerator certifies.
     """
     a, b = piv_parameters(seed)
-    first = seed.ordering[0]
-    g, gp, gpp, poles = _SEED_FUNCTIONS[first]
+    d = _SEED_POLYNOMIALS[seed.ordering[0]]
+    d_prime = _derivative(d)
+    num_a = _combine((-1, _quotient_derivative(d_prime, d, 1)))
+    num_c = _quotient_derivative(num_a, d, 2)
     return PIVSolution(
-        g=g,
-        g_prime=gp,
-        g_double_prime=gpp,
+        g=lambda y: -2.0 * y / 3.0 - _ratio(d_prime, d, 1, y),
+        g_prime=lambda y: -2.0 / 3.0 + _ratio(num_a, d, 2, y),
+        g_double_prime=lambda y: _ratio(num_c, d, 3, y),
         a_param=float(a),
         b_param=float(b),
-        singularities=poles,
-        label=f"seed-{first}",
+        singularities=_real_zeros(d),
+        label=f"seed-{seed.ordering[0]}",
+    )
+
+
+def residual_numerator(first: int, a, b) -> list:
+    """Exact certificate that the seed-``first`` solution solves PIV at (a, b).
+
+    With g = N/D, N = -2yD/3 - D', g' = A_N/D^2 and g'' = C_N/D^3, the
+    equation times 2 N D^3 is the polynomial identity 2 N C_N - A_N^2 - 3 N^4
+    - 8y N^3 D - 4 (y^2 - a) N^2 D^2 - 2b D^4 = 0. Returns its left side's
+    exact coefficients, lowest power first: g solves PIV exactly when all are 0.
+    """
+    d = _SEED_POLYNOMIALS[first]
+    n = _combine((Fraction(-2, 3), [0] + d), (-1, _derivative(d)))
+    num_a = _quotient_derivative(n, d, 1)
+    num_c = _quotient_derivative(num_a, d, 2)
+    n2, d2 = _mul(n, n), _mul(d, d)
+    return _combine(
+        (2, _mul(n, num_c)),
+        (-1, _mul(num_a, num_a)),
+        (-3, _mul(n2, n2)),
+        (-8, [0] + _mul(n2, _mul(n, d))),
+        (-4, _mul([-a, 0, 1], _mul(n2, d2))),
+        (-2 * b, _mul(d2, d2)),
     )
 
 
@@ -256,31 +282,4 @@ def residual_scan(
     residual[~excluded] = piv_residual(sol, y[~excluded], delta)
     return np.rec.fromarrays(
         [y, g, residual, excluded], names=["y", "g", "residual", "excluded"]
-    )
-
-
-def finite_difference_solution(sol: PIVSolution, step: float = 1e-4) -> PIVSolution:
-    """Copy of ``sol`` with g', g'' replaced by 5-point central stencils.
-
-    Exists purely to cross-check the analytic derivative code; the stencil
-    residuals should track the analytic ones to a few times 1e-7.
-    """
-    g = sol.g
-
-    def gp(y, h=step):
-        return (-g(y + 2 * h) + 8 * g(y + h) - 8 * g(y - h) + g(y - 2 * h)) / (12 * h)
-
-    def gpp(y, h=step):
-        return (
-            -g(y + 2 * h) + 16 * g(y + h) - 30 * g(y) + 16 * g(y - h) - g(y - 2 * h)
-        ) / (12 * h * h)
-
-    return PIVSolution(
-        g=g,
-        g_prime=gp,
-        g_double_prime=gpp,
-        a_param=sol.a_param,
-        b_param=sol.b_param,
-        singularities=sol.singularities,
-        label=sol.label + "-fd",
     )

@@ -73,6 +73,16 @@ class TestVerify:
         out = capsys.readouterr().out.splitlines()
         assert [l.split()[1] for l in out if l.startswith("FAIL")] == ["cs-eigen"]
 
+    def test_piv_parameters_runs_the_exact_certificate(self, capsys):
+        run(["verify"])
+        out = capsys.readouterr().out.splitlines()
+        line = next(l for l in out if l.split()[1] == "piv-parameters")
+        assert line.endswith("each residual numerator is the zero polynomial")
+        run(["verify", "--inject-piv-sign"])
+        out = capsys.readouterr().out.splitlines()
+        line = next(l for l in out if l.split()[1] == "piv-parameters")
+        assert line.count("is not the zero polynomial") == 3
+
     def test_report_names_parameter_sign_choice(self, capsys):
         run(["verify", "--inject-piv-sign"])
         out = capsys.readouterr().out
@@ -127,6 +137,17 @@ class TestUncertainty:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "|alpha|=100000.0, j=0" in err and "no file written" in err
+
+    def test_label_past_float64_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "unc.csv"
+        assert run(["uncertainty", "--amin", "1e155", "--amax", "1e156",
+                    "--asteps", "2", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "uncertainty: the a_norm_squared series is not finite at"
+            " |alpha|=1e+155, j=0 (it overflows from about |alpha| = 1.9e4);"
+            " no file written\n"
+        )
 
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

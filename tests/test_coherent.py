@@ -113,6 +113,7 @@ class TestTruncationRule:
                 lambda: c.adequate_truncation_standard(26.6),
                 lambda: c.CoherentSpec(0, 1e200),
                 lambda: c.build_cs(c.CoherentSpec(0, 2e4, 10)),
+                lambda: c.a_norm_squared(1, 1.4e154),
             ]
             for case in cases:
                 try:
@@ -134,13 +135,14 @@ class TestTruncationRule:
         assert lines[0] == str(loop_truncation(0, 18296.27))
         assert lines[8] == str(loop_truncation_standard(26.59))
         raised = [line for i, line in enumerate(lines) if i not in (0, 8)]
-        assert len(raised) == 10
+        assert len(raised) == 11
         for line in raised:
             assert line.startswith("LabelRangeError |")
             assert "beyond the float64 limit" in line and "1.8e4" in line
         assert "|alpha| = 18296.3 " in lines[1]
         assert "|alpha| = 1e+200 " in lines[5]
         assert "|z| = 26.6 " in lines[9]
+        assert "|alpha| = 1.4e+154 " in lines[12]
         assert issubclass(coherent.LabelRangeError, ValueError)
 
     def test_spec_auto_and_explicit(self):
@@ -505,7 +507,9 @@ class TestLadderStepTable:
         assert_rows_are_the_walks_expressions()
 
     def test_norm_series_bit_for_bit(self):
+        # up to the largest label whose square is finite
         sweep = np.geomspace(1e-3, 2e5, 1200).tolist()
+        sweep += np.geomspace(2e5, 1.3407807929942596e154, 40).tolist()
         nonfinite = 0
         for a in [0.0, *sweep]:
             for j in range(3):

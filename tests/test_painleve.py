@@ -75,9 +75,7 @@ class TestSolutionsFromSeeds:
 
     def test_seed3_two_poles(self):
         sol = painleve.solution_from_extremal(painleve.ExtremalSeed((3, 1, 2)))
-        np.testing.assert_allclose(
-            sol.singularities, (-math.sqrt(1.5), math.sqrt(1.5))
-        )
+        assert sol.singularities == (-math.sqrt(1.5), math.sqrt(1.5))
         y = 2.0
         assert sol.g(y) == pytest.approx(-2 * y / 3 - 4 * y / (2 * y * y - 3))
         assert (sol.a_param, sol.b_param) == (-2.0, pytest.approx(-2.0 / 9.0))
@@ -282,15 +280,115 @@ class TestArrayScan:
             painleve.piv_residual(sol2, np.array([1.0, 0.05]))
 
 
-class TestFiniteDifferenceCrossCheck:
+def hand_derived(first):
+    """The closed forms g, g', g'' of each seed, derived by hand, kept as the oracle."""
+    if first == 1:
+        return (lambda y: -2.0 * y / 3.0, lambda y: -2.0 / 3.0, lambda y: 0.0)
+    if first == 2:
+        return (
+            lambda y: -2.0 * y / 3.0 - 1.0 / y,
+            lambda y: -2.0 / 3.0 + 1.0 / (y * y),
+            lambda y: -2.0 / (y * y * y),
+        )
+
+    def gp(y):
+        u = 2.0 * y * y - 3.0
+        return -2.0 / 3.0 + (8.0 * y * y + 12.0) / (u * u)
+
+    def gpp(y):
+        u = 2.0 * y * y - 3.0
+        return -16.0 * y * (2.0 * y * y + 9.0) / (u * u * u)
+
+    return (lambda y: -2.0 * y / 3.0 - 4.0 * y / (2.0 * y * y - 3.0), gp, gpp)
+
+
+def python_float(f, y):
+    try:
+        return f(y)
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+
+
+class TestGeneratedFromSeedPolynomial:
+    ROOT = math.sqrt(1.5)
+    GRIDS = [
+        GridSpec(-10.0, 10.0, 2001),
+        GridSpec(-10.0, 10.0, 20001),
+        GridSpec(-ROOT - 0.3, ROOT + 0.3, 1999),
+        GridSpec(-ROOT, ROOT, 7),
+        GridSpec(-1.5, 1.5, 40001),
+        GridSpec(-1e200, 1e200, 4001),
+        GridSpec(-1e-300, 1e-300, 3),
+        GridSpec(1e110, 1e111, 5),
+        GridSpec(1e308, 1.7e308, 3),
+        GridSpec(-1.0, -0.0, 3),
+    ]
+    EDGES = [0.0, -0.0, ROOT, -ROOT, 1e-300, -1e-300, 1e-320, 1e154, 1.7e308, -1.7e308]
+
     @pytest.mark.parametrize("ordering", list(EXPECTED))
-    def test_stencil_residuals_track_analytic(self, ordering):
+    def test_bit_for_bit_with_the_hand_derived_forms(self, ordering):
         sol = painleve.solution_from_extremal(painleve.ExtremalSeed(ordering))
-        fd = painleve.finite_difference_solution(sol, step=1e-4)
-        grid = GridSpec(-10.0, 10.0, 401)
-        analytic = painleve.residual_scan(sol, grid)
-        stencil = painleve.residual_scan(fd, grid)
-        for pa, pf in zip(analytic, stencil):
-            assert pa.excluded == pf.excluded
-            if not pa.excluded:
-                assert abs(pa.residual - pf.residual) < 1e-5
+        generated = (sol.g, sol.g_prime, sol.g_double_prime)
+        for grid in self.GRIDS:
+            y = grid.x_values()
+            for got_f, want_f in zip(generated, hand_derived(ordering[0])):
+                with np.errstate(all="ignore"):
+                    got = np.broadcast_to(got_f(y), y.shape).astype(float)
+                    want = np.broadcast_to(want_f(y), y.shape).astype(float)
+                same = (got.view(np.uint64) == want.view(np.uint64)) | (
+                    np.isnan(got) & np.isnan(want)
+                )
+                assert same.all(), (grid, got_f, y[~same][:3])
+        # a float keeps Python's arithmetic: the same value, sign of zero, and
+        # ZeroDivisionError where the hand-derived form divides by zero
+        for y in self.EDGES + [float(v) for v in np.linspace(-3.0, 3.0, 61)]:
+            for got_f, want_f in zip(generated, hand_derived(ordering[0])):
+                got, want = python_float(got_f, y), python_float(want_f, y)
+                assert type(got) is type(want), y
+                if isinstance(want, float):
+                    assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
+
+    def test_seed_polynomials_from_the_hermite_recurrence(self):
+        # Q_0 = 1, Q_1 = 2y, Q_{n+1} = 2y Q_n - 6n Q_{n-1} is 3^(n/2) H_n(y/sqrt 3)
+        prev, q = [0], [1]
+        for j in (1, 2, 3):
+            content = math.gcd(*q)
+            assert painleve._SEED_POLYNOMIALS[j] == [c // content for c in q]
+            shifted = [0] + [2 * c for c in q]
+            lower = [-6 * (j - 1) * c for c in prev] + [0] * (len(shifted) - len(prev))
+            prev, q = q, [u + v for u, v in zip(shifted, lower)]
+
+    def test_poles_are_the_zeros_of_the_seed_polynomial(self):
+        poles = [sol.singularities for sol in painleve.builtin_solutions()]
+        assert poles == [(), (0.0,), (-math.sqrt(1.5), math.sqrt(1.5))]
+        assert math.sqrt(1.5).hex() == "0x1.3988e1409212ep+0"
+
+
+class TestResidualNumerator:
+    @pytest.mark.parametrize("ordering", list(EXPECTED))
+    def test_zero_polynomial_at_the_mapped_parameters(self, ordering):
+        a, b = painleve.piv_parameters(painleve.ExtremalSeed(ordering))
+        numerator = painleve.residual_numerator(ordering[0], a, b)
+        assert numerator and not any(numerator)
+
+    @pytest.mark.parametrize("ordering", list(EXPECTED))
+    def test_nonzero_away_from_the_mapped_parameters(self, ordering):
+        seed = painleve.ExtremalSeed(ordering)
+        a, b = painleve.piv_parameters(seed)
+        e1, e2, e3 = seed.energies_tilde
+        sign_variant = e2 + e3 + 2 * e1 - 1
+        assert any(painleve.residual_numerator(ordering[0], sign_variant, b))
+        assert any(painleve.residual_numerator(ordering[0], a, b + Fraction(1, 9)))
+
+    @pytest.mark.parametrize("ordering", list(EXPECTED))
+    def test_sympy_substitution_simplifies_to_zero(self, ordering):
+        sympy = pytest.importorskip("sympy")
+        y = sympy.symbols("y")
+        d = sympy.hermite(ordering[0] - 1, y / sympy.sqrt(3))
+        g = -2 * y / 3 - sympy.diff(d, y) / d
+        a, b = (sympy.Rational(v.numerator, v.denominator)
+                for v in painleve.piv_parameters(painleve.ExtremalSeed(ordering)))
+        gp, gpp = sympy.diff(g, y), sympy.diff(g, y, 2)
+        rhs = gp**2 / (2 * g) + sympy.Rational(3, 2) * g**3 + 4 * y * g**2
+        rhs += 2 * (y**2 - a) * g + b / g
+        assert sympy.simplify(gpp - rhs) == 0
