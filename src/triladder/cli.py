@@ -4,8 +4,8 @@ All output files are ASCII CSV with LF line endings, '#'-prefixed comment
 headers echoing the configuration, and floats written in shortest
 round-trip form, so repeated runs with the same flags are bit-identical.
 
-Exit codes: 0 on success, 1 when a check fails or a result is not finite,
-2 for invalid input.
+Exit codes: 0 on success, 1 when a check fails, a result is not finite or a
+label or truncation is past its limit, 2 for invalid input.
 """
 
 import argparse
@@ -409,11 +409,8 @@ def cmd_density(ns) -> int:
         rng = np.random.default_rng(42)
         ix = rng.integers(0, xs.size, 100)
         it = rng.integers(0, ts.size, 100)
-        try:  # before the Gaussian field, so a rejected label costs no grid work
-            spots = wavepacket.rho_fock(j, z, xs[ix], ts[it], ns.trunc)
-        except (coherent.TruncationError, coherent.LabelRangeError) as exc:
-            print(f"density: {exc}", file=sys.stderr)
-            return 1
+        # the Fock spots come first, so a rejected label or size costs no grid work
+        spots = wavepacket.rho_fock(j, z, xs[ix], ts[it], ns.trunc)
         field = wavepacket.density_gaussian(j, z, grid)
         if ns.inject_spotcheck:
             spots = spots + 1e-5
@@ -454,13 +451,9 @@ def cmd_density(ns) -> int:
 def cmd_decompose(ns) -> int:
     z = complex(ns.z_re, ns.z_im)
     tri = coherent.triangle_decompose(z, ns.j)
-    try:
-        n_trunc = tri.default_truncation() if ns.trunc is None else ns.trunc
-        rec = tri.reconstruction(n_trunc).coeffs
-        target = tri.target(n_trunc).coeffs
-    except (coherent.TruncationError, coherent.LabelRangeError) as exc:
-        print(f"decompose: {exc}", file=sys.stderr)
-        return 1
+    n_trunc = tri.default_truncation() if ns.trunc is None else ns.trunc
+    rec = tri.reconstruction(n_trunc).coeffs
+    target = tri.target(n_trunc).coeffs
     errors = np.abs(rec - target)
     worst = float(np.max(errors))
     if not _within(worst, TRIANGLE_TOL):
@@ -545,7 +538,7 @@ def cmd_moments(ns) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --trunc: a truncation holds at least one level."""
+    """argparse type for --trunc and --nmax: a size of at least one."""
     try:
         value = int(text)
     except ValueError:
@@ -600,7 +593,7 @@ _OPTIONS = {
     "amin": ("sweep start", _finite_float),
     "amax": ("sweep end", _finite_float),
     "asteps": ("sweep points", int),
-    "nmax": ("number of moments to check", int),
+    "nmax": ("number of moments to check", _positive_int),
     "rtol": ("relative tolerance for a moment to pass", _finite_float),
     "out": ("output CSV path", str),
 }
@@ -667,6 +660,9 @@ def main(argv=None) -> int:
             parser.error(f"{ns.command}: {exc}")
     try:
         return ns.func(ns)
+    except (coherent.TruncationError, coherent.LabelRangeError) as exc:
+        print(f"{ns.command}: {exc}", file=sys.stderr)  # a size or label past its limit
+        return 1
     except OSError as exc:  # moments reports its own read errors; only writes get here
         print(f"{ns.command}: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -105,22 +105,46 @@ class TruncationError(ValueError):
 
 
 class LabelRangeError(ValueError):
-    """Label modulus past float64: the tail-rule walk's terms would overflow."""
+    """Label modulus past the float64 limit of the walk that met it."""
 
-    def __init__(self, name: str, modulus: float):
+    def __init__(self, name: str, modulus: float, limit: str):
         self.modulus = modulus
-        super().__init__(
-            f"|{name}| = {modulus:.6g} is beyond the float64 limit of the tail rule:"
-            f" its series terms overflow {sys.float_info.max:.4g}"
-            " (labels up to |alpha| = 1.8e4, i.e. |z| = 26.2, are supported)"
-        )
+        super().__init__(f"|{name}| = {modulus:.6g} is beyond the float64 limit of {limit}")
 
 
-def _squared_modulus(name: str, modulus: float) -> float:
+_FLOAT_MAX = f"{sys.float_info.max:.4g}"
+_TAIL_LIMIT = (
+    f"the tail rule: its series terms overflow {_FLOAT_MAX}"
+    " (labels up to |alpha| = 1.8e4, i.e. |z| = 26.2, are supported)"
+)
+_SQUARE_LIMIT = f"the norm series: |alpha|^2 overflows {_FLOAT_MAX} from |alpha| = 1.34e154"
+
+
+def _squared_modulus(name: str, modulus: float, limit: str) -> float:
     try:
         return float(modulus) ** 2
     except OverflowError:
-        raise LabelRangeError(name, modulus) from None
+        raise LabelRangeError(name, modulus, limit) from None
+
+
+def _tail_index(name: str, modulus: float, term: float, steps) -> int | None:
+    """Index m of the last kept term, the first whose successor is below the tail bound.
+
+    Each term is the last times modulus^2 over the next of ``steps``. A term
+    that overflows raises ``LabelRangeError``; None means ``steps`` ran out.
+    """
+    x = _squared_modulus(name, modulus, _TAIL_LIMIT)
+    inf = math.inf
+    partial = 0.0
+    for m, step in enumerate(steps):
+        partial += term
+        nxt = term * x / step
+        if nxt < TAIL_RELATIVE * partial:
+            return m
+        if not nxt < inf:  # inf (or nan) never meets the bound
+            raise LabelRangeError(name, modulus, _TAIL_LIMIT)
+        term = nxt
+    return None
 
 
 def adequate_truncation(j, abs_alpha: float) -> int:
@@ -132,38 +156,31 @@ def adequate_truncation(j, abs_alpha: float) -> int:
     met, and ``LabelRangeError`` is raised instead.
     """
     j = fock.cs_index(j)
-    x = _squared_modulus("alpha", abs_alpha)
-    inf = math.inf
-    term = 1.0 / math.factorial(j)
-    partial = 0.0
-    for m, step in enumerate(_STEPS[j]):
-        partial += term
-        nxt = term * x / step
-        if nxt < TAIL_RELATIVE * partial:
-            return 3 * m + j + 1
-        if not nxt < inf:  # inf (or nan) never meets the bound
-            raise LabelRangeError("alpha", abs_alpha)
-        term = nxt
-    raise _past_table("tail-rule walk", j)
+    m = _tail_index("alpha", abs_alpha, 1.0 / math.factorial(j), _STEPS[j])
+    if m is None:
+        raise _past_table("tail-rule walk", j)
+    return 3 * m + j + 1
 
 
 def adequate_truncation_standard(abs_z: float) -> int:
     """Truncation rule for a standard coherent state with label modulus |z|.
 
-    Raises ``LabelRangeError`` from |z| = 26.6, where the terms overflow.
+    Terms are |z|^(2n) / n!, each the last times x over n + 1.0. Raises
+    ``LabelRangeError`` from |z| = 26.6, where the terms overflow.
     """
-    x = _squared_modulus("z", abs_z)
-    inf = math.inf
-    term = 1.0
-    partial = 0.0
-    for n in itertools.count():
-        partial += term
-        nxt = term * x / (n + 1.0)
-        if nxt < TAIL_RELATIVE * partial:
-            return n + 1
-        if not nxt < inf:
-            raise LabelRangeError("z", abs_z)
-        term = nxt
+    return _tail_index("z", abs_z, 1.0, itertools.count(1.0)) + 1
+
+
+def _sized(required: int, n_trunc: int | None) -> int:
+    """``n_trunc``, or the tail-rule size ``required`` when it is None.
+
+    The one size check: a truncation below ``required`` raises ``TruncationError``.
+    """
+    if n_trunc is None:
+        return required
+    if n_trunc < required:
+        raise TruncationError(required, n_trunc)
+    return n_trunc
 
 
 @dataclass(frozen=True)
@@ -271,8 +288,7 @@ def build_cs(spec: CoherentSpec) -> FockVector:
     Reads the spec's cached ``required`` and ``coeffs``; the returned
     vector holds its own writable copy of the coefficients.
     """
-    if spec.truncation < spec.required:
-        raise TruncationError(spec.required, spec.truncation)
+    _sized(spec.required, spec.truncation)
     return FockVector(spec.coeffs, ladder=spec.j)
 
 
@@ -326,7 +342,7 @@ def a_norm_squared(j, abs_alpha: float) -> float:
     modulus = float(abs_alpha)
     if not math.isfinite(modulus):
         raise ValueError(f"|alpha| must be finite, got {modulus!r}")
-    x = _squared_modulus("alpha", modulus)
+    x = _squared_modulus("alpha", modulus, _SQUARE_LIMIT)
     if j == 0:
         return x * _ladder_series(x, 2) / _ladder_series(x, 0)
     if j == 1:
@@ -378,11 +394,7 @@ def evolve(spec: CoherentSpec, t: float) -> tuple[complex, CoherentSpec]:
 def standard_cs_nonnorm(z: complex, n_trunc: int | None = None) -> FockVector:
     """Non-normalized standard coherent state with coefficients z^n / sqrt(n!)."""
     z = complex(z)
-    required = adequate_truncation_standard(abs(z))
-    if n_trunc is None:
-        n_trunc = required
-    elif n_trunc < required:
-        raise TruncationError(required, n_trunc)
+    n_trunc = _sized(adequate_truncation_standard(abs(z)), n_trunc)
     coeffs = np.zeros(int(n_trunc), dtype=complex)
     c = 1.0
     for n in range(coeffs.size):
@@ -399,11 +411,7 @@ def deformed_cs_nonnorm(z: complex, j, n_trunc: int | None = None) -> FockVector
     """
     z = complex(z)
     j = fock.cs_index(j)
-    required = adequate_truncation(j, abs(z) ** 3)
-    if n_trunc is None:
-        n_trunc = required
-    elif n_trunc < required:
-        raise TruncationError(required, n_trunc)
+    n_trunc = _sized(adequate_truncation(j, abs(z) ** 3), n_trunc)
     coeffs = _ladder_rungs(j, z**j / math.sqrt(math.factorial(j)), z**3, int(n_trunc))
     return FockVector(coeffs, ladder=j)
 
@@ -430,19 +438,15 @@ class TriangleDecomposition:
             adequate_truncation(self.j, abs(self.z) ** 3),
         )
 
-    def reconstruction(self, n_trunc: int | None = None) -> FockVector:
+    def reconstruction(self, n_trunc: int) -> FockVector:
         """Weighted sum of the three standard coherent states."""
-        if n_trunc is None:
-            n_trunc = self.default_truncation()
         total = np.zeros(int(n_trunc), dtype=complex)
         for weight, label in zip(self.weights, self.labels):
             total += weight * standard_cs_nonnorm(label, n_trunc).coeffs
         return FockVector(total)
 
-    def target(self, n_trunc: int | None = None) -> FockVector:
+    def target(self, n_trunc: int) -> FockVector:
         """The non-normalized |z>_j the reconstruction must reproduce."""
-        if n_trunc is None:
-            n_trunc = self.default_truncation()
         return deformed_cs_nonnorm(self.z, self.j, n_trunc)
 
 

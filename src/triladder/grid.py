@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["GridSpec"]
+
 
 @dataclass(frozen=True)
 class GridSpec:

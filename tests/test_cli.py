@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import math
 import os
 import subprocess
@@ -402,6 +403,31 @@ class TestMoments:
                     "--out", str(tmp_path / "m.csv")]) == 1
 
 
+class TestGoldenBytes:
+    """Outputs pinned by the first 16 hex digits of their sha256.
+
+    Their values come only from elementwise IEEE + - * / and Python float
+    arithmetic, so every platform gives the same bytes. density and
+    decompose pass through np.exp, einsum or hypot, whose last bits may
+    differ between numpy builds, so they are not pinned here.
+    """
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["uncertainty"], "e05ac77d436b23b7"),
+        (["uncertainty", "--amin", "0.5", "--amax", "3", "--asteps", "17", "--j", "1"],
+         "50448e9f4448a1e4"),
+        (["uncertainty", "--amin", "1", "--amax", "1.5e4", "--asteps", "31"],
+         "107c106549cd52a6"),
+        (["piv"], "488c1b6bac90ea0a"),
+        (["piv", "--xmin", "-3", "--xmax", "4", "--xsteps", "301", "--delta", "0.2"],
+         "c44d777534723b5e"),
+    ])
+    def test_output_bytes(self, tmp_path, capsys, argv, digest):
+        out = tmp_path / "out.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
 class TestWriteErrors:
     COMMANDS = [
         ["uncertainty", "--asteps", "3"],
@@ -459,15 +485,19 @@ class TestParser:
         ["decompose", "--trunc", "0"],
         ["verify", "--trunc", "-3"],
         ["verify", "--trunc", "2.5"],
+        ["moments", "--nmax", "0", "--samples", "w.txt"],
+        ["moments", "--nmax", "-2", "--samples", "w.txt"],
     ])
     def test_nonpositive_truncation_rejected(self, tmp_path, capsys, argv):
-        # decompose --trunc 0 once wrote the default table and -5 a traceback
+        # decompose --trunc 0 once wrote the default table and -5 a traceback;
+        # moments --nmax 0 got past the parser and exited 1
         if argv[0] != "verify":
             argv = [*argv, "--out", str(tmp_path / "out.csv")]
+        flag = argv[1]
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
-        assert "argument --trunc: expected a positive integer" in capsys.readouterr().err
+        assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_every_float_flag_takes_a_negative_exponent_form(self):

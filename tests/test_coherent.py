@@ -138,11 +138,16 @@ class TestTruncationRule:
         assert len(raised) == 11
         for line in raised:
             assert line.startswith("LabelRangeError |")
-            assert "beyond the float64 limit" in line and "1.8e4" in line
+            assert "beyond the float64 limit" in line
+        # each error names the limit of the walk that failed
+        for line in raised[:-1]:
+            assert "of the tail rule" in line and "1.8e4" in line
         assert "|alpha| = 18296.3 " in lines[1]
         assert "|alpha| = 1e+200 " in lines[5]
         assert "|z| = 26.6 " in lines[9]
         assert "|alpha| = 1.4e+154 " in lines[12]
+        assert "|alpha|^2" in lines[12] and "1.34e154" in lines[12]
+        assert "tail rule" not in lines[12] and "1.8e4" not in lines[12]
         assert issubclass(coherent.LabelRangeError, ValueError)
 
     def test_spec_auto_and_explicit(self):
@@ -595,6 +600,28 @@ class TestLadderStepTable:
         with pytest.raises(ArithmeticError, match="norm series for residue 0 ran past"):
             coherent.a_norm_squared(1, 5.0)
 
+
+
+class TestSizeCheck:
+    """One size rule for every builder: an omitted size is the tail-rule
+    size, that size passes and one level less raises ``TruncationError``."""
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_boundary_for_every_builder(self, j):
+        z = 1.7 + 0.4j
+        spec = coherent.CoherentSpec(j, z**3)
+        builders = [
+            (spec.required, lambda n: coherent.build_cs(coherent.CoherentSpec(j, z**3, n))),
+            (coherent.adequate_truncation_standard(abs(z)),
+             lambda n: coherent.standard_cs_nonnorm(z, n)),
+            (coherent.adequate_truncation(j, abs(z) ** 3),
+             lambda n: coherent.deformed_cs_nonnorm(z, j, n)),
+        ]
+        for required, build in builders:
+            assert build(None).truncation == build(required).truncation == required
+            with pytest.raises(coherent.TruncationError) as info:
+                build(required - 1)
+            assert (info.value.required, info.value.given) == (required, required - 1)
 
 
 class TestStatistics:
