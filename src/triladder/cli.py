@@ -511,9 +511,9 @@ def cmd_moments(ns) -> int:
     try:
         samples = _read_samples(sample_path)
         rows = coherent.moment_check(ns.j, samples, ns.nmax)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # an unreadable or rejected sample file
         print(f"moments: {exc}", file=sys.stderr)
-        return 1
+        return 2
     passed = [_within(row.rel_error, ns.rtol) for row in rows]
     comments = [
         "command=moments",

@@ -20,6 +20,14 @@ recurrence and the norm series walk. Each entry is computed by the
 expression a walk would otherwise evaluate on every term, so every result
 is the same to the bit; below n = 2e5 the factor is an integer under 2^53,
 so the table is also exact.
+
+The operators that ``statistics`` and ``eigen_residual`` apply are shifts
+with label-free weights as well: sqrt(n)/sqrt(2) for a and a+, n + 1/2 for
+H and sqrt(n(n-1)(n-2)) for a_g. These live in three float arrays that are
+empty at import and grow, like the ladder-step table, when a truncation
+first needs more levels. Each is the elementwise numpy expression the
+kernels would otherwise build per call, over a longer range, so any prefix
+is bitwise that per-call array.
 """
 
 import cmath
@@ -84,6 +92,38 @@ def _grow_steps(rows: int) -> None:
 
 
 _grow_steps(_TABLE_ROWS)
+
+
+# The weight tables of the shift operators: _SHIFT[n - 1] = sqrt(n)/sqrt(2)
+# (a and a+ over sqrt(2)), _ENERGY[n] = n + 1/2 (H) and _LOWER[n - 3] =
+# sqrt(n(n-1)(n-2)) (a_g), each covering the same number of levels. They are
+# rebound to longer read-only arrays by _grow_weights.
+_SHIFT = _ENERGY = _LOWER = np.empty(0)
+
+
+def _grow_weights(levels: int) -> None:
+    """Rebuild the weight tables to cover at least ``levels`` levels.
+
+    The first growth covers the ladder-step table's levels, which hold every
+    tail-rule size; later ones at least double the tables.
+    """
+    global _SHIFT, _ENERGY, _LOWER
+    levels = max(levels, 2 * _ENERGY.size, 3 * _TABLE_ROWS)
+    n = np.arange(3.0, levels + 3)
+    tables = (
+        np.sqrt(np.arange(1.0, levels + 1)) / math.sqrt(2.0),
+        np.arange(levels) + 0.5,
+        np.sqrt(n * (n - 1.0) * (n - 2.0)),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    _SHIFT, _ENERGY, _LOWER = tables
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D complex vector: the same two dots, without the wrapper."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _past_table(walk: str, j: int) -> ArithmeticError:
@@ -256,7 +296,7 @@ def cs_coefficients(j, alpha: complex, n_trunc: int) -> np.ndarray:
     if n_trunc < j + 1:
         raise ValueError(f"truncation {n_trunc} cannot hold the extremal state |{j}>")
     coeffs = _ladder_rungs(j, 1.0 / math.sqrt(math.factorial(j)), complex(alpha), n_trunc)
-    coeffs /= np.linalg.norm(coeffs)
+    coeffs /= _norm(coeffs)
     return coeffs
 
 
@@ -295,15 +335,19 @@ def build_cs(spec: CoherentSpec) -> FockVector:
 def eigen_residual(spec: CoherentSpec) -> float:
     """|| a_g |alpha>_j - alpha |alpha>_j || at the spec's truncation.
 
-    a_g lowers by three levels: (a_g c)_{n-3} = sqrt(n (n-1) (n-2)) c_n.
-    Deliberately skips the adequacy check so undersized truncations report
-    their (large) residual instead of raising.
+    a_g lowers by three levels: (a_g c)_{n-3} = sqrt(n (n-1) (n-2)) c_n,
+    with the weights read from their table. Deliberately skips the adequacy
+    check so undersized truncations report their (large) residual instead
+    of raising.
     """
     coeffs = spec.coeffs
-    n = np.arange(3.0, coeffs.size)
     lowered = np.zeros_like(coeffs)
-    lowered[: n.size] = np.sqrt(n * (n - 1.0) * (n - 2.0)) * coeffs[3:]
-    return float(np.linalg.norm(lowered - spec.alpha * coeffs))
+    top = max(coeffs.size - 3, 0)
+    if _LOWER.size < top:
+        _grow_weights(top)
+    np.multiply(_LOWER[:top], coeffs[3:], out=lowered[:top])
+    lowered -= spec.alpha * coeffs
+    return _norm(lowered)
 
 
 def _ladder_series(x: float, offset: int) -> float:
@@ -354,26 +398,29 @@ def statistics(spec: CoherentSpec) -> CSStatistics:
     """Quadratic-form moments of x, p and H.
 
     a and a+ act as one-level shifts weighted by sqrt(n), so x c and p c are
-    sums of two shifted arrays and H is the diagonal n + 1/2. The state is
-    padded by one level so the raising part is not clipped by the truncation.
-    It comes from ``build_cs``, so the spec's cached coefficients are reused.
+    sums of two shifted arrays and H is the diagonal n + 1/2; both weights
+    come from their tables. The state is padded by one level so the raising
+    part is not clipped by the truncation. Truncations below the tail rule
+    raise ``TruncationError``, as in ``build_cs``, and the spec's cached
+    coefficients are read in place.
     """
-    coeffs = build_cs(spec).coeffs
-    size = coeffs.size + 1
+    size = _sized(spec.required, spec.truncation) + 1
+    if _ENERGY.size < size:
+        _grow_weights(size)
     vec = np.zeros(size, dtype=complex)
     lowered = np.zeros_like(vec)
     raised = np.zeros_like(vec)
-    vec[:-1] = coeffs
-    weights = np.sqrt(np.arange(1.0, size)) / math.sqrt(2.0)
-    lowered[:-1] = weights * vec[1:]  # (a c)_n / sqrt(2)
-    raised[1:] = weights * vec[:-1]  # (a+ c)_n / sqrt(2)
+    vec[:-1] = spec.coeffs
+    weights = _SHIFT[: size - 1]
+    np.multiply(weights, vec[1:], out=lowered[:-1])  # (a c)_n / sqrt(2)
+    np.multiply(weights, vec[:-1], out=raised[1:])  # (a+ c)_n / sqrt(2)
     x_vec = lowered + raised
     p_vec = 1j * (raised - lowered)
     mean_x = float(np.vdot(vec, x_vec).real)
     mean_p = float(np.vdot(vec, p_vec).real)
-    mean_x2 = float(np.linalg.norm(x_vec) ** 2)
-    mean_p2 = float(np.linalg.norm(p_vec) ** 2)
-    mean_h = float(np.sum((np.arange(vec.size) + 0.5) * np.abs(vec) ** 2))
+    mean_x2 = _norm(x_vec) ** 2
+    mean_p2 = _norm(p_vec) ** 2
+    mean_h = float(np.sum(_ENERGY[:size] * np.abs(vec) ** 2))
     product = math.sqrt((mean_x2 - mean_x**2) * (mean_p2 - mean_p**2))
     return CSStatistics(mean_x, mean_p, mean_x2, mean_p2, mean_h, product)
 

@@ -387,20 +387,39 @@ class TestMoments:
     def test_parse_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("0.0 1.0\n0.5 not-a-number\n")
-        assert run(["moments", "--samples", str(bad),
-                    "--out", str(tmp_path / "m.csv")]) == 1
+        out = tmp_path / "m.csv"
+        assert run(["moments", "--samples", str(bad), "--out", str(out)]) == 2
         assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_column_count(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("0.0 1.0 2.0\n")
-        assert run(["moments", "--samples", str(bad),
-                    "--out", str(tmp_path / "m.csv")]) == 1
+        out = tmp_path / "m.csv"
+        assert run(["moments", "--samples", str(bad), "--out", str(out)]) == 2
         assert "line 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
         assert run(["moments", "--samples", str(tmp_path / "absent.txt"),
-                    "--out", str(tmp_path / "m.csv")]) == 1
+                    "--out", str(out)]) == 2
+        assert "No such file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("0.0 1.0\n-1.0 1.0\n", "nonnegative"),
+        ("0.0 1.0\n1.0 1.0\n1.0 0.5\n", "strictly increasing"),
+        ("0.0 1.0\n", "at least two"),
+        ("0.0 1.0\n1.0 -0.5\n", "weight values"),
+    ])
+    def test_rejected_samples_are_invalid_input(self, tmp_path, capsys, text, message):
+        samples = tmp_path / "w.txt"
+        samples.write_text(text)
+        out = tmp_path / "m.csv"
+        assert run(["moments", "--samples", str(samples), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGoldenBytes:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triladder import coherent, fock
 
@@ -366,6 +368,98 @@ class TestStateBuiltOnce:
         want = loop_coefficients(2, 3.0 + 1.0j, spec.truncation)
         assert np.array_equal(spec.coeffs, want)
         assert np.array_equal(coherent.build_cs(spec).coeffs, want)
+
+
+@pytest.fixture
+def empty_weights(monkeypatch):
+    """Weight tables as at import, so a test sees them grow from nothing."""
+    for name in ("_SHIFT", "_ENERGY", "_LOWER"):
+        monkeypatch.setattr(coherent, name, np.empty(0))
+
+
+def assert_weights_are_the_kernels_expressions():
+    levels = coherent._ENERGY.size
+    assert coherent._SHIFT.size == coherent._LOWER.size == levels
+    for n in range(levels):
+        assert coherent._ENERGY[n] == n + 0.5
+        # sqrt and / round correctly, so each entry is the scalar expression
+        assert coherent._SHIFT[n] == math.sqrt(n + 1.0) / math.sqrt(2.0)
+        assert coherent._LOWER[n] == math.sqrt((n + 3) * (n + 2) * (n + 1))
+
+
+class TestWeightTables:
+    """The table-read shift kernels against the per-call arrays they replace."""
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_bit_identical_past_the_first_growth(self, empty_weights, j):
+        alpha = 40.0 * cmath.exp(0.7j + j)
+        first = 3 * coherent._TABLE_ROWS  # the levels of the first growth
+        sizes = (first - 1, first, first + 1, 2 * first + 3 + j, 4500 + j)
+        results = {}
+        for size in sizes:
+            spec = coherent.CoherentSpec(j, alpha, size)
+            want = loop_coefficients(j, alpha, size)
+            results[size] = coherent.statistics(spec), coherent.eigen_residual(spec)
+            assert results[size] == (appended_statistics(want), loop_eigen_residual(alpha, want))
+            assert coherent._ENERGY.size >= size + 1
+        assert coherent._ENERGY.size > 4500
+        # smaller truncations read a prefix of the grown tables, to the bit
+        for size in sizes:
+            spec = coherent.CoherentSpec(j, alpha, size)
+            assert (coherent.statistics(spec), coherent.eigen_residual(spec)) == results[size]
+        assert_weights_are_the_kernels_expressions()
+
+    def test_first_growth_covers_every_tail_rule_size(self, empty_weights):
+        coherent.statistics(coherent.CoherentSpec(0, 1.0))
+        assert coherent._ENERGY.size == 3 * coherent._TABLE_ROWS
+        for table in (coherent._SHIFT, coherent._ENERGY, coherent._LOWER):
+            assert not table.flags.writeable
+        # the largest tail-rule size, from the test on the ladder-step table
+        assert loop_truncation(2, 18815.0) + 1 <= coherent._ENERGY.size
+        assert_weights_are_the_kernels_expressions()
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_sizes_with_few_or_no_lowering_weights(self, empty_weights, j):
+        alpha = 1.3 - 0.6j
+        for size in range(j + 1, j + 5):
+            spec = coherent.CoherentSpec(j, alpha, size)
+            want = loop_coefficients(j, alpha, size)
+            assert coherent.eigen_residual(spec) == loop_eigen_residual(alpha, want), size
+            if size <= 3:  # nothing to lower, so nothing is grown
+                assert coherent._LOWER.size == 0
+        assert coherent._LOWER.size > 0
+
+    def test_import_builds_no_table(self):
+        script = textwrap.dedent("""
+            import triladder.cli
+            from triladder import coherent as c
+
+            tables = (c._SHIFT, c._ENERGY, c._LOWER)
+            print(*(t.size for t in tables))
+            c.eigen_residual(c.CoherentSpec(1, 2.0))
+            print(c._LOWER.size)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(coherent.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0", "0", str(3 * coherent._TABLE_ROWS)]
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        j=st.sampled_from([0, 1, 2]),
+        abs_alpha=st.floats(0.0, 1.5e4),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        extra=st.integers(0, 60),
+    )
+    def test_kernels_equal_the_loop_oracles(self, j, abs_alpha, phase, extra):
+        alpha = abs_alpha * cmath.exp(1j * phase)
+        size = loop_truncation(j, abs_alpha) + extra
+        spec = coherent.CoherentSpec(j, alpha, size)
+        want = loop_coefficients(j, alpha, size)
+        assert coherent.statistics(spec) == appended_statistics(want)
+        assert coherent.eigen_residual(spec) == loop_eigen_residual(alpha, want)
 
 
 class TestMeanOccupationSeries:
