@@ -295,30 +295,35 @@ def cs_coefficients(j, alpha: complex, n_trunc: int) -> np.ndarray:
     n_trunc = int(n_trunc)
     if n_trunc < j + 1:
         raise ValueError(f"truncation {n_trunc} cannot hold the extremal state |{j}>")
-    coeffs = _ladder_rungs(j, 1.0 / math.sqrt(math.factorial(j)), complex(alpha), n_trunc)
+    first = 1.0 / math.sqrt(math.factorial(j))
+    coeffs = _ladder_rungs(first, complex(alpha), _ladder_roots(j, n_trunc), j, 3, n_trunc)
     coeffs /= _norm(coeffs)
     return coeffs
 
 
-def _ladder_rungs(j: int, first, ratio: complex, n_trunc: int) -> np.ndarray:
-    """Coefficients on |0> .. |N-1> that vanish off the ladder n = 3k + j.
+def _ladder_roots(j: int, n_trunc: int) -> list:
+    """Residue j of the ladder-step roots, grown first if ``n_trunc`` reaches past it."""
+    rows = len(range(j, n_trunc, 3))
+    if rows > len(_ROOTS[j]):
+        _grow_steps(rows)
+    return _ROOTS[j]
 
-    c_j = first and c_{n+3} = c_n * ratio / sqrt((n+1)(n+2)(n+3)), the one
-    step-3 recurrence behind the family coefficients (ratio alpha) and the
-    non-normalized slices of a standard coherent state (ratio z^3). The
-    square roots come from the ladder-step table, grown first if the
-    truncation reaches past it.
+
+def _ladder_rungs(first, ratio, roots, start: int, stride: int, n_trunc: int) -> np.ndarray:
+    """Coefficients on |0> .. |N-1> that vanish off the rungs n = start + k * stride.
+
+    c_start = first and each next rung is c * ratio / root, over ``roots`` in
+    turn: the family coefficients (ratio alpha) and the slices of a standard
+    coherent state (ratio z^3) step by 3 over the ladder-step roots, and that
+    state itself (ratio z) by 1 over sqrt(n + 1).
     """
-    count = len(range(j, n_trunc, 3))
-    if count > len(_ROOTS[j]):
-        _grow_steps(count)
     rungs = []
     c = first
-    for root in itertools.islice(_ROOTS[j], count):
+    for root in itertools.islice(roots, len(range(start, n_trunc, stride))):
         rungs.append(c)
         c = c * ratio / root
     coeffs = np.zeros(n_trunc, dtype=complex)
-    coeffs[j::3] = rungs
+    coeffs[start::stride] = rungs
     return coeffs
 
 
@@ -341,7 +346,7 @@ def eigen_residual(spec: CoherentSpec) -> float:
     of raising.
     """
     coeffs = spec.coeffs
-    lowered = np.zeros_like(coeffs)
+    lowered = np.zeros(coeffs.size, complex)
     top = max(coeffs.size - 3, 0)
     if _LOWER.size < top:
         _grow_weights(top)
@@ -407,9 +412,7 @@ def statistics(spec: CoherentSpec) -> CSStatistics:
     size = _sized(spec.required, spec.truncation) + 1
     if _ENERGY.size < size:
         _grow_weights(size)
-    vec = np.zeros(size, dtype=complex)
-    lowered = np.zeros_like(vec)
-    raised = np.zeros_like(vec)
+    vec, lowered, raised = np.zeros((3, size), complex)
     vec[:-1] = spec.coeffs
     weights = _SHIFT[: size - 1]
     np.multiply(weights, vec[1:], out=lowered[:-1])  # (a c)_n / sqrt(2)
@@ -420,7 +423,7 @@ def statistics(spec: CoherentSpec) -> CSStatistics:
     mean_p = float(np.vdot(vec, p_vec).real)
     mean_x2 = _norm(x_vec) ** 2
     mean_p2 = _norm(p_vec) ** 2
-    mean_h = float(np.sum(_ENERGY[:size] * np.abs(vec) ** 2))
+    mean_h = float((_ENERGY[:size] * np.abs(vec) ** 2).sum())
     product = math.sqrt((mean_x2 - mean_x**2) * (mean_p2 - mean_p**2))
     return CSStatistics(mean_x, mean_p, mean_x2, mean_p2, mean_h, product)
 
@@ -441,13 +444,9 @@ def evolve(spec: CoherentSpec, t: float) -> tuple[complex, CoherentSpec]:
 def standard_cs_nonnorm(z: complex, n_trunc: int | None = None) -> FockVector:
     """Non-normalized standard coherent state with coefficients z^n / sqrt(n!)."""
     z = complex(z)
-    n_trunc = _sized(adequate_truncation_standard(abs(z)), n_trunc)
-    coeffs = np.zeros(int(n_trunc), dtype=complex)
-    c = 1.0
-    for n in range(coeffs.size):
-        coeffs[n] = c
-        c = c * z / math.sqrt(n + 1.0)
-    return FockVector(coeffs)
+    n_trunc = int(_sized(adequate_truncation_standard(abs(z)), n_trunc))
+    roots = map(math.sqrt, itertools.count(1.0))
+    return FockVector(_ladder_rungs(1.0, z, roots, 0, 1, n_trunc))
 
 
 def deformed_cs_nonnorm(z: complex, j, n_trunc: int | None = None) -> FockVector:
@@ -458,8 +457,9 @@ def deformed_cs_nonnorm(z: complex, j, n_trunc: int | None = None) -> FockVector
     """
     z = complex(z)
     j = fock.cs_index(j)
-    n_trunc = _sized(adequate_truncation(j, abs(z) ** 3), n_trunc)
-    coeffs = _ladder_rungs(j, z**j / math.sqrt(math.factorial(j)), z**3, int(n_trunc))
+    n_trunc = int(_sized(adequate_truncation(j, abs(z) ** 3), n_trunc))
+    first = z**j / math.sqrt(math.factorial(j))
+    coeffs = _ladder_rungs(first, z**3, _ladder_roots(j, n_trunc), j, 3, n_trunc)
     return FockVector(coeffs, ladder=j)
 
 

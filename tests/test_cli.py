@@ -30,6 +30,12 @@ def read_rows(path):
     return rows
 
 
+def header_value(path, key):
+    """The text after ``key=`` in the CSV's comment lines, up to the next space."""
+    words = [w for l in path.read_text().splitlines() if l.startswith("#") for w in l.split()]
+    return next(w.split("=", 1)[1] for w in words if w.startswith(key + "="))
+
+
 def write_exp_weight(path, step=0.01, top=60.0):
     x = np.arange(0.0, top + step, step)
     lines = [f"{float(xi)!r} {float(math.exp(-xi))!r}" for xi in x]
@@ -356,12 +362,33 @@ class TestDecompose:
         assert [float(r["reconstructed_re"]) for r in rows] == rec.real.tolist()
         assert [float(r["abs_error"]) for r in rows] == np.abs(rec - target).tolist()
 
-    def test_failed_reconstruction_writes_nothing(self, tmp_path, capsys):
-        # at z = 5 the reconstruction error is about 4e-10, above TRIANGLE_TOL
+    def test_injected_reconstruction_error_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # a relative error of 1e-9 on every coefficient, far above TRIANGLE_TOL
+        reconstruction = coherent.TriangleDecomposition.reconstruction
+        monkeypatch.setattr(coherent.TriangleDecomposition, "reconstruction",
+                            lambda tri, n: coherent.FockVector(
+                                reconstruction(tri, n).coeffs * (1 + 1e-9)))
         out = tmp_path / "dec.csv"
         assert run(["decompose", "--j", "1", "--z-re", "5", "--out", str(out)]) == 1
-        assert not out.exists()
-        assert "no file written" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith("decompose: max scaled error 1.000e-09, not below 1e-12;")
+        assert err.endswith("; no file written\n")
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    @pytest.mark.parametrize("z", ["4", "8", "26.2"])
+    def test_large_labels_pass_the_scaled_gate(self, tmp_path, capsys, j, z):
+        # the coefficients reach e^(|z|^2/2), so the absolute error grows with them
+        out = tmp_path / "dec.csv"
+        assert run(["decompose", "--j", str(j), "--z-re", z, "--out", str(out)]) == 0
+        rows = read_rows(out)
+        worst = max(float(r["abs_error"]) for r in rows)
+        target = np.array([complex(float(r["target_re"]), float(r["target_im"])) for r in rows])
+        scale = max(1.0, float(np.max(np.abs(target))))
+        assert float(header_value(out, "max_abs_error")) == worst
+        assert float(header_value(out, "scale")) == scale
+        assert worst / scale < 1e-12
 
     def test_trivial_vacuum(self, tmp_path, capsys):
         out = tmp_path / "dec.csv"
@@ -445,6 +472,60 @@ class TestGoldenBytes:
         out = tmp_path / "out.csv"
         assert run([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+class TestReportLines:
+    """The one stderr line of each gate and the one stdout line of each
+    written file, byte for byte. Values the line prints from a platform-
+    dependent computation are read back from the file's own header."""
+
+    @pytest.mark.parametrize("argv,err", [
+        pytest.param(["piv", "--xmin", "1e110", "--xmax", "1e111", "--xsteps", "2"],
+                     "piv: max residual nan, not below 1e-10; no file written\n", id="piv"),
+        pytest.param(["density", "--j", "0", *TestDensity.ARGS, "--inject-spotcheck"],
+                     "density: dual-path spot check failed for j=0: max |fock - gaussian| ="
+                     " 1.000e-05, not below 1e-06; no file written\n", id="density"),
+        pytest.param(["uncertainty", "--amax", "2e5", "--asteps", "3"],
+                     "uncertainty: the a_norm_squared series is not finite at"
+                     " |alpha|=100000.0, j=0 (it overflows from about |alpha| = 1.9e4);"
+                     " no file written\n", id="uncertainty"),
+    ])
+    def test_gate_message(self, tmp_path, capsys, argv, err):
+        out = tmp_path / "out.csv"
+        assert run([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_spot_check_message(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(wavepacket, "rho_fock",
+                            lambda j, z, x, t, n_trunc=None: np.full(np.shape(x), np.nan))
+        out = tmp_path / "rho.csv"
+        assert run(["density", "--j", "2", *TestDensity.ARGS, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            "density: dual-path spot check failed for j=2: max |fock - gaussian| ="
+            " nan, not below 1e-06; no file written\n"
+        ))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,line", [
+        (["uncertainty", "--asteps", "3"], "wrote {out} (9 rows)"),
+        (["piv", "--xsteps", "11"],
+         "wrote {out} (33 rows), max residual {max_included_residual:.3e}"),
+        (["density", "--j", "0", *TestDensity.ARGS],
+         "wrote {out} (567 rows), spot check {spot_check_max_err:.3e}"),
+        (["decompose"], "wrote {out} (43 rows), max error {max_abs_error:.3e}"),
+        (["moments", "--nmax", "2"], "wrote {out} (2 rows), 1 passed, 1 failed"),
+    ], ids=["uncertainty", "piv", "density", "decompose", "moments"])
+    def test_wrote_line(self, tmp_path, capsys, argv, line):
+        out = tmp_path / "out.csv"
+        if argv[0] == "moments":
+            write_exp_weight(tmp_path / "exp.txt")
+            argv = [*argv, "--samples", str(tmp_path / "exp.txt")]
+        code = run([*argv, "--out", str(out)])
+        assert code == (1 if argv[0] == "moments" else 0)
+        keys = ("max_included_residual", "spot_check_max_err", "max_abs_error")
+        values = {k: float(header_value(out, k)) for k in keys if f"{{{k}" in line}
+        assert capsys.readouterr() == (line.format(out=out, **values) + "\n", "")
 
 
 class TestWriteErrors:

@@ -786,7 +786,29 @@ class TestEvolution:
             assert np.max(np.abs(direct - phase * after)) < 1e-12
 
 
+def loop_standard(z, n_trunc):
+    """standard_cs_nonnorm's coefficients set element by element."""
+    coeffs = np.zeros(n_trunc, dtype=complex)
+    c = 1.0
+    for n in range(n_trunc):
+        coeffs[n] = c
+        c = c * complex(z) / math.sqrt(n + 1.0)
+    return coeffs
+
+
 class TestStandardCS:
+    @pytest.mark.parametrize("z", [
+        0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+        complex(-1.5, -0.0), complex(-0.0, 2.5), 1.3 - 0.6j,
+        26.0, -26.0j, 26.0 * cmath.exp(0.9j), 26.2 * cmath.exp(-2.1j),
+    ])
+    def test_bit_identical_to_loop_oracle(self, z):
+        required = coherent.adequate_truncation_standard(abs(z))
+        for size in (required, required + 1, 2 * required + 7):
+            got = coherent.standard_cs_nonnorm(z, size).coeffs
+            # the bytes also tell -0.0 from 0.0
+            assert got.tobytes() == loop_standard(z, size).tobytes(), size
+
     def test_vacuum(self):
         v = coherent.standard_cs_nonnorm(0.0)
         assert v.coeffs.tolist() == [1.0 + 0.0j]
