@@ -13,21 +13,14 @@ into three standard coherent states sitting on an equilateral triangle of
 labels, and a moment-check harness for candidate completeness weights.
 
 All three families step along their ladder by the same ratio
-|alpha|^2 / ((n+1)(n+2)(n+3)), n = 3k + j. The label-free factor
-(n+1)(n+2)(n+3) and its square root are kept in one ladder-step table, a
-list per residue class j = n mod 3, which the tail rule, the coefficient
-recurrence and the norm series walk. Each entry is computed by the
-expression a walk would otherwise evaluate on every term, so every result
-is the same to the bit; below n = 2e5 the factor is an integer under 2^53,
-so the table is also exact.
-
-The operators that ``statistics`` and ``eigen_residual`` apply are shifts
-with label-free weights as well: sqrt(n)/sqrt(2) for a and a+, n + 1/2 for
-H and sqrt(n(n-1)(n-2)) for a_g. These live in three float arrays that are
-empty at import and grow, like the ladder-step table, when a truncation
-first needs more levels. Each is the elementwise numpy expression the
-kernels would otherwise build per call, over a longer range, so any prefix
-is bitwise that per-call array.
+|alpha|^2 / ((n+1)(n+2)(n+3)), n = 3k + j, and the operators that
+``statistics`` and ``eigen_residual`` apply are shifts with label-free
+weights: sqrt(n)/sqrt(2) for a and a+, n + 1/2 for H and the same
+sqrt((n+1)(n+2)(n+3)) for a_g. All of these live in one table, built at
+import and grown when a truncation first needs more levels. Each entry is
+computed by the expression a walk or a kernel would otherwise evaluate per
+term or per call, so every result is the same to the bit; below n = 2e5
+the ladder factor is an integer under 2^53, so the table is also exact.
 """
 
 import cmath
@@ -70,54 +63,49 @@ TAIL_RELATIVE = 1e-28
 
 _OMEGA = cmath.exp(2j * math.pi / 3)
 
-# The ladder-step table: _STEPS[j][m] = (n+1)(n+2)(n+3) and _ROOTS[j][m] its
-# square root, for n = 3m + j. The walks iterate these lists directly, as a
-# slice would copy them on every call. The initial rows cover n < 1026: the
-# longest walk any finite label takes uses n = 1019 (the tail rule at
+# The one table, over levels n = 0 .. L - 1. The walks iterate the lists
+# _STEPS[j][m] = (n+1)(n+2)(n+3) and _ROOTS[j][m], its square root, for
+# n = 3m + j, directly, as a slice would copy them on every call. The
+# kernels read the read-only arrays _SHIFT[n] = sqrt(n+1)/sqrt(2) (a and a+
+# over sqrt(2)), _ENERGY[n] = n + 1/2 (H) and _LOWER[n] = _ROOTS[n % 3][n // 3]
+# (a_g from |n+3> to |n>). Import builds L = 3 * _TABLE_ROWS = 1026 levels:
+# the longest walk any finite label takes uses n = 1019 (the tail rule at
 # |alpha| = 18736, j = 2; the norm series reaches n = 971 at most), measured
-# by tests/test_coherent.py. Longer explicit truncations grow the table.
+# by tests/test_coherent.py, so only an explicit truncation past them grows
+# the table, to exactly its size.
 _TABLE_ROWS = 342
 _STEPS = ([], [], [])
 _ROOTS = ([], [], [])
-
-
-def _grow_steps(rows: int) -> None:
-    """Extend every residue class of the ladder-step table to ``rows`` rows."""
-    for j in range(3):
-        steps, roots = _STEPS[j], _ROOTS[j]
-        for n in range(3 * len(steps) + j, 3 * rows + j, 3):
-            step = (n + 1.0) * (n + 2.0) * (n + 3.0)
-            steps.append(step)
-            roots.append(math.sqrt(step))
-
-
-_grow_steps(_TABLE_ROWS)
-
-
-# The weight tables of the shift operators: _SHIFT[n - 1] = sqrt(n)/sqrt(2)
-# (a and a+ over sqrt(2)), _ENERGY[n] = n + 1/2 (H) and _LOWER[n - 3] =
-# sqrt(n(n-1)(n-2)) (a_g), each covering the same number of levels. They are
-# rebound to longer read-only arrays by _grow_weights.
 _SHIFT = _ENERGY = _LOWER = np.empty(0)
 
 
-def _grow_weights(levels: int) -> None:
-    """Rebuild the weight tables to cover at least ``levels`` levels.
+def _grow(levels: int) -> None:
+    """Make the table cover ``levels`` levels: the one coverage check.
 
-    The first growth covers the ladder-step table's levels, which hold every
-    tail-rule size; later ones at least double the tables.
+    The lists are extended in place and the arrays rebuilt over the same
+    levels, _LOWER from the roots in level order.
     """
     global _SHIFT, _ENERGY, _LOWER
-    levels = max(levels, 2 * _ENERGY.size, 3 * _TABLE_ROWS)
-    n = np.arange(3.0, levels + 3)
+    if levels <= _ENERGY.size:
+        return
+    lower = np.empty(levels)
+    for j, (steps, roots) in enumerate(zip(_STEPS, _ROOTS)):
+        for n in range(3 * len(steps) + j, levels, 3):
+            step = (n + 1.0) * (n + 2.0) * (n + 3.0)
+            steps.append(step)
+            roots.append(math.sqrt(step))
+        lower[j::3] = roots
     tables = (
         np.sqrt(np.arange(1.0, levels + 1)) / math.sqrt(2.0),
         np.arange(levels) + 0.5,
-        np.sqrt(n * (n - 1.0) * (n - 2.0)),
+        lower,
     )
     for table in tables:
         table.flags.writeable = False
     _SHIFT, _ENERGY, _LOWER = tables
+
+
+_grow(3 * _TABLE_ROWS)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -295,18 +283,11 @@ def cs_coefficients(j, alpha: complex, n_trunc: int) -> np.ndarray:
     n_trunc = int(n_trunc)
     if n_trunc < j + 1:
         raise ValueError(f"truncation {n_trunc} cannot hold the extremal state |{j}>")
+    _grow(n_trunc)
     first = 1.0 / math.sqrt(math.factorial(j))
-    coeffs = _ladder_rungs(first, complex(alpha), _ladder_roots(j, n_trunc), j, 3, n_trunc)
+    coeffs = _ladder_rungs(first, complex(alpha), _ROOTS[j], j, 3, n_trunc)
     coeffs /= _norm(coeffs)
     return coeffs
-
-
-def _ladder_roots(j: int, n_trunc: int) -> list:
-    """Residue j of the ladder-step roots, grown first if ``n_trunc`` reaches past it."""
-    rows = len(range(j, n_trunc, 3))
-    if rows > len(_ROOTS[j]):
-        _grow_steps(rows)
-    return _ROOTS[j]
 
 
 def _ladder_rungs(first, ratio, roots, start: int, stride: int, n_trunc: int) -> np.ndarray:
@@ -341,15 +322,14 @@ def eigen_residual(spec: CoherentSpec) -> float:
     """|| a_g |alpha>_j - alpha |alpha>_j || at the spec's truncation.
 
     a_g lowers by three levels: (a_g c)_{n-3} = sqrt(n (n-1) (n-2)) c_n,
-    with the weights read from their table. Deliberately skips the adequacy
+    with the weights read from the table. Deliberately skips the adequacy
     check so undersized truncations report their (large) residual instead
     of raising.
     """
     coeffs = spec.coeffs
     lowered = np.zeros(coeffs.size, complex)
     top = max(coeffs.size - 3, 0)
-    if _LOWER.size < top:
-        _grow_weights(top)
+    _grow(top)
     np.multiply(_LOWER[:top], coeffs[3:], out=lowered[:top])
     lowered -= spec.alpha * coeffs
     return _norm(lowered)
@@ -404,14 +384,13 @@ def statistics(spec: CoherentSpec) -> CSStatistics:
 
     a and a+ act as one-level shifts weighted by sqrt(n), so x c and p c are
     sums of two shifted arrays and H is the diagonal n + 1/2; both weights
-    come from their tables. The state is padded by one level so the raising
+    come from the table. The state is padded by one level so the raising
     part is not clipped by the truncation. Truncations below the tail rule
     raise ``TruncationError``, as in ``build_cs``, and the spec's cached
     coefficients are read in place.
     """
     size = _sized(spec.required, spec.truncation) + 1
-    if _ENERGY.size < size:
-        _grow_weights(size)
+    _grow(size)
     vec, lowered, raised = np.zeros((3, size), complex)
     vec[:-1] = spec.coeffs
     weights = _SHIFT[: size - 1]
@@ -458,8 +437,9 @@ def deformed_cs_nonnorm(z: complex, j, n_trunc: int | None = None) -> FockVector
     z = complex(z)
     j = fock.cs_index(j)
     n_trunc = int(_sized(adequate_truncation(j, abs(z) ** 3), n_trunc))
+    _grow(n_trunc)
     first = z**j / math.sqrt(math.factorial(j))
-    coeffs = _ladder_rungs(first, z**3, _ladder_roots(j, n_trunc), j, 3, n_trunc)
+    coeffs = _ladder_rungs(first, z**3, _ROOTS[j], j, 3, n_trunc)
     return FockVector(coeffs, ladder=j)
 
 

@@ -133,6 +133,11 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
     psi = np.zeros(shape, dtype=complex)
     for weight, label in zip(tri.weights, tri.labels):
         zeta = label * rot
+        # Keep this product one temporary expression. From 256 KiB numpy
+        # reuses the temporary exp(...) for the product in place, and its
+        # in-place complex-by-scalar loop rounds some last bits differently
+        # from the out-of-place one that a named exponential would get, so
+        # the density CSVs would change.
         psi += weight * np.exp(gx + _SQRT2 * zeta * x - zeta * zeta / 2.0)
     psi *= np.pi**-0.25
     norm2 = 0.0

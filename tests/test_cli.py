@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -513,7 +514,7 @@ class TestReportLines:
          "wrote {out} (33 rows), max residual {max_included_residual:.3e}"),
         (["density", "--j", "0", *TestDensity.ARGS],
          "wrote {out} (567 rows), spot check {spot_check_max_err:.3e}"),
-        (["decompose"], "wrote {out} (43 rows), max error {max_abs_error:.3e}"),
+        (["decompose"], "wrote {out} (43 rows), max scaled error {scaled_error:.3e}"),
         (["moments", "--nmax", "2"], "wrote {out} (2 rows), 1 passed, 1 failed"),
     ], ids=["uncertainty", "piv", "density", "decompose", "moments"])
     def test_wrote_line(self, tmp_path, capsys, argv, line):
@@ -523,8 +524,11 @@ class TestReportLines:
             argv = [*argv, "--samples", str(tmp_path / "exp.txt")]
         code = run([*argv, "--out", str(out)])
         assert code == (1 if argv[0] == "moments" else 0)
-        keys = ("max_included_residual", "spot_check_max_err", "max_abs_error")
+        keys = ("max_included_residual", "spot_check_max_err")
         values = {k: float(header_value(out, k)) for k in keys if f"{{{k}" in line}
+        if argv[0] == "decompose":  # the error the gate tests
+            worst, scale = (float(header_value(out, k)) for k in ("max_abs_error", "scale"))
+            values["scaled_error"] = worst / scale
         assert capsys.readouterr() == (line.format(out=out, **values) + "\n", "")
 
 
@@ -633,6 +637,34 @@ class TestParser:
             run(["piv", "--xsteps", "0", "--out", str(tmp_path / "piv.csv")])
         assert exc.value.code == 2
         assert "grid requires at least one sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,err", [
+        (["density", "--j", "0", "--xsteps", "100000000", "--tsteps", "100000"],
+         "density: a 100000000 x 100000 grid needs about 1.3e+15 bytes,"),
+        (["piv", "--xsteps", "1000000000"],
+         "piv: a 1000000000 x 1 grid needs about 1.1e+12 bytes,"),
+    ], ids=["density", "piv"])
+    def test_oversized_grid_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       argv, err):
+        # the commands are stubbed out, so a missing guard fails here instead
+        # of allocating the grid
+        for name in ("cmd_density", "cmd_piv"):
+            monkeypatch.setattr(cli, name, lambda ns: pytest.fail("the command ran"))
+        start = time.perf_counter()
+        assert run([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr() == ("", (
+            f"{err} past the grid limit of 1073741824 bytes; no file written\n"
+        ))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["density", "piv"])
+    def test_largest_grid_within_the_limit_runs(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "cmd_" + command, lambda ns: 0)
+        steps = cli.GRID_MEMORY_LIMIT // cli._BYTES_PER_SAMPLE[command]
+        single = ["--tsteps", "1"] if command == "density" else []
+        assert run([command, "--xsteps", str(steps), *single]) == 0
+        assert run([command, "--xsteps", str(steps + 1), *single]) == 2
 
     def test_density_defaults_are_the_default_grid(self):
         ns = cli.build_parser().parse_args(["density"])

@@ -371,15 +371,19 @@ class TestStateBuiltOnce:
 
 
 @pytest.fixture
-def empty_weights(monkeypatch):
-    """Weight tables as at import, so a test sees them grow from nothing."""
+def initial_table(monkeypatch):
+    """The table as built at import, so a test may grow it."""
+    monkeypatch.setattr(coherent, "_STEPS", ([], [], []))
+    monkeypatch.setattr(coherent, "_ROOTS", ([], [], []))
     for name in ("_SHIFT", "_ENERGY", "_LOWER"):
         monkeypatch.setattr(coherent, name, np.empty(0))
+    coherent._grow(3 * coherent._TABLE_ROWS)
 
 
 def assert_weights_are_the_kernels_expressions():
     levels = coherent._ENERGY.size
     assert coherent._SHIFT.size == coherent._LOWER.size == levels
+    assert sum(map(len, coherent._ROOTS)) == levels  # the lists cover the same levels
     for n in range(levels):
         assert coherent._ENERGY[n] == n + 0.5
         # sqrt and / round correctly, so each entry is the scalar expression
@@ -391,9 +395,9 @@ class TestWeightTables:
     """The table-read shift kernels against the per-call arrays they replace."""
 
     @pytest.mark.parametrize("j", [0, 1, 2])
-    def test_bit_identical_past_the_first_growth(self, empty_weights, j):
+    def test_bit_identical_past_the_first_growth(self, initial_table, j):
         alpha = 40.0 * cmath.exp(0.7j + j)
-        first = 3 * coherent._TABLE_ROWS  # the levels of the first growth
+        first = 3 * coherent._TABLE_ROWS  # the levels built at import
         sizes = (first - 1, first, first + 1, 2 * first + 3 + j, 4500 + j)
         results = {}
         for size in sizes:
@@ -409,7 +413,7 @@ class TestWeightTables:
             assert (coherent.statistics(spec), coherent.eigen_residual(spec)) == results[size]
         assert_weights_are_the_kernels_expressions()
 
-    def test_first_growth_covers_every_tail_rule_size(self, empty_weights):
+    def test_first_growth_covers_every_tail_rule_size(self, initial_table):
         coherent.statistics(coherent.CoherentSpec(0, 1.0))
         assert coherent._ENERGY.size == 3 * coherent._TABLE_ROWS
         for table in (coherent._SHIFT, coherent._ENERGY, coherent._LOWER):
@@ -419,32 +423,29 @@ class TestWeightTables:
         assert_weights_are_the_kernels_expressions()
 
     @pytest.mark.parametrize("j", [0, 1, 2])
-    def test_sizes_with_few_or_no_lowering_weights(self, empty_weights, j):
+    def test_sizes_with_few_or_no_lowering_weights(self, initial_table, j):
         alpha = 1.3 - 0.6j
         for size in range(j + 1, j + 5):
             spec = coherent.CoherentSpec(j, alpha, size)
             want = loop_coefficients(j, alpha, size)
             assert coherent.eigen_residual(spec) == loop_eigen_residual(alpha, want), size
-            if size <= 3:  # nothing to lower, so nothing is grown
-                assert coherent._LOWER.size == 0
-        assert coherent._LOWER.size > 0
+        # nothing past the levels built at import, so nothing is grown
+        assert coherent._LOWER.size == 3 * coherent._TABLE_ROWS
 
-    def test_import_builds_no_table(self):
-        script = textwrap.dedent("""
-            import triladder.cli
-            from triladder import coherent as c
-
-            tables = (c._SHIFT, c._ENERGY, c._LOWER)
-            print(*(t.size for t in tables))
-            c.eigen_residual(c.CoherentSpec(1, 2.0))
-            print(c._LOWER.size)
-        """)
-        env = dict(os.environ, PYTHONPATH=str(Path(coherent.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=30
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "0", "0", str(3 * coherent._TABLE_ROWS)]
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_arrays_equal_the_per_call_expressions(self, initial_table, j):
+        for levels in (3 * coherent._TABLE_ROWS, 2055 + j, 4500 + j):
+            coherent._grow(levels)
+            n = np.arange(3.0, levels + 3)
+            want = (
+                np.sqrt(np.arange(1.0, levels + 1)) / math.sqrt(2.0),
+                np.arange(levels) + 0.5,
+                np.sqrt(n * (n - 1.0) * (n - 2.0)),
+            )
+            got = (coherent._SHIFT, coherent._ENERGY, coherent._LOWER)
+            for table, expected in zip(got, want):
+                assert not table.flags.writeable
+                assert np.array_equal(table.view(np.uint64), expected.view(np.uint64)), levels
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(
@@ -484,6 +485,18 @@ class TestMeanOccupationSeries:
 
     def test_growth_without_bound(self):
         assert coherent.a_norm_squared(0, 10.0) > coherent.a_norm_squared(0, 1.0)
+
+    def test_agrees_with_a_50_digit_sum(self):
+        pytest.importorskip("mpmath")
+        import oracle
+
+        worst = 0.0
+        for a in np.geomspace(1e-3, 1.5e4, 30).tolist():
+            for j in range(3):
+                want = oracle.mean_occupation(j, a)
+                worst = max(worst, float(abs(coherent.a_norm_squared(j, a) - want) / want))
+        # the worst relative error measured is 1.53e-15, at j = 2, |alpha| = 1.5e4
+        assert worst < 1e-14, f"worst relative error {worst:.3e}"
 
     def test_nonfinite_label_rejected_in_bounded_time(self):
         # nan never met the series' stopping rule, so the calls run in a fresh
@@ -564,14 +577,6 @@ def loop_deformed(z, j, n_trunc):
         c = c * z**3 / math.sqrt((idx + 1.0) * (idx + 2.0) * (idx + 3.0))
         idx += 3
     return coeffs
-
-
-@pytest.fixture
-def initial_table(monkeypatch):
-    """A ladder-step table built as at import, so a test may grow it."""
-    monkeypatch.setattr(coherent, "_STEPS", ([], [], []))
-    monkeypatch.setattr(coherent, "_ROOTS", ([], [], []))
-    coherent._grow_steps(coherent._TABLE_ROWS)
 
 
 def assert_rows_are_the_walks_expressions():

@@ -274,6 +274,21 @@ class TestGaussianFactors:
             got = wavepacket.rho_gaussian(j, z, x, t)
             assert np.array_equal(got, gaussian_full_mesh(j, z, x, t))
 
+    @pytest.mark.parametrize("grid", [
+        wavepacket.DEFAULT_GRID,  # 1.5 MB of complex cells
+        GridSpec(-8.0, 8.0, 41, 0.0, 2 * math.pi, 25),  # 16 KB
+    ], ids=["default", "small"])
+    @pytest.mark.parametrize("j,z", [(0, 2.0), (1, 0.3), (2, 1.3 + 1.5j)])
+    def test_bits_on_both_sides_of_the_elision_size(self, grid, j, z):
+        # numpy computes weight * exp(...) in place once the temporary is
+        # 256 KiB or more, with other last bits than out of place, and the
+        # density CSVs pin those bits: the default grid takes the in-place
+        # loop, the small one the other
+        xs, ts = grid.x_values()[:, None], grid.t_values()[None, :]
+        got = wavepacket.rho_gaussian(j, z, xs, ts)
+        want = gaussian_full_mesh(j, z, xs, ts)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestTimeStructure:
     def test_time_translation_covariance(self):
