@@ -35,13 +35,15 @@ SPOT_CHECK_TOL = 1e-6
 PERIOD_TOL = 1e-10
 NON_PERIOD_FLOOR = 1e-3
 
-# The most memory, in bytes, that a piv or density grid may ask for. Its need
-# is its sample count times the peak memory measured per sample: about 130 B
-# per density cell with all three families (85.6 MB at 1601 x 241) and 1.1 KB
-# per piv x point (251.7 MB at 200 001 points). A larger grid exits 2 before
-# anything is allocated.
+# The most memory, in bytes, that a piv or density grid or an uncertainty
+# sweep (|alpha| steps by families) may ask for. Its need is its sample count
+# times the peak memory measured per sample: about 130 B per density cell with
+# all three families (85.6 MB at 1601 x 241), 1.1 KB per piv x point (251.7 MB
+# at 200 001 points) and 260 B per uncertainty row (peak RSS 103.2 MiB at
+# 100 001 steps, 176.9 MiB at 200 001, all three families). A larger one exits
+# 2 before anything is allocated.
 GRID_MEMORY_LIMIT = 2**30
-_BYTES_PER_SAMPLE = {"density": 130, "piv": 1100}
+_BYTES_PER_SAMPLE = {"density": 130, "piv": 1100, "uncertainty": 260}
 
 
 def _worst(values) -> float:
@@ -248,13 +250,13 @@ def _check_triangle(ns, inject):
                 tri = dataclasses.replace(tri, weights=(w0, w1 * (1 + 1e-6), w2))
             n = tri.default_truncation()
             errors.append(
-                np.max(np.abs(tri.reconstruction(n).coeffs - tri.target(n).coeffs))
+                np.max(np.abs(tri.reconstruction(n) - tri.target(n)))
             )
     partition = []
     for z in (1.0, 1.7, 3.0):
         n = max(coherent.triangle_decompose(z, j).default_truncation() for j in range(3))
         total = sum(
-            np.linalg.norm(coherent.deformed_cs_nonnorm(z, j, n).coeffs) ** 2
+            np.linalg.norm(coherent.deformed_cs_nonnorm(z, j, n)) ** 2
             for j in range(3)
         )
         partition.append(abs(total - math.exp(z**2)) / math.exp(z**2))
@@ -464,8 +466,8 @@ def cmd_decompose(ns) -> int:
     z = complex(ns.z_re, ns.z_im)
     tri = coherent.triangle_decompose(z, ns.j)
     n_trunc = tri.default_truncation() if ns.trunc is None else ns.trunc
-    rec = tri.reconstruction(n_trunc).coeffs
-    target = tri.target(n_trunc).coeffs
+    rec = tri.reconstruction(n_trunc)
+    target = tri.target(n_trunc)
     errors = np.abs(rec - target)
     worst = float(np.max(errors))
     # the coefficients grow like e^(|z|^2/2), so the error is gated relative to them
@@ -657,16 +659,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    shape = None
     if "xsteps" in ns:  # piv and density sample a grid
         t_axis = (ns.tmin, ns.tmax, ns.tsteps) if "tsteps" in ns else ()
         try:
             ns.grid = GridSpec(ns.xmin, ns.xmax, ns.xsteps, *t_axis)
         except ValueError as exc:
             parser.error(f"{ns.command}: {exc}")
-        need = ns.grid.x_steps * ns.grid.t_steps * _BYTES_PER_SAMPLE[ns.command]
+        shape = (ns.grid.x_steps, ns.grid.t_steps)
+    elif "asteps" in ns:  # uncertainty writes a row per |alpha| step and family
+        shape = (ns.asteps, 3 if ns.j is None else 1)
+    if shape is not None:
+        need = shape[0] * shape[1] * _BYTES_PER_SAMPLE[ns.command]
         if need > GRID_MEMORY_LIMIT:
             print(
-                f"{ns.command}: a {ns.grid.x_steps} x {ns.grid.t_steps} grid needs about"
+                f"{ns.command}: a {shape[0]} x {shape[1]} grid needs about"
                 f" {need:.3g} bytes, past the grid limit of {GRID_MEMORY_LIMIT} bytes;"
                 " no file written",
                 file=sys.stderr,

@@ -11,6 +11,9 @@ Besides construction, this module evaluates their statistics, the simple
 time evolution alpha(t) = alpha e^(-3it), the decomposition of each family
 into three standard coherent states sitting on an equilateral triangle of
 labels, and a moment-check harness for candidate completeness weights.
+Every state builder returns its coefficients over |0> .. |N-1> as a plain
+complex ndarray of length N; the dense matrices of ``fock`` are only the
+oracle the tests check these kernels against.
 
 All three families step along their ladder by the same ratio
 |alpha|^2 / ((n+1)(n+2)(n+3)), n = 3k + j, and the operators that
@@ -32,9 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
-from .fock import FockVector
-
 __all__ = [
     "TAIL_RELATIVE",
     "TruncationError",
@@ -43,6 +43,7 @@ __all__ = [
     "CSStatistics",
     "TriangleDecomposition",
     "MomentRow",
+    "cs_index",
     "adequate_truncation",
     "adequate_truncation_standard",
     "cs_coefficients",
@@ -106,6 +107,14 @@ def _grow(levels: int) -> None:
 
 
 _grow(3 * _TABLE_ROWS)
+
+
+def cs_index(j) -> int:
+    """Check a coherent-state family index, numbered 0..2, and return it as an int."""
+    value = int(j)
+    if value not in (0, 1, 2):
+        raise ValueError(f"family index must lie in {{0, 1, 2}}, got {j}")
+    return value
 
 
 def _norm(v: np.ndarray) -> float:
@@ -183,7 +192,7 @@ def adequate_truncation(j, abs_alpha: float) -> int:
     j = 1, 2) the step ``term * x`` overflows float64 before the bound is
     met, and ``LabelRangeError`` is raised instead.
     """
-    j = fock.cs_index(j)
+    j = cs_index(j)
     m = _tail_index("alpha", abs_alpha, 1.0 / math.factorial(j), _STEPS[j])
     if m is None:
         raise _past_table("tail-rule walk", j)
@@ -229,7 +238,7 @@ class CoherentSpec:
     truncation: int | None = None
 
     def __post_init__(self):
-        j = fock.cs_index(self.j)
+        j = cs_index(self.j)
         alpha = complex(self.alpha)
         if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
             raise ValueError("alpha must be finite")
@@ -279,7 +288,7 @@ def cs_coefficients(j, alpha: complex, n_trunc: int) -> np.ndarray:
     No adequacy check: normalization is taken over the truncated basis, so
     undersized truncations give a legitimate (but poor) trial state.
     """
-    j = fock.cs_index(j)
+    j = cs_index(j)
     n_trunc = int(n_trunc)
     if n_trunc < j + 1:
         raise ValueError(f"truncation {n_trunc} cannot hold the extremal state |{j}>")
@@ -308,14 +317,14 @@ def _ladder_rungs(first, ratio, roots, start: int, stride: int, n_trunc: int) ->
     return coeffs
 
 
-def build_cs(spec: CoherentSpec) -> FockVector:
+def build_cs(spec: CoherentSpec) -> np.ndarray:
     """Normalized coherent state; rejects truncations below the tail rule.
 
-    Reads the spec's cached ``required`` and ``coeffs``; the returned
-    vector holds its own writable copy of the coefficients.
+    Reads the spec's cached ``required`` and ``coeffs`` and returns a
+    writable copy of the coefficients.
     """
     _sized(spec.required, spec.truncation)
-    return FockVector(spec.coeffs, ladder=spec.j)
+    return spec.coeffs.copy()
 
 
 def eigen_residual(spec: CoherentSpec) -> float:
@@ -367,7 +376,7 @@ def a_norm_squared(j, abs_alpha: float) -> float:
     |alpha| = 1.34e154, where |alpha|^2 overflows, ``LabelRangeError``
     is raised.
     """
-    j = fock.cs_index(j)
+    j = cs_index(j)
     modulus = float(abs_alpha)
     if not math.isfinite(modulus):
         raise ValueError(f"|alpha| must be finite, got {modulus!r}")
@@ -420,27 +429,26 @@ def evolve(spec: CoherentSpec, t: float) -> tuple[complex, CoherentSpec]:
     return phase, CoherentSpec(spec.j, rotated, spec.truncation)
 
 
-def standard_cs_nonnorm(z: complex, n_trunc: int | None = None) -> FockVector:
+def standard_cs_nonnorm(z: complex, n_trunc: int | None = None) -> np.ndarray:
     """Non-normalized standard coherent state with coefficients z^n / sqrt(n!)."""
     z = complex(z)
     n_trunc = int(_sized(adequate_truncation_standard(abs(z)), n_trunc))
     roots = map(math.sqrt, itertools.count(1.0))
-    return FockVector(_ladder_rungs(1.0, z, roots, 0, 1, n_trunc))
+    return _ladder_rungs(1.0, z, roots, 0, 1, n_trunc)
 
 
-def deformed_cs_nonnorm(z: complex, j, n_trunc: int | None = None) -> FockVector:
+def deformed_cs_nonnorm(z: complex, j, n_trunc: int | None = None) -> np.ndarray:
     """Non-normalized family-j state with coefficients z^(3k+j) / sqrt((3k+j)!).
 
     This is the mod-3 slice of the standard coherent state |z>; its
     eigenvalue under a_g is alpha = z^3.
     """
     z = complex(z)
-    j = fock.cs_index(j)
+    j = cs_index(j)
     n_trunc = int(_sized(adequate_truncation(j, abs(z) ** 3), n_trunc))
     _grow(n_trunc)
     first = z**j / math.sqrt(math.factorial(j))
-    coeffs = _ladder_rungs(first, z**3, _ROOTS[j], j, 3, n_trunc)
-    return FockVector(coeffs, ladder=j)
+    return _ladder_rungs(first, z**3, _ROOTS[j], j, 3, n_trunc)
 
 
 @dataclass(frozen=True)
@@ -465,14 +473,14 @@ class TriangleDecomposition:
             adequate_truncation(self.j, abs(self.z) ** 3),
         )
 
-    def reconstruction(self, n_trunc: int) -> FockVector:
+    def reconstruction(self, n_trunc: int) -> np.ndarray:
         """Weighted sum of the three standard coherent states."""
         total = np.zeros(int(n_trunc), dtype=complex)
         for weight, label in zip(self.weights, self.labels):
-            total += weight * standard_cs_nonnorm(label, n_trunc).coeffs
-        return FockVector(total)
+            total += weight * standard_cs_nonnorm(label, n_trunc)
+        return total
 
-    def target(self, n_trunc: int) -> FockVector:
+    def target(self, n_trunc: int) -> np.ndarray:
         """The non-normalized |z>_j the reconstruction must reproduce."""
         return deformed_cs_nonnorm(self.z, self.j, n_trunc)
 
@@ -480,7 +488,7 @@ class TriangleDecomposition:
 def triangle_decompose(z: complex, j) -> TriangleDecomposition:
     """Decompose |z>_j over the standard coherent states on the triangle."""
     z = complex(z)
-    j = fock.cs_index(j)
+    j = cs_index(j)
     weights = tuple(_OMEGA ** (-k * j) / 3.0 for k in range(3))
     labels = tuple(z * _OMEGA**k for k in range(3))
     return TriangleDecomposition(z=z, j=j, weights=weights, labels=labels)
@@ -505,10 +513,12 @@ def moment_check(j, weight_samples, n_max: int) -> list[MomentRow]:
     The weight itself is supplied by the caller; this is verification
     machinery, not a construction.
     """
-    j = fock.cs_index(j)
+    j = cs_index(j)
     samples = np.asarray(weight_samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 2:
         raise ValueError("weight samples must be at least two (x, f) pairs")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("sample positions and weight values must be finite")
     x, f = samples[:, 0], samples[:, 1]
     if np.any(x < 0):
         raise ValueError("sample positions must be nonnegative")

@@ -11,10 +11,12 @@ Each residue class n = 3k + j of the number basis carries one infinite
 ladder of eigenstates with spacing 3. Units: hbar = m = omega = 1, with
 x = (a + a+)/sqrt(2) and p = i(a+ - a)/sqrt(2).
 
-The dense N x N matrices are the oracle: the ``fock-algebra`` check of
-``triladder verify`` and the statistics and eigen-residual tests compare
-against them, while the coherent-state code applies the same operators
-as shifts and diagonals.
+This module is the dense oracle and nothing else: the N x N matrices and
+``ladder_state``, the number states they generate. The ``fock-algebra``
+check of ``triladder verify`` and the statistics and eigen-residual tests
+compare against them, while the coherent-state code applies the same
+operators as shifts and diagonals and never imports this module. States
+are plain complex ndarrays of length N, here as in ``coherent``.
 """
 
 import math
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FockVector",
     "FockOperator",
     "build_annihilation",
     "build_hamiltonian",
@@ -33,39 +34,6 @@ __all__ = [
     "number_analogue",
     "ladder_state",
 ]
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Complex coefficient vector over the number basis |0> ... |N-1>.
-
-    ``ladder`` optionally pins the support to one residue class mod 3;
-    construction fails if any coefficient outside that class is nonzero.
-    """
-
-    coeffs: np.ndarray
-    ladder: int | None = None
-
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=complex)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coeffs must be a nonempty 1-D sequence")
-        object.__setattr__(self, "coeffs", arr)
-        if self.ladder is not None:
-            if self.ladder not in (0, 1, 2):
-                raise ValueError("ladder flag must be 0, 1 or 2")
-            off = np.arange(arr.size) % 3 != self.ladder
-            if np.any(arr[off] != 0):
-                raise ValueError(
-                    f"vector has support outside the n = 3k+{self.ladder} ladder"
-                )
-
-    @property
-    def truncation(self) -> int:
-        return self.coeffs.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -79,14 +47,6 @@ class FockOperator:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError("operator matrix must be square and nonempty")
         object.__setattr__(self, "matrix", arr)
-
-
-def cs_index(j) -> int:
-    """Check a coherent-state family index, numbered 0..2, and return it as an int."""
-    value = int(j)
-    if value not in (0, 1, 2):
-        raise ValueError(f"family index must lie in {{0, 1, 2}}, got {j}")
-    return value
 
 
 def _check_truncation(n_trunc: int, minimum: int = 1) -> int:
@@ -149,13 +109,14 @@ def number_analogue(n_trunc: int, shift: float = 0.0) -> FockOperator:
     return FockOperator(np.diag(diag).astype(complex))
 
 
-def ladder_state(j_ext, n: int, n_trunc: int) -> FockVector:
+def ladder_state(j_ext, n: int, n_trunc: int) -> np.ndarray:
     """n-th rung of extremal ladder j in {1, 2, 3}.
 
     Applies the cubed creation operator n times to the extremal state
     |j-1> and normalizes, which reproduces the number state |3n + j - 1>
-    with energy 3n + j - 1/2. The norm is restored after every
-    application so deep rungs cannot overflow.
+    with energy 3n + j - 1/2, as a complex array of length ``n_trunc``.
+    The norm is restored after every application so deep rungs cannot
+    overflow.
     """
     j = int(j_ext)
     if j not in (1, 2, 3):
@@ -176,4 +137,4 @@ def ladder_state(j_ext, n: int, n_trunc: int) -> FockVector:
         for _ in range(n):
             vec = raising @ vec
             vec /= np.linalg.norm(vec)
-    return FockVector(vec, ladder=j - 1)
+    return vec

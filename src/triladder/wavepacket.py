@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coherent, fock
+from . import coherent
 from .grid import GridSpec
 
 __all__ = [
@@ -93,7 +93,7 @@ def rho_fock(j, z: complex, x, t, n_trunc: int | None = None) -> np.ndarray:
     K * nt phases in memory; M flat points hold N * M and K * M.
     """
     spec = coherent.CoherentSpec(j, complex(z) ** 3, n_trunc)
-    coeffs = coherent.build_cs(spec).coeffs[spec.j :: 3]
+    coeffs = coherent.build_cs(spec)[spec.j :: 3]
     x = np.asarray(x, dtype=float)
     rows = hermite_basis(spec.truncation, x)[spec.j :: 3].reshape(-1, *x.shape)
     step = np.exp(-3j * np.asarray(t, dtype=float))
@@ -124,7 +124,7 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
     if z == 0:
         # Degenerate triangle: the normalized family-j state is the number
         # state |j>, stationary in time.
-        jj = fock.cs_index(j)
+        jj = coherent.cs_index(j)
         rho = hermite_basis(jj + 1, x)[jj].reshape(x.shape) ** 2
         return float(rho) if shape == () else np.broadcast_to(rho, shape).copy()
     tri = coherent.triangle_decompose(z, j)

@@ -1,5 +1,9 @@
 import importlib
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +29,20 @@ def test_package_defines_only_its_version():
     ]
     assert defined == []
     assert isinstance(triladder.__version__, str)
+
+
+def test_state_modules_leave_the_dense_oracle_unimported():
+    # fock holds the dense matrices the tests check against; the state
+    # builders and densities must not need it
+    script = (
+        "import sys, triladder.wavepacket, triladder.coherent;"
+        " print(*(name for name in sys.modules if name.startswith('triladder')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(triladder.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "triladder.coherent" in loaded and "triladder.wavepacket" in loaded
+    assert "triladder.fock" not in loaded

@@ -355,11 +355,11 @@ class TestDecompose:
                     "--out", str(out)]) == 0
         rows = read_rows(out)
         tri = coherent.triangle_decompose(1.3 + 0.8j, 2)
-        target = tri.target(len(rows)).coeffs
+        target = tri.target(len(rows))
         assert len(rows) == tri.default_truncation()
         assert [float(r["target_re"]) for r in rows] == target.real.tolist()
         assert [float(r["target_im"]) for r in rows] == target.imag.tolist()
-        rec = tri.reconstruction(len(rows)).coeffs
+        rec = tri.reconstruction(len(rows))
         assert [float(r["reconstructed_re"]) for r in rows] == rec.real.tolist()
         assert [float(r["abs_error"]) for r in rows] == np.abs(rec - target).tolist()
 
@@ -367,8 +367,7 @@ class TestDecompose:
         # a relative error of 1e-9 on every coefficient, far above TRIANGLE_TOL
         reconstruction = coherent.TriangleDecomposition.reconstruction
         monkeypatch.setattr(coherent.TriangleDecomposition, "reconstruction",
-                            lambda tri, n: coherent.FockVector(
-                                reconstruction(tri, n).coeffs * (1 + 1e-9)))
+                            lambda tri, n: reconstruction(tri, n) * (1 + 1e-9))
         out = tmp_path / "dec.csv"
         assert run(["decompose", "--j", "1", "--z-re", "5", "--out", str(out)]) == 1
         assert list(tmp_path.iterdir()) == []
@@ -440,6 +439,10 @@ class TestMoments:
         ("0.0 1.0\n1.0 1.0\n1.0 0.5\n", "strictly increasing"),
         ("0.0 1.0\n", "at least two"),
         ("0.0 1.0\n1.0 -0.5\n", "weight values"),
+        ("0.0 1.0\nnan 1.0\n2.0 0.5\n", "must be finite"),
+        ("0.0 1.0\n1.0 1.0\ninf 0.5\n", "must be finite"),
+        ("0.0 1.0\n1.0 nan\n2.0 0.5\n", "must be finite"),
+        ("0.0 1.0\n1.0 inf\n2.0 0.5\n", "must be finite"),
     ])
     def test_rejected_samples_are_invalid_input(self, tmp_path, capsys, text, message):
         samples = tmp_path / "w.txt"
@@ -643,12 +646,14 @@ class TestParser:
          "density: a 100000000 x 100000 grid needs about 1.3e+15 bytes,"),
         (["piv", "--xsteps", "1000000000"],
          "piv: a 1000000000 x 1 grid needs about 1.1e+12 bytes,"),
-    ], ids=["density", "piv"])
+        (["uncertainty", "--asteps", "100000000"],
+         "uncertainty: a 100000000 x 3 grid needs about 7.8e+10 bytes,"),
+    ], ids=["density", "piv", "uncertainty"])
     def test_oversized_grid_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                        argv, err):
         # the commands are stubbed out, so a missing guard fails here instead
         # of allocating the grid
-        for name in ("cmd_density", "cmd_piv"):
+        for name in ("cmd_density", "cmd_piv", "cmd_uncertainty"):
             monkeypatch.setattr(cli, name, lambda ns: pytest.fail("the command ran"))
         start = time.perf_counter()
         assert run([*argv, "--out", str(tmp_path / "out.csv")]) == 2
@@ -665,6 +670,14 @@ class TestParser:
         single = ["--tsteps", "1"] if command == "density" else []
         assert run([command, "--xsteps", str(steps), *single]) == 0
         assert run([command, "--xsteps", str(steps + 1), *single]) == 2
+
+    @pytest.mark.parametrize("family,rows_per_step", [([], 3), (["--j", "1"], 1)])
+    def test_longest_sweep_within_the_limit_runs(self, monkeypatch, family, rows_per_step):
+        monkeypatch.setattr(cli, "cmd_uncertainty", lambda ns: 0)
+        per_step = cli._BYTES_PER_SAMPLE["uncertainty"] * rows_per_step
+        steps = cli.GRID_MEMORY_LIMIT // per_step
+        assert run(["uncertainty", "--asteps", str(steps), *family]) == 0
+        assert run(["uncertainty", "--asteps", str(steps + 1), *family]) == 2
 
     def test_density_defaults_are_the_default_grid(self):
         ns = cli.build_parser().parse_args(["density"])

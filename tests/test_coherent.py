@@ -164,20 +164,20 @@ class TestTruncationRule:
 class TestBuildCS:
     def test_alpha_zero_gives_extremal_states(self):
         v0 = coherent.build_cs(coherent.CoherentSpec(0, 0.0))
-        assert v0.coeffs.tolist() == [1.0 + 0.0j]
+        assert v0.tolist() == [1.0 + 0.0j]
         v2 = coherent.build_cs(coherent.CoherentSpec(2, 0.0))
-        np.testing.assert_allclose(v2.coeffs, [0, 0, 1.0])
+        np.testing.assert_allclose(v2, [0, 0, 1.0])
 
     def test_coefficient_ratio(self):
         v = coherent.build_cs(coherent.CoherentSpec(0, 1.0))
-        assert v.coeffs[3] / v.coeffs[0] == pytest.approx(1 / math.sqrt(6), abs=1e-15)
+        assert v[3] / v[0] == pytest.approx(1 / math.sqrt(6), abs=1e-15)
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_unit_norm_and_support(self, j):
         v = coherent.build_cs(coherent.CoherentSpec(j, 2.5 - 1.5j))
-        assert abs(v.norm() - 1.0) < 1e-12
-        off = np.arange(v.truncation) % 3 != j
-        assert np.all(v.coeffs[off] == 0)
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        off = np.arange(v.size) % 3 != j
+        assert np.all(v[off] == 0)
 
     def test_truncation_error_carries_required_size(self):
         spec = coherent.CoherentSpec(0, 4.0, truncation=5)
@@ -189,7 +189,7 @@ class TestBuildCS:
     def test_explicit_adequate_truncation_accepted(self):
         needed = coherent.adequate_truncation(1, 2.0)
         v = coherent.build_cs(coherent.CoherentSpec(1, 2.0, truncation=needed + 6))
-        assert v.truncation == needed + 6
+        assert v.size == needed + 6
 
 
 class TestEigenResidual:
@@ -208,7 +208,7 @@ class TestEigenResidual:
             res = coherent.eigen_residual(spec)
             assert res < 1e-10
             # the residual is dominated by the top kept coefficient
-            top = abs(coherent.build_cs(spec).coeffs[-1])
+            top = abs(coherent.build_cs(spec)[-1])
             assert res <= 10 * abs(alpha) * top + 1e-14
 
     def test_undersized_truncation_flagged(self):
@@ -229,7 +229,7 @@ def dense_statistics(spec):
     """Every statistics field as a quadratic form of the dense x, p and H."""
     n_op = spec.truncation + 3
     vec = np.zeros(n_op, dtype=complex)
-    vec[: spec.truncation] = coherent.build_cs(spec).coeffs
+    vec[: spec.truncation] = coherent.build_cs(spec)
     x = fock.build_position(n_op).matrix @ vec
     p = fock.build_momentum(n_op).matrix @ vec
     mean_x, mean_p = np.vdot(vec, x).real, np.vdot(vec, p).real
@@ -337,7 +337,7 @@ class TestStateBuiltOnce:
                         build(spec)
                     assert (info.value.required, info.value.given) == (adequate, size)
                 continue
-            assert np.array_equal(coherent.build_cs(spec).coeffs, want)
+            assert np.array_equal(coherent.build_cs(spec), want)
             assert coherent.statistics(spec) == appended_statistics(want)
 
     @pytest.mark.parametrize("explicit", [False, True])
@@ -361,13 +361,13 @@ class TestStateBuiltOnce:
         spec = coherent.CoherentSpec(2, 3.0 + 1.0j)
         with pytest.raises(ValueError):
             spec.coeffs[2] = 0.0
-        vec = coherent.build_cs(spec).coeffs
+        vec = coherent.build_cs(spec)
         assert vec.flags.writeable
         assert not np.shares_memory(vec, spec.coeffs)
         vec[:] = 0.0
         want = loop_coefficients(2, 3.0 + 1.0j, spec.truncation)
         assert np.array_equal(spec.coeffs, want)
-        assert np.array_equal(coherent.build_cs(spec).coeffs, want)
+        assert np.array_equal(coherent.build_cs(spec), want)
 
 
 @pytest.fixture
@@ -473,7 +473,7 @@ class TestMeanOccupationSeries:
     @pytest.mark.parametrize("abs_alpha", [0.3, 1.0, 2.7, 5.0])
     def test_matches_quadratic_form(self, j, abs_alpha):
         spec = coherent.CoherentSpec(j, abs_alpha)
-        v = coherent.build_cs(spec).coeffs
+        v = coherent.build_cs(spec)
         n_op = spec.truncation + 3
         vec = np.zeros(n_op, dtype=complex)
         vec[: v.size] = v
@@ -658,7 +658,7 @@ class TestLadderStepTable:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), size
         required = loop_truncation(j, abs(z) ** 3)
         for size in (required, edge - 1, edge, edge + 1, 3 * edge):
-            got = coherent.deformed_cs_nonnorm(z, j, size).coeffs
+            got = coherent.deformed_cs_nonnorm(z, j, size)
             want = loop_deformed(z, j, size)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), size
         # the explicit truncations grew the same lists in place
@@ -717,7 +717,7 @@ class TestSizeCheck:
              lambda n: coherent.deformed_cs_nonnorm(z, j, n)),
         ]
         for required, build in builders:
-            assert build(None).truncation == build(required).truncation == required
+            assert build(None).size == build(required).size == required
             with pytest.raises(coherent.TruncationError) as info:
                 build(required - 1)
             assert (info.value.required, info.value.given) == (required, required - 1)
@@ -750,7 +750,7 @@ class TestStatistics:
     def test_squared_lowering_mean_vanishes(self, j):
         # <a^2> couples residues two apart, so it is exactly zero on a ladder
         spec = coherent.CoherentSpec(j, 1.7 - 0.4j)
-        v = coherent.build_cs(spec).coeffs
+        v = coherent.build_cs(spec)
         n_op = spec.truncation + 3
         vec = np.zeros(n_op, dtype=complex)
         vec[: v.size] = v
@@ -783,9 +783,9 @@ class TestEvolution:
             alpha = rng.uniform(0, 4) * np.exp(2j * np.pi * rng.uniform())
             t = rng.uniform(0, 4 * np.pi)
             spec = coherent.CoherentSpec(j, alpha)
-            before = coherent.build_cs(spec).coeffs
+            before = coherent.build_cs(spec)
             phase, evolved = coherent.evolve(spec, t)
-            after = coherent.build_cs(evolved).coeffs
+            after = coherent.build_cs(evolved)
             n = np.arange(spec.truncation)
             direct = before * np.exp(-1j * (n + 0.5) * t)
             assert np.max(np.abs(direct - phase * after)) < 1e-12
@@ -810,21 +810,21 @@ class TestStandardCS:
     def test_bit_identical_to_loop_oracle(self, z):
         required = coherent.adequate_truncation_standard(abs(z))
         for size in (required, required + 1, 2 * required + 7):
-            got = coherent.standard_cs_nonnorm(z, size).coeffs
+            got = coherent.standard_cs_nonnorm(z, size)
             # the bytes also tell -0.0 from 0.0
             assert got.tobytes() == loop_standard(z, size).tobytes(), size
 
     def test_vacuum(self):
         v = coherent.standard_cs_nonnorm(0.0)
-        assert v.coeffs.tolist() == [1.0 + 0.0j]
+        assert v.tolist() == [1.0 + 0.0j]
 
     def test_coefficient_value(self):
         v = coherent.standard_cs_nonnorm(1.0)
-        assert v.coeffs[2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert v[2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     def test_norm_squared_is_exponential(self):
         v = coherent.standard_cs_nonnorm(2.0)
-        assert v.norm() ** 2 == pytest.approx(math.exp(4.0), rel=1e-10)
+        assert np.linalg.norm(v) ** 2 == pytest.approx(math.exp(4.0), rel=1e-10)
 
     def test_truncation_error(self):
         with pytest.raises(coherent.TruncationError):
@@ -839,8 +839,8 @@ class TestDeformedNonnorm:
             coherent.adequate_truncation_standard(abs(z)),
             coherent.adequate_truncation(j, abs(z) ** 3),
         )
-        full = coherent.standard_cs_nonnorm(z, n).coeffs
-        part = coherent.deformed_cs_nonnorm(z, j, n).coeffs
+        full = coherent.standard_cs_nonnorm(z, n)
+        part = coherent.deformed_cs_nonnorm(z, j, n)
         mask = np.arange(n) % 3 == j
         np.testing.assert_allclose(part[mask], full[mask], atol=1e-14)
         assert np.all(part[~mask] == 0)
@@ -852,7 +852,7 @@ class TestDeformedNonnorm:
                 + [coherent.adequate_truncation(j, z**3) for j in range(3)]
             )
             total = sum(
-                np.linalg.norm(coherent.deformed_cs_nonnorm(z, j, n).coeffs) ** 2
+                np.linalg.norm(coherent.deformed_cs_nonnorm(z, j, n)) ** 2
                 for j in range(3)
             )
             assert total == pytest.approx(math.exp(z * z), rel=1e-10)
@@ -885,12 +885,12 @@ class TestTriangleDecomposition:
     def test_reconstruction_oracle_small_truncation(self):
         # direct coefficient comparison at n = 30, the filter keeps n = 3k
         tri = coherent.triangle_decompose(1.0, 0)
-        err = np.max(np.abs(tri.reconstruction(30).coeffs - tri.target(30).coeffs))
+        err = np.max(np.abs(tri.reconstruction(30) - tri.target(30)))
         assert err < 1e-12
 
     def test_filter_property(self):
         tri = coherent.triangle_decompose(1.0, 1)
-        rec = tri.reconstruction(30).coeffs
+        rec = tri.reconstruction(30)
         off = np.arange(30) % 3 != 1
         assert np.max(np.abs(rec[off])) < 1e-12
 
@@ -899,12 +899,12 @@ class TestTriangleDecomposition:
     def test_reconstruction_matches_target(self, j, z):
         tri = coherent.triangle_decompose(z, j)
         n = tri.default_truncation()
-        err = np.max(np.abs(tri.reconstruction(n).coeffs - tri.target(n).coeffs))
+        err = np.max(np.abs(tri.reconstruction(n) - tri.target(n)))
         assert err < 1e-12
 
     def test_degenerate_label(self):
         tri = coherent.triangle_decompose(0.0, 0)
-        rec = tri.reconstruction(4).coeffs
+        rec = tri.reconstruction(4)
         np.testing.assert_allclose(rec, [1, 0, 0, 0], atol=1e-15)
 
     def test_cross_family_orthogonality_exact(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from triladder import fock
+from triladder import coherent, fock
 
 
 def basis(n, dim):
@@ -150,26 +150,26 @@ class TestNumberAnalogue:
 class TestLadderState:
     def test_extremal_rungs(self):
         v = fock.ladder_state(1, 0, 5)
-        np.testing.assert_allclose(v.coeffs, basis(0, 5), atol=0.0)
+        np.testing.assert_allclose(v, basis(0, 5), atol=0.0)
         v = fock.ladder_state(3, 0, 5)
-        np.testing.assert_allclose(v.coeffs, basis(2, 5), atol=0.0)
+        np.testing.assert_allclose(v, basis(2, 5), atol=0.0)
 
     def test_second_ladder_first_rung(self):
         v = fock.ladder_state(2, 1, 8)
-        np.testing.assert_allclose(v.coeffs, basis(4, 8), atol=1e-13)
+        np.testing.assert_allclose(v, basis(4, 8), atol=1e-13)
         h = fock.build_hamiltonian(8).matrix
-        np.testing.assert_allclose(h @ v.coeffs, 4.5 * v.coeffs, atol=1e-13)
+        np.testing.assert_allclose(h @ v, 4.5 * v, atol=1e-13)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_unit_basis_vector_and_energy(self, j, n):
         dim = 16
         v = fock.ladder_state(j, n, dim)
-        assert v.norm() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(v.coeffs, basis(3 * n + j - 1, dim), atol=1e-12)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(v, basis(3 * n + j - 1, dim), atol=1e-12)
         h = fock.build_hamiltonian(dim).matrix
         energy = 3 * n + j - 0.5
-        np.testing.assert_allclose(h @ v.coeffs, energy * v.coeffs, atol=1e-11)
+        np.testing.assert_allclose(h @ v, energy * v, atol=1e-11)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -182,12 +182,12 @@ class TestLadderState:
             vec = raising @ vec
         vec = vec / np.linalg.norm(vec)
         np.testing.assert_allclose(
-            fock.ladder_state(j, n, dim).coeffs, vec, atol=1e-12
+            fock.ladder_state(j, n, dim), vec, atol=1e-12
         )
 
     def test_deep_rung_no_overflow(self):
         v = fock.ladder_state(1, 99, 300)
-        np.testing.assert_allclose(v.coeffs, basis(297, 300), atol=1e-12)
+        np.testing.assert_allclose(v, basis(297, 300), atol=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -204,7 +204,7 @@ def ladder_energies(n_trunc):
     h = fock.build_hamiltonian(n_trunc).matrix
     ladders = []
     for j in (1, 2, 3):
-        rungs = [fock.ladder_state(j, n, n_trunc).coeffs for n in range((n_trunc - j) // 3 + 1)]
+        rungs = [fock.ladder_state(j, n, n_trunc) for n in range((n_trunc - j) // 3 + 1)]
         ladders.append([float(np.vdot(v, h @ v).real) for v in rungs])
     return ladders
 
@@ -241,30 +241,21 @@ class TestLadderIndex:
         # extremal ladder j_ext in 1..3 is coherent-state family j_ext - 1
         for j_cs in (0, 1, 2):
             v = fock.ladder_state(j_cs + 1, 2, 12)
-            assert v.ladder == fock.cs_index(j_cs)
-            np.testing.assert_allclose(v.coeffs, basis(6 + j_cs, 12), atol=1e-12)
+            off = np.arange(v.size) % 3 != coherent.cs_index(j_cs)
+            assert np.all(v[off] == 0)
+            np.testing.assert_allclose(v, basis(6 + j_cs, 12), atol=1e-12)
 
     def test_range_validation(self):
         for bad in (-1, 3):
             with pytest.raises(ValueError):
-                fock.cs_index(bad)
+                coherent.cs_index(bad)
 
     def test_coercion_helpers(self):
-        value = fock.cs_index(np.int64(2))
+        value = coherent.cs_index(np.int64(2))
         assert value == 2 and type(value) is int
 
 
 class TestVectorAndOperatorTypes:
-    def test_vector_length_and_norm(self):
-        v = fock.FockVector(np.array([3.0, 4.0j]))
-        assert v.truncation == 2
-        assert v.norm() == pytest.approx(5.0)
-
-    def test_ladder_flag_validation(self):
-        fock.FockVector(np.array([0.0, 1.0, 0.0, 0.0]), ladder=1)
-        with pytest.raises(ValueError):
-            fock.FockVector(np.array([1.0, 1.0, 0.0]), ladder=0)
-
     def test_operator_validation(self):
         with pytest.raises(ValueError):
             fock.FockOperator(np.zeros((2, 3)))

@@ -170,7 +170,7 @@ class TestLadderKernel:
         basis = wavepacket.hermite_basis(spec.truncation, x)
         for t in (0.0, 0.7, 5.3):
             evolved = coherent.evolve(spec, t)[1]
-            want = np.abs(coherent.build_cs(evolved).coeffs @ basis) ** 2
+            want = np.abs(coherent.build_cs(evolved) @ basis) ** 2
             got = wavepacket.rho_fock(j, z, x, t)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -189,7 +189,7 @@ class TestLadderKernel:
 def fock_per_rung(j, z, x, t):
     """One rank-one update of psi per rung, kept as the oracle."""
     spec = coherent.CoherentSpec(j, complex(z) ** 3)
-    coeffs = coherent.build_cs(spec).coeffs[spec.j :: 3]
+    coeffs = coherent.build_cs(spec)[spec.j :: 3]
     x = np.asarray(x, dtype=float)
     rows = wavepacket.hermite_basis(spec.truncation, x)[spec.j :: 3]
     step = np.exp(-3j * np.asarray(t, dtype=float))
