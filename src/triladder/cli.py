@@ -35,15 +35,16 @@ SPOT_CHECK_TOL = 1e-6
 PERIOD_TOL = 1e-10
 NON_PERIOD_FLOOR = 1e-3
 
-# The most memory, in bytes, that a piv or density grid or an uncertainty
-# sweep (|alpha| steps by families) may ask for. Its need is its sample count
-# times the peak memory measured per sample: about 130 B per density cell with
-# all three families (85.6 MB at 1601 x 241), 1.1 KB per piv x point (251.7 MB
-# at 200 001 points) and 260 B per uncertainty row (peak RSS 103.2 MiB at
-# 100 001 steps, 176.9 MiB at 200 001, all three families). A larger one exits
-# 2 before anything is allocated.
+# The most memory, in bytes, that a piv or density grid, an uncertainty sweep
+# (|alpha| steps by families) or a verify or decompose --trunc may ask for:
+# its sample count times the peak RSS measured per sample. That is about 130 B
+# per density cell with all three families (85.6 MB at 1601 x 241), 1.1 KB per
+# piv x point (251.7 MB at 200 001 points), 260 B per uncertainty row (103.2
+# MiB at 100 001 steps, 176.9 MiB at 200 001), 193 B per verify level (123.9
+# MiB at 5e5, 582.3 MiB at 3e6) and 360 B per decompose level (195.3 MiB at
+# 5e5, 699.7 MiB at 2e6). A larger one exits 2 before anything is allocated.
 GRID_MEMORY_LIMIT = 2**30
-_BYTES_PER_SAMPLE = {"density": 130, "piv": 1100, "uncertainty": 260}
+_BYTES_PER_SAMPLE = dict(density=130, piv=1100, uncertainty=260, verify=193, decompose=360)
 
 
 def _worst(values) -> float:
@@ -415,13 +416,6 @@ def cmd_density(ns) -> int:
     grid = ns.grid
     sweep = ns.j is None
     families = [0, 1, 2] if sweep else [ns.j]
-    if ns.trunc is not None and ns.trunc < families[-1] + 1:
-        print(
-            f"density: truncation {ns.trunc} cannot hold the extremal state"
-            f" |{families[-1]}>; it must be at least {families[-1] + 1}",
-            file=sys.stderr,
-        )
-        return 2
     base = Path(ns.out)
     xs, ts = grid.x_values(), grid.t_values()
     # Rows run t-major: every x for the first t, then the next t.
@@ -431,8 +425,8 @@ def cmd_density(ns) -> int:
         rng = np.random.default_rng(42)
         ix = rng.integers(0, xs.size, 100)
         it = rng.integers(0, ts.size, 100)
-        # the Fock spots come first, so a rejected label or size costs no grid work
-        spots = wavepacket.rho_fock(j, z, xs[ix], ts[it], ns.trunc)
+        # the Fock spots come first, so a rejected label costs no grid work
+        spots = wavepacket.rho_fock(j, z, xs[ix], ts[it])
         field = wavepacket.density_gaussian(j, z, grid)
         if ns.inject_spotcheck:
             spots = spots + 1e-5
@@ -646,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
                 j=None, z_re=2.0, z_im=0.0,
                 xmin=grid.x_min, xmax=grid.x_max, xsteps=grid.x_steps,
                 tmin=grid.t_min, tmax=grid.t_max, tsteps=grid.t_steps,
-                trunc=None, out="density.csv")
+                out="density.csv")
     p.add_argument("--inject-spotcheck", action="store_true", help=argparse.SUPPRESS)
     command("decompose", cmd_decompose, "triangle reconstruction error table",
             j=0, z_re=2.0, z_im=0.0, trunc=None, out="decompose.csv")
@@ -659,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    shape = None
+    shape = ()  # the samples the command would allocate, per axis
     if "xsteps" in ns:  # piv and density sample a grid
         t_axis = (ns.tmin, ns.tmax, ns.tsteps) if "tsteps" in ns else ()
         try:
@@ -669,16 +663,18 @@ def main(argv=None) -> int:
         shape = (ns.grid.x_steps, ns.grid.t_steps)
     elif "asteps" in ns:  # uncertainty writes a row per |alpha| step and family
         shape = (ns.asteps, 3 if ns.j is None else 1)
-    if shape is not None:
-        need = shape[0] * shape[1] * _BYTES_PER_SAMPLE[ns.command]
-        if need > GRID_MEMORY_LIMIT:
-            print(
-                f"{ns.command}: a {shape[0]} x {shape[1]} grid needs about"
-                f" {need:.3g} bytes, past the grid limit of {GRID_MEMORY_LIMIT} bytes;"
-                " no file written",
-                file=sys.stderr,
-            )
-            return 2
+    elif getattr(ns, "trunc", None):  # verify and decompose hold --trunc levels
+        shape = (ns.trunc,)
+    need = math.prod(shape) * _BYTES_PER_SAMPLE.get(ns.command, 0)
+    if need > GRID_MEMORY_LIMIT:
+        what = (f"a {shape[0]} x {shape[1]} grid" if shape[1:]
+                else f"a truncation of {shape[0]} levels")
+        print(
+            f"{ns.command}: {what} needs about {need:.3g} bytes,"
+            f" past the grid limit of {GRID_MEMORY_LIMIT} bytes; no file written",
+            file=sys.stderr,
+        )
+        return 2
     try:
         return ns.func(ns)
     except (coherent.TruncationError, coherent.LabelRangeError) as exc:

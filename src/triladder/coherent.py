@@ -526,8 +526,9 @@ def moment_check(j, weight_samples, n_max: int) -> list[MomentRow]:
         raise ValueError("sample positions must be strictly increasing")
     if np.any(f < 0):
         raise ValueError("weight values must be nonnegative")
-    if int(n_max) < 1:
-        raise ValueError("n_max must be at least 1")
+    if not 1 <= int(n_max) <= 57:  # the error divides by the target as a float64
+        raise ValueError("n_max must lie in 1 .. 57: from n = 58 a target (3(n-1)+j)!"
+                         f" passes 170! and overflows float64; got {n_max}")
     rows = []
     for n in range(1, int(n_max) + 1):
         computed = float(np.trapezoid(x ** (n - 1) * f, x))

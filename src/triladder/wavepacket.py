@@ -81,18 +81,19 @@ def hermite_basis(n_levels: int, x) -> np.ndarray:
     return out
 
 
-def rho_fock(j, z: complex, x, t, n_trunc: int | None = None) -> np.ndarray:
+def rho_fock(j, z: complex, x, t) -> np.ndarray:
     """Density of the evolving family-j state, summed along its ladder.
 
     psi(x, t) = sum_k c_k e^(-3ikt) psi_{3k+j}(x), with the global phase
-    e^(-i(j+1/2)t) dropped since it leaves |psi|^2 unchanged. x and t
-    broadcast against each other. The Hermite rows are built on x and the
-    K = N/3 weighted phases c_k e^(-3ikt) on t as given, and one einsum
-    contracts the rung index k: on an (nx, 1) by (1, nt) grid that is one
-    (nx x K) by (K x nt) matrix product, with N * nx basis values and
-    K * nt phases in memory; M flat points hold N * M and K * M.
+    e^(-i(j+1/2)t) dropped since it leaves |psi|^2 unchanged. The sum
+    runs to the tail-rule size N of alpha = z^3. x and t broadcast against
+    each other. The Hermite rows are built on x and the K = N/3 weighted
+    phases c_k e^(-3ikt) on t as given, and one einsum contracts the rung
+    index k: on an (nx, 1) by (1, nt) grid that is one (nx x K) by
+    (K x nt) matrix product, with N * nx basis values and K * nt phases in
+    memory; M flat points hold N * M and K * M.
     """
-    spec = coherent.CoherentSpec(j, complex(z) ** 3, n_trunc)
+    spec = coherent.CoherentSpec(j, complex(z) ** 3)
     coeffs = coherent.build_cs(spec)[spec.j :: 3]
     x = np.asarray(x, dtype=float)
     rows = hermite_basis(spec.truncation, x)[spec.j :: 3].reshape(-1, *x.shape)
@@ -144,11 +145,12 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
     for wk, lk in zip(tri.weights, tri.labels):
         for wl, ll in zip(tri.weights, tri.labels):
             norm2 += (wk.conjugate() * wl * np.exp(lk.conjugate() * ll)).real
-    rho = np.abs(psi) ** 2 / norm2
+    # For j > 0 at small |z| the vertices cancel: a Gram sum <= 0 gives nan, which no gate passes.
+    rho = np.abs(psi) ** 2 / (norm2 if norm2 > 0 else math.nan)
     return float(rho) if shape == () else rho
 
 
-def density_fock(j, z: complex, grid: GridSpec, n_trunc: int | None = None) -> DensityField:
+def density_fock(j, z: complex, grid: GridSpec) -> DensityField:
     """Density field on a grid via the number-basis path.
 
     One rho_fock call on the grid's x column and t row: the recurrence
@@ -156,7 +158,7 @@ def density_fock(j, z: complex, grid: GridSpec, n_trunc: int | None = None) -> D
     """
     xs = grid.x_values()[:, None]
     ts = grid.t_values()[None, :]
-    return DensityField(grid, rho_fock(j, z, xs, ts, n_trunc))
+    return DensityField(grid, rho_fock(j, z, xs, ts))
 
 
 def density_gaussian(j, z: complex, grid: GridSpec) -> DensityField:

@@ -257,7 +257,7 @@ class TestDensity:
 
     def test_nan_spot_check_blocks_output(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(wavepacket, "rho_fock",
-                            lambda j, z, x, t, n_trunc=None: np.full(np.shape(x), np.nan))
+                            lambda j, z, x, t: np.full(np.shape(x), np.nan))
         out = tmp_path / "rho.csv"
         assert run(["density", "--j", "0", *self.ARGS, "--out", str(out)]) == 1
         assert not out.exists()
@@ -277,22 +277,16 @@ class TestDensity:
         assert not out.exists()
         assert "no file written" in capsys.readouterr().err
 
-    def test_undersized_truncation_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("j,z_re", [("2", "1e-8"), ("1", "1e-200")])
+    def test_cancelled_triangle_fails_the_spot_check(self, tmp_path, capsys, j, z_re):
+        # the Gaussian path's Gram sum cancels to at most 0 at these labels;
+        # this once ended in a DensityField traceback
         out = tmp_path / "rho.csv"
-        assert run(["density", "--j", "0", *self.ARGS, "--trunc", "5",
-                    "--out", str(out)]) == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("family,trunc", [(["--j", "2"], "1"), ([], "2")])
-    def test_truncation_below_extremal_state_is_a_usage_error(
-        self, tmp_path, capsys, family, trunc
-    ):
-        out = tmp_path / "rho.csv"
-        assert run(["density", *family, *self.ARGS, "--trunc", trunc,
-                    "--out", str(out)]) == 2
-        err, = capsys.readouterr().err.splitlines()
-        assert err == (f"density: truncation {trunc} cannot hold the extremal state |2>;"
-                       " it must be at least 3")
+        assert run(["density", "--j", j, "--z-re", z_re, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"density: dual-path spot check failed for j={j}: max |fock - gaussian| ="
+            " nan, not below 1e-06; no file written\n"
+        ))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -306,7 +300,7 @@ class TestLabelLimit:
             ["decompose", "--z-re", "30"],
             ["decompose", "--z-re", "30", "--trunc", "3000"],
             ["density", "--z-re", "30"],
-            ["density", "--z-re", "30", "--trunc", "3000"],
+            ["density", "--j", "1", "--z-re", "20", "--z-im", "25"],
             ["verify", "--trunc", "5", "--alpha-re", "2e4"],
         ],
     )
@@ -434,6 +428,23 @@ class TestMoments:
         assert "No such file" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("j", ["0", "1", "2"])
+    def test_moment_count_limit(self, tmp_path, capsys, j):
+        # n = 58 once ended in an OverflowError traceback: its target passes 170!
+        write_exp_weight(tmp_path / "exp.txt", step=0.1, top=10.0)
+        out = tmp_path / "m.csv"
+        argv = ["moments", "--samples", str(tmp_path / "exp.txt"), "--j", j, "--out", str(out)]
+        assert run([*argv, "--nmax", "57"]) == 1  # e^-x misses the targets
+        assert len(read_rows(out)) == 57
+        out.unlink()
+        capsys.readouterr()
+        assert run([*argv, "--nmax", "58"]) == 2
+        assert capsys.readouterr() == ("", (
+            "moments: n_max must lie in 1 .. 57: from n = 58 a target (3(n-1)+j)!"
+            " passes 170! and overflows float64; got 58\n"
+        ))
+        assert not out.exists()
+
     @pytest.mark.parametrize("text,message", [
         ("0.0 1.0\n-1.0 1.0\n", "nonnegative"),
         ("0.0 1.0\n1.0 1.0\n1.0 0.5\n", "strictly increasing"),
@@ -502,7 +513,7 @@ class TestReportLines:
 
     def test_nan_spot_check_message(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(wavepacket, "rho_fock",
-                            lambda j, z, x, t, n_trunc=None: np.full(np.shape(x), np.nan))
+                            lambda j, z, x, t: np.full(np.shape(x), np.nan))
         out = tmp_path / "rho.csv"
         assert run(["density", "--j", "2", *TestDensity.ARGS, "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", (
@@ -587,7 +598,7 @@ class TestParser:
         assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["density", "--trunc", "0"],
+        ["verify", "--trunc", "0"],
         ["decompose", "--trunc", "-5"],
         ["decompose", "--trunc", "0"],
         ["verify", "--trunc", "-3"],
@@ -648,20 +659,44 @@ class TestParser:
          "piv: a 1000000000 x 1 grid needs about 1.1e+12 bytes,"),
         (["uncertainty", "--asteps", "100000000"],
          "uncertainty: a 100000000 x 3 grid needs about 7.8e+10 bytes,"),
-    ], ids=["density", "piv", "uncertainty"])
+        (["verify", "--trunc", "100000000"],
+         "verify: a truncation of 100000000 levels needs about 1.93e+10 bytes,"),
+        (["decompose", "--trunc", "100000000"],
+         "decompose: a truncation of 100000000 levels needs about 3.6e+10 bytes,"),
+    ], ids=["density", "piv", "uncertainty", "verify", "decompose"])
     def test_oversized_grid_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                        argv, err):
         # the commands are stubbed out, so a missing guard fails here instead
-        # of allocating the grid
-        for name in ("cmd_density", "cmd_piv", "cmd_uncertainty"):
+        # of allocating the grid or the truncation
+        for name in ("cmd_density", "cmd_piv", "cmd_uncertainty", "cmd_verify", "cmd_decompose"):
             monkeypatch.setattr(cli, name, lambda ns: pytest.fail("the command ran"))
+        if argv[0] != "verify":
+            argv = [*argv, "--out", str(tmp_path / "out.csv")]
         start = time.perf_counter()
-        assert run([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+        assert run(argv) == 2
         assert time.perf_counter() - start < 0.5
         assert capsys.readouterr() == ("", (
             f"{err} past the grid limit of 1073741824 bytes; no file written\n"
         ))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    def test_longest_truncation_within_the_limit_runs(self, monkeypatch, command):
+        monkeypatch.setattr(cli, "cmd_" + command, lambda ns: 0)
+        levels = cli.GRID_MEMORY_LIMIT // cli._BYTES_PER_SAMPLE[command]
+        assert run([command, "--trunc", str(levels)]) == 0
+        assert run([command, "--trunc", str(levels + 1)]) == 2
+
+    def test_density_takes_no_truncation(self, tmp_path, capsys):
+        # the spot check always runs at the tail-rule size
+        with pytest.raises(SystemExit) as exc:
+            run(["density", "--trunc", "5", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trunc 5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(SystemExit):
+            run(["density", "--help"])
+        assert "--trunc" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["density", "piv"])
     def test_largest_grid_within_the_limit_runs(self, tmp_path, capsys, monkeypatch, command):

@@ -950,6 +950,15 @@ class TestMomentCheck:
         rows = coherent.moment_check(1, self.exp_weight_samples(0.5, 10.0), 3)
         assert rows[2].target == math.factorial(7)
 
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_moment_count_limit(self, j):
+        samples = self.exp_weight_samples(0.5, 10.0)
+        # the targets run to 168!, 169! and 170!; 171! overflows float64
+        rows = coherent.moment_check(j, samples, 57)
+        assert rows[-1].target == math.factorial(3 * 56 + j)
+        with pytest.raises(ValueError, match=r"n_max must lie in 1 \.\. 57"):
+            coherent.moment_check(j, samples, 58)
+
     def test_invalid_samples(self):
         with pytest.raises(ValueError):
             coherent.moment_check(0, [], 2)

@@ -153,6 +153,14 @@ class TestDualPath:
         f_gauss = wavepacket.density_gaussian(j, z, grid)
         assert np.max(np.abs(f_fock.values - f_gauss.values)) < cli.DUAL_PATH_TOL
 
+    @pytest.mark.parametrize("j,z", [(2, 1e-8), (1, 1e-200)])
+    def test_cancelled_gram_sum_gives_nan(self, j, z):
+        # the three vertices cancel, and the Gram sum comes out at or below 0;
+        # the Fock path still holds the extremal state |j>
+        grid = GridSpec(-6.0, 6.0, 31, 0.0, 1.0, 2)
+        assert np.all(np.isnan(wavepacket.density_gaussian(j, z, grid).values))
+        assert np.all(np.isfinite(wavepacket.density_fock(j, z, grid).values))
+
     def test_scalar_point(self):
         a = wavepacket.rho_fock(0, 2.0, 1.3, 0.7)
         b = wavepacket.rho_gaussian(0, 2.0, 1.3, 0.7)
@@ -342,9 +350,3 @@ class TestPeriodicity:
         dev = wavepacket.period_check(0, 2.0, self.GRID, candidate=2 * math.pi / 6)
         assert dev > 1e-3
 
-
-class TestTruncationPropagation:
-    def test_undersized_override_raises(self):
-        grid = GridSpec(-6.0, 6.0, 31, 0.0, 1.0, 2)
-        with pytest.raises(coherent.TruncationError):
-            wavepacket.density_fock(0, 2.0, grid, n_trunc=6)
