@@ -160,9 +160,7 @@ def _check_piv_residual(ns, inject):
     solutions = painleve.builtin_solutions()
     if inject:
         base = solutions[0]
-        solutions = [
-            dataclasses.replace(base, g=lambda y: base.g(y) + 0.01, label="perturbed")
-        ]
+        solutions = [dataclasses.replace(base, g=lambda y: base.g(y) + 0.01)]
     scans = [painleve.residual_scan(s, grid, ns.delta) for s in solutions]
     worst = _worst(np.concatenate([np.abs(s.residual[~s.excluded]) for s in scans]))
     excluded = sum(np.count_nonzero(s.excluded) for s in scans)

@@ -7,13 +7,13 @@ n = 3k + j:
     |alpha>_j = (sum_k |alpha|^(2k) / (3k+j)!)^(-1/2)
                 * sum_k alpha^k / sqrt((3k+j)!) |3k + j>.
 
-Besides construction, this module evaluates their statistics, the simple
-time evolution alpha(t) = alpha e^(-3it), the decomposition of each family
-into three standard coherent states sitting on an equilateral triangle of
-labels, and a moment-check harness for candidate completeness weights.
+Besides construction, this module evaluates their statistics, the
+decomposition of each family into three standard coherent states sitting on
+an equilateral triangle of labels, and a moment-check harness for candidate
+completeness weights.
 Every state builder returns its coefficients over |0> .. |N-1> as a plain
-complex ndarray of length N; the dense matrices of ``fock`` are only the
-oracle the tests check these kernels against.
+complex ndarray of length N; the dense matrices of ``fock`` serve only the
+``fock-algebra`` check and the dense oracles the tests hold these kernels to.
 
 All three families step along their ladder by the same ratio
 |alpha|^2 / ((n+1)(n+2)(n+3)), n = 3k + j, and the operators that
@@ -51,7 +51,6 @@ __all__ = [
     "eigen_residual",
     "a_norm_squared",
     "statistics",
-    "evolve",
     "standard_cs_nonnorm",
     "deformed_cs_nonnorm",
     "triangle_decompose",
@@ -414,19 +413,6 @@ def statistics(spec: CoherentSpec) -> CSStatistics:
     mean_h = float((_ENERGY[:size] * np.abs(vec) ** 2).sum())
     product = math.sqrt((mean_x2 - mean_x**2) * (mean_p2 - mean_p**2))
     return CSStatistics(mean_x, mean_p, mean_x2, mean_p2, mean_h, product)
-
-
-def evolve(spec: CoherentSpec, t: float) -> tuple[complex, CoherentSpec]:
-    """Time evolution: a global phase and a rotated eigenvalue.
-
-    U(t)|alpha>_j = e^(-i (j + 1/2) t) |alpha e^(-3it)>_j, so evolution
-    never leaves the family and the truncation can be carried over. It is
-    the oracle for the rung phases of ``wavepacket.rho_fock``, in
-    tests/test_wavepacket.py::TestLadderKernel::test_evolution_law.
-    """
-    phase = cmath.exp(-1j * (spec.j + 0.5) * t)
-    rotated = spec.alpha * cmath.exp(-3j * t)
-    return phase, CoherentSpec(spec.j, rotated, spec.truncation)
 
 
 def standard_cs_nonnorm(z: complex, n_trunc: int | None = None) -> np.ndarray:

@@ -11,15 +11,13 @@ Each residue class n = 3k + j of the number basis carries one infinite
 ladder of eigenstates with spacing 3. Units: hbar = m = omega = 1, with
 x = (a + a+)/sqrt(2) and p = i(a+ - a)/sqrt(2).
 
-This module is the dense oracle and nothing else: the N x N matrices and
-``ladder_state``, the number states they generate. The ``fock-algebra``
-check of ``triladder verify`` and the statistics and eigen-residual tests
-compare against them, while the coherent-state code applies the same
-operators as shifts and diagonals and never imports this module. States
-are plain complex ndarrays of length N, here as in ``coherent``.
+This module holds exactly what the ``fock-algebra`` check of
+``triladder verify`` runs: the dense N x N matrices of a, H, the cubed
+ladders and N(H). The tests build their dense oracles on them, while the
+coherent-state code applies the same operators as shifts and diagonals and
+never imports this module.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +26,8 @@ __all__ = [
     "FockOperator",
     "build_annihilation",
     "build_hamiltonian",
-    "build_position",
-    "build_momentum",
     "build_deformed_ladders",
     "number_analogue",
-    "ladder_state",
 ]
 
 
@@ -60,26 +55,14 @@ def build_annihilation(n_trunc: int) -> FockOperator:
     """Annihilation operator: entries[n-1, n] = sqrt(n)."""
     n_trunc = _check_truncation(n_trunc)
     mat = np.diag(np.sqrt(np.arange(1, n_trunc, dtype=float)), k=1)
-    return FockOperator(mat.astype(complex))
+    return FockOperator(mat)
 
 
 def build_hamiltonian(n_trunc: int) -> FockOperator:
     """Oscillator Hamiltonian, diagonal with entries n + 1/2."""
     n_trunc = _check_truncation(n_trunc)
     diag = np.arange(n_trunc, dtype=float) + 0.5
-    return FockOperator(np.diag(diag).astype(complex))
-
-
-def build_position(n_trunc: int) -> FockOperator:
-    """x = (a + a+)/sqrt(2)."""
-    a = build_annihilation(n_trunc).matrix
-    return FockOperator((a + a.conj().T) / math.sqrt(2.0))
-
-
-def build_momentum(n_trunc: int) -> FockOperator:
-    """p = i (a+ - a)/sqrt(2)."""
-    a = build_annihilation(n_trunc).matrix
-    return FockOperator(1j * (a.conj().T - a) / math.sqrt(2.0))
+    return FockOperator(np.diag(diag))
 
 
 def build_deformed_ladders(n_trunc: int) -> tuple[FockOperator, FockOperator]:
@@ -106,35 +89,4 @@ def number_analogue(n_trunc: int, shift: float = 0.0) -> FockOperator:
     n_trunc = _check_truncation(n_trunc, minimum=4)
     energies = np.arange(n_trunc, dtype=float) + 0.5 + shift
     diag = (energies - 0.5) * (energies - 1.5) * (energies - 2.5)
-    return FockOperator(np.diag(diag).astype(complex))
-
-
-def ladder_state(j_ext, n: int, n_trunc: int) -> np.ndarray:
-    """n-th rung of extremal ladder j in {1, 2, 3}.
-
-    Applies the cubed creation operator n times to the extremal state
-    |j-1> and normalizes, which reproduces the number state |3n + j - 1>
-    with energy 3n + j - 1/2, as a complex array of length ``n_trunc``.
-    The norm is restored after every application so deep rungs cannot
-    overflow.
-    """
-    j = int(j_ext)
-    if j not in (1, 2, 3):
-        raise ValueError(f"extremal ladder index must lie in {{1, 2, 3}}, got {j_ext}")
-    if n < 0:
-        raise ValueError("rung index must be nonnegative")
-    n_trunc = _check_truncation(n_trunc)
-    target = 3 * n + j - 1
-    if target > n_trunc - 1:
-        raise ValueError(
-            f"rung {n} of ladder {j} needs basis state |{target}> beyond "
-            f"truncation {n_trunc}"
-        )
-    vec = np.zeros(n_trunc, dtype=complex)
-    vec[j - 1] = 1.0
-    if n > 0:
-        raising = build_deformed_ladders(n_trunc)[1].matrix
-        for _ in range(n):
-            vec = raising @ vec
-            vec /= np.linalg.norm(vec)
-    return vec
+    return FockOperator(np.diag(diag))

@@ -96,7 +96,6 @@ class PIVSolution:
     a_param: float
     b_param: float
     singularities: tuple[float, ...] = ()
-    label: str = ""
 
 
 def piv_parameters(seed: ExtremalSeed) -> tuple[Fraction, Fraction]:
@@ -176,7 +175,6 @@ def solution_from_extremal(seed: ExtremalSeed) -> PIVSolution:
         a_param=float(a),
         b_param=float(b),
         singularities=_real_zeros(d),
-        label=f"seed-{seed.ordering[0]}",
     )
 
 

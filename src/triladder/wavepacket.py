@@ -92,8 +92,13 @@ def rho_fock(j, z: complex, x, t) -> np.ndarray:
     index k: on an (nx, 1) by (1, nt) grid that is one (nx x K) by
     (K x nt) matrix product, with N * nx basis values and K * nt phases in
     memory; M flat points hold N * M and K * M.
+    From |z| = 5.64e102, where z^3 overflows, ``LabelRangeError`` is raised.
     """
-    spec = coherent.CoherentSpec(j, complex(z) ** 3)
+    z = complex(z)
+    modulus = math.hypot(z.real, z.imag)
+    if not math.isfinite(modulus * modulus * modulus):
+        raise coherent.LabelRangeError("z", modulus, coherent._TAIL_LIMIT)
+    spec = coherent.CoherentSpec(j, z**3)
     coeffs = coherent.build_cs(spec)[spec.j :: 3]
     x = np.asarray(x, dtype=float)
     rows = hermite_basis(spec.truncation, x)[spec.j :: 3].reshape(-1, *x.shape)

