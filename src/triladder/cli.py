@@ -38,7 +38,7 @@ NON_PERIOD_FLOOR = 1e-3
 # The most memory, in bytes, that a piv or density grid, an uncertainty sweep
 # (|alpha| steps by families) or a verify or decompose --trunc may ask for:
 # its sample count times the peak RSS measured per sample. That is about 130 B
-# per density cell with all three families (85.6 MB at 1601 x 241), 1.1 KB per
+# per density cell with all three families (86.6 MB at 1601 x 241), 1.1 KB per
 # piv x point (251.7 MB at 200 001 points), 260 B per uncertainty row (103.2
 # MiB at 100 001 steps, 176.9 MiB at 200 001), 193 B per verify level (123.9
 # MiB at 5e5, 582.3 MiB at 3e6) and 360 B per decompose level (195.3 MiB at
@@ -187,7 +187,10 @@ def _check_cs_eigen(ns, inject):
         )
     alpha = complex(ns.alpha_re, ns.alpha_im)
     specs = [coherent.CoherentSpec(j, alpha, max(trunc, j + 1)) for j in range(3)]
-    residuals = [coherent.eigen_residual(spec) for spec in specs]
+    # Without the tail rule a huge label's coefficients overflow to inf and
+    # normalise to nan: the residual is then nan, and the gate names the limit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = [coherent.eigen_residual(spec) for spec in specs]
     failures = [
         f"j={spec.j} residual={res:.3e} at truncation {spec.truncation};"
         f" {_suggestion(spec.j, alpha)}"
@@ -416,9 +419,7 @@ def cmd_density(ns) -> int:
     families = [0, 1, 2] if sweep else [ns.j]
     base = Path(ns.out)
     xs, ts = grid.x_values(), grid.t_values()
-    # Rows run t-major: every x for the first t, then the next t.
-    t_col = [t for t in map(repr, ts.tolist()) for _ in range(xs.size)]
-    x_col = list(map(repr, xs.tolist())) * ts.size
+    checked = []  # every family passes its spot check before any file is written
     for j in families:
         rng = np.random.default_rng(42)
         ix = rng.integers(0, xs.size, 100)
@@ -432,6 +433,11 @@ def cmd_density(ns) -> int:
         what = f"dual-path spot check failed for j={j}: max |fock - gaussian| ="
         if not _gate("density", what, spot_err, SPOT_CHECK_TOL):
             return 1
+        checked.append((j, field, spot_err))
+    # Rows run t-major: every x for the first t, then the next t.
+    t_col = [t for t in map(repr, ts.tolist()) for _ in range(xs.size)]
+    x_col = list(map(repr, xs.tolist())) * ts.size
+    for j, field, spot_err in checked:
         out = base.with_name(f"{base.stem}_j{j}{base.suffix or '.csv'}") if sweep else base
         config = [
             f"j={j} z_re={z.real!r} z_im={z.imag!r}",

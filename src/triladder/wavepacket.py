@@ -50,11 +50,14 @@ class DensityField:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        # a float64 array, as both density paths return, is kept, not copied
+        arr = np.asarray(self.values, dtype=float)
         expected = (self.grid.x_steps, self.grid.t_steps)
         if arr.shape != expected:
             raise ValueError(f"values shape {arr.shape} does not match grid {expected}")
-        if np.any(arr < 0):
+        # fmin skips NaN, so a negative beside a NaN is still found; a NaN
+        # field itself is left to the command gates
+        if np.fmin.reduce(arr, axis=None) < 0:
             raise ValueError("densities must be nonnegative")
         object.__setattr__(self, "values", arr)
 
@@ -75,9 +78,17 @@ def hermite_basis(n_levels: int, x) -> np.ndarray:
         raise ValueError("need at least one level")
     x = np.asarray(x, dtype=float).ravel()
     out = np.zeros((n_levels, x.size))
-    out[0] = np.pi**-0.25 * np.exp(-x * x / 2.0)
+    with np.errstate(over="ignore"):  # -x^2/2 -> -inf past |x| = 1.3e154: the seed is 0 there
+        out[0] = np.pi**-0.25 * np.exp(-x * x / 2.0)
+    back = np.empty_like(x)
     for n in range(n_levels - 1):  # at n = 0 the weight on out[n - 1] is 0
-        out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
+        # in place, with the formula's operations in its order; back is taken
+        # first, as out[n - 1] is out[n + 1] itself when n = 0 and n_levels = 2
+        np.multiply(out[n - 1], math.sqrt(n / (n + 1.0)), out=back)
+        row = out[n + 1]
+        np.multiply(x, math.sqrt(2.0 / (n + 1)), out=row)
+        row *= out[n]
+        row -= back
     return out
 
 
@@ -135,16 +146,28 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
         return float(rho) if shape == () else np.broadcast_to(rho, shape).copy()
     tri = coherent.triangle_decompose(z, j)
     rot = np.exp(-1j * t)
-    gx = -x * x / 2.0
+    with np.errstate(over="ignore"):  # -x^2/2 -> -inf past |x| = 1.3e154: the density is 0 there
+        gx = -x * x / 2.0
     psi = np.zeros(shape, dtype=complex)
+    term = np.empty(shape, dtype=complex)  # one buffer for each vertex's term in turn
+    # The density CSVs pin the last bits of weight * term, and numpy's complex
+    # multiply loops round them differently by operand order and overlap. They
+    # are the bits of the expression weight * exp(...): from 256 KiB numpy
+    # reuses its temporary, multiplying array by scalar in place; below that
+    # it multiplies scalar by array out of place (scalar arithmetic on a 0-d
+    # grid). Both orders are stated here; term[()] is a view, which numpy
+    # never reuses.
+    in_place = term.nbytes >= 256 * 1024
     for weight, label in zip(tri.weights, tri.labels):
         zeta = label * rot
-        # Keep this product one temporary expression. From 256 KiB numpy
-        # reuses the temporary exp(...) for the product in place, and its
-        # in-place complex-by-scalar loop rounds some last bits differently
-        # from the out-of-place one that a named exponential would get, so
-        # the density CSVs would change.
-        psi += weight * np.exp(gx + _SQRT2 * zeta * x - zeta * zeta / 2.0)
+        np.multiply(_SQRT2 * zeta, x, out=term)
+        np.add(gx, term, out=term)
+        np.subtract(term, zeta * zeta / 2.0, out=term)
+        np.exp(term, out=term)
+        if in_place:
+            psi += np.multiply(term, weight, out=term)
+        else:
+            psi += weight * term[()]
     psi *= np.pi**-0.25
     norm2 = 0.0
     for wk, lk in zip(tri.weights, tri.labels):

@@ -81,6 +81,16 @@ class TestVerify:
         out = capsys.readouterr().out.splitlines()
         assert [l.split()[1] for l in out if l.startswith("FAIL")] == ["cs-eigen"]
 
+    def test_huge_label_override_fails_without_warnings(self, capsys):
+        # the coefficients overflow at this truncation; the check reports the
+        # limit, and numpy prints nothing (the suite turns warnings into errors)
+        assert run(["verify", "--alpha-re", "-1e200", "--trunc", "50"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        failed = [l for l in out.splitlines() if l.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL cs-eigen")
+        assert "beyond the float64 limit" in failed[0]
+
     def test_piv_parameters_runs_the_exact_certificate(self, capsys):
         run(["verify"])
         out = capsys.readouterr().out.splitlines()
@@ -287,6 +297,27 @@ class TestDensity:
             f"density: dual-path spot check failed for j={j}: max |fock - gaussian| ="
             " nan, not below 1e-06; no file written\n"
         ))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("z_re,worst", [("1e-3", "4.928e-05"), ("1e-5", "nan")])
+    def test_sweep_writes_nothing_when_a_family_fails(self, tmp_path, capsys, z_re, worst):
+        # j = 0 and 1 pass their spot checks here and j = 2 fails; the sweep
+        # once wrote the first two files before refusing
+        assert run(["density", "--z-re", z_re, "--out", str(tmp_path / "d.csv")]) == 1
+        assert capsys.readouterr() == ("", (
+            f"density: dual-path spot check failed for j=2: max |fock - gaussian| ="
+            f" {worst}, not below 1e-06; no file written\n"
+        ))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_end_where_x_squared_overflows(self, tmp_path, capsys):
+        # -x^2/2 is -inf at x = 1e300, where the density is 0: one refusal
+        # line (the j = 2 triangle cancels at this label) and no warning
+        out = tmp_path / "rho.csv"
+        argv = ["density", "--j", "2", "--z-re", "-1e-300", "--xmin", "-1e-3", "--xmax", "1e300"]
+        assert run([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.endswith("no file written\n")
         assert list(tmp_path.iterdir()) == []
 
 

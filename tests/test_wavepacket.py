@@ -63,10 +63,29 @@ class TestHermiteFunctions:
         assert np.all(np.isfinite(basis))
         assert np.max(np.abs(basis)) < 2.0
 
+    @pytest.mark.parametrize("n_levels", [1, 2, 3, 172])
+    def test_bits_of_the_recurrence(self, n_levels):
+        # the density CSVs pin these bits, signed zeros included
+        x = np.array([-0.0, 0.0, 1e-310, -2.5, 3.7, 17.3, -38.7])
+        want = np.zeros((n_levels, x.size))
+        want[0] = np.pi**-0.25 * np.exp(-x * x / 2.0)
+        for n in range(n_levels - 1):
+            want[n + 1] = (math.sqrt(2.0 / (n + 1)) * x * want[n]
+                           - math.sqrt(n / (n + 1.0)) * want[n - 1])
+        got = wavepacket.hermite_basis(n_levels, x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_negative_level_rejected(self):
         for n_levels in (0, -1):
             with pytest.raises(ValueError):
                 wavepacket.hermite_basis(n_levels, 0.0)
+
+    def test_far_points_underflow_to_zero_silently(self):
+        # -x^2/2 overflows to -inf past |x| = 1.3e154, and e^-inf = 0 is the
+        # right limit; the suite turns any warning into an error
+        basis = wavepacket.hermite_basis(4, [1e300, -1e300, 0.0])
+        assert np.array_equal(basis[:, :2], np.zeros((4, 2)))
+        assert basis[0, 2] == np.pi**-0.25
 
     def test_basis_shape(self):
         basis = wavepacket.hermite_basis(4, np.linspace(-1, 1, 7))
@@ -80,6 +99,15 @@ class TestDensityField:
             wavepacket.DensityField(grid, np.zeros((2, 3)))
         with pytest.raises(ValueError):
             wavepacket.DensityField(grid, -np.ones((3, 2)))
+        with pytest.raises(ValueError):  # a NaN does not hide a negative
+            wavepacket.DensityField(grid, [[math.nan, -1.0]] * 3)
+
+    def test_keeps_a_float_array(self):
+        # both density paths hand over a fresh float64 array; it is not copied
+        grid = GridSpec(-1.0, 1.0, 3, 0.0, 1.0, 2)
+        values = np.ones((3, 2))
+        assert wavepacket.DensityField(grid, values).values is values
+        assert wavepacket.DensityField(grid, [[0, 1]] * 3).values.dtype == float
 
     def test_slice_normalization_both_paths(self):
         grid = GridSpec(-8.0, 8.0, 321, 0.0, 2 * math.pi, 5)
@@ -287,17 +315,39 @@ class TestGaussianFactors:
     @pytest.mark.parametrize("grid", [
         wavepacket.DEFAULT_GRID,  # 1.5 MB of complex cells
         GridSpec(-8.0, 8.0, 41, 0.0, 2 * math.pi, 25),  # 16 KB
-    ], ids=["default", "small"])
+        GridSpec(-8.0, 8.0, 43, 0.0, 2 * math.pi, 381),  # 16383 cells, 16 B below 256 KiB
+        GridSpec(-8.0, 8.0, 128, 0.0, 2 * math.pi, 128),  # 16384 cells, 256 KiB
+        GridSpec(0.3, 1.0, 1, 0.4, 1.0, 1),  # one cell
+    ], ids=["default", "small", "16383", "16384", "one-cell"])
     @pytest.mark.parametrize("j,z", [(0, 2.0), (1, 0.3), (2, 1.3 + 1.5j)])
     def test_bits_on_both_sides_of_the_elision_size(self, grid, j, z):
         # numpy computes weight * exp(...) in place once the temporary is
         # 256 KiB or more, with other last bits than out of place, and the
         # density CSVs pin those bits: the default grid takes the in-place
-        # loop, the small one the other
+        # loop, the small one the other; on one cell the in-place
+        # scalar-first loop differs from the out-of-place one as well
         xs, ts = grid.x_values()[:, None], grid.t_values()[None, :]
         got = wavepacket.rho_gaussian(j, z, xs, ts)
         want = gaussian_full_mesh(j, z, xs, ts)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_far_points_have_zero_density_silently(self):
+        got = wavepacket.rho_gaussian(0, 2.0, np.array([1e300, -1e300, 0.0]), 0.3)
+        assert got[0] == got[1] == 0.0 and got[2] > 0.0
+
+    def test_grid_peak_memory(self):
+        # one complex buffer holds each vertex term in turn; a temporary
+        # per operation of the exponent would peak near 4.8 MB on this grid
+        grid = wavepacket.DEFAULT_GRID
+        xs, ts = grid.x_values()[:, None], grid.t_values()[None, :]
+        wavepacket.rho_gaussian(1, 1.3 + 1.5j, xs, ts)
+        tracemalloc.start()
+        try:
+            wavepacket.rho_gaussian(1, 1.3 + 1.5j, xs, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.2e6
 
 
 class TestTimeStructure:
