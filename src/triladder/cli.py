@@ -36,15 +36,15 @@ PERIOD_TOL = 1e-10
 NON_PERIOD_FLOOR = 1e-3
 
 # The most memory, in bytes, that a piv or density grid, an uncertainty sweep
-# (|alpha| steps by families) or a verify or decompose --trunc may ask for:
-# its sample count times the peak RSS measured per sample. That is about 130 B
-# per density cell with all three families (86.6 MB at 1601 x 241), 1.1 KB per
+# (|alpha| steps by families) or a decompose --trunc may ask for: its sample
+# count times the peak RSS measured per sample. That is about 130 B per
+# density cell with all three families (86.6 MB at 1601 x 241), 1.1 KB per
 # piv x point (251.7 MB at 200 001 points), 260 B per uncertainty row (103.2
-# MiB at 100 001 steps, 176.9 MiB at 200 001), 193 B per verify level (123.9
-# MiB at 5e5, 582.3 MiB at 3e6) and 360 B per decompose level (195.3 MiB at
-# 5e5, 699.7 MiB at 2e6). A larger one exits 2 before anything is allocated.
+# MiB at 100 001 steps, 176.9 MiB at 200 001) and 360 B per decompose level
+# (195.3 MiB at 5e5, 699.7 MiB at 2e6). A larger one exits 2 before anything
+# is allocated.
 GRID_MEMORY_LIMIT = 2**30
-_BYTES_PER_SAMPLE = dict(density=130, piv=1100, uncertainty=260, verify=193, decompose=360)
+_BYTES_PER_SAMPLE = dict(density=130, piv=1100, uncertainty=260, decompose=360)
 
 
 def _worst(values) -> float:
@@ -92,11 +92,11 @@ def _emit(path, command, config_lines, header, rows, count, summary="", results=
 
 # ---------------------------------------------------------------- verify --
 #
-# Every check takes the parsed arguments and whether its --inject-* flag is
-# set, and returns (passed, detail).
+# Every check takes whether its --inject-* flag is set and returns
+# (passed, detail); the suite has no other input.
 
 
-def _check_fock_algebra(ns, inject):
+def _check_fock_algebra(inject):
     n = 60
     interior = n - 3  # rows/columns with index <= n - 4
     lowering, _ = fock.build_deformed_ladders(n)
@@ -132,7 +132,7 @@ _EXPECTED_PARAMS = {
 }
 
 
-def _check_piv_parameters(ns, inject):
+def _check_piv_parameters(inject):
     problems = []
     for ordering, (want_a, want_b) in _EXPECTED_PARAMS.items():
         seed = painleve.ExtremalSeed(ordering)
@@ -155,13 +155,13 @@ def _check_piv_parameters(ns, inject):
     )
 
 
-def _check_piv_residual(ns, inject):
+def _check_piv_residual(inject):
     grid = GridSpec(-10.0, 10.0, 2001)
     solutions = painleve.builtin_solutions()
     if inject:
         base = solutions[0]
         solutions = [dataclasses.replace(base, g=lambda y: base.g(y) + 0.01)]
-    scans = [painleve.residual_scan(s, grid, ns.delta) for s in solutions]
+    scans = [painleve.residual_scan(s, grid, painleve.DEFAULT_DELTA) for s in solutions]
     worst = _worst(np.concatenate([np.abs(s.residual[~s.excluded]) for s in scans]))
     excluded = sum(np.count_nonzero(s.excluded) for s in scans)
     return (
@@ -171,9 +171,8 @@ def _check_piv_residual(ns, inject):
     )
 
 
-def _check_cs_eigen(ns, inject):
-    trunc = 5 if inject else ns.trunc
-    if trunc is None:
+def _check_cs_eigen(inject):
+    if not inject:
         rng = np.random.default_rng(20240601)
         residuals = []
         for _ in range(12):
@@ -185,32 +184,19 @@ def _check_cs_eigen(ns, inject):
             _within(worst, EIGEN_TOL),
             f"worst residual {worst:.3e} over 12 samples (tol {EIGEN_TOL:g})",
         )
-    alpha = complex(ns.alpha_re, ns.alpha_im)
-    specs = [coherent.CoherentSpec(j, alpha, max(trunc, j + 1)) for j in range(3)]
-    # Without the tail rule a huge label's coefficients overflow to inf and
-    # normalise to nan: the residual is then nan, and the gate names the limit.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = [coherent.eigen_residual(spec) for spec in specs]
+    # each family at alpha = 4 truncated to 5 levels, far below its tail-rule size
+    specs = [coherent.CoherentSpec(j, 4.0, 5) for j in range(3)]
+    residuals = [coherent.eigen_residual(spec) for spec in specs]
     failures = [
         f"j={spec.j} residual={res:.3e} at truncation {spec.truncation};"
-        f" {_suggestion(spec.j, alpha)}"
+        f" suggested truncation >= {spec.required}"
         for spec, res in zip(specs, residuals)
         if not _within(res, EIGEN_TOL)
     ]
-    if failures:
-        return False, "; ".join(failures)
-    worst = _worst(residuals)
-    return True, f"override truncation {trunc}: worst={worst:.3e} (tol {EIGEN_TOL:g})"
+    return not failures, "; ".join(failures)
 
 
-def _suggestion(j, alpha):
-    try:
-        return f"suggested truncation >= {coherent.adequate_truncation(j, abs(alpha))}"
-    except coherent.LabelRangeError as exc:
-        return str(exc)
-
-
-def _check_cs_statistics(ns, inject):
+def _check_cs_statistics(inject):
     minima_dev = _worst(
         [abs(coherent.a_norm_squared(j, 0.0) + 0.5 - (j + 0.5)) for j in range(3)]
     )
@@ -242,7 +228,7 @@ def _check_cs_statistics(ns, inject):
     )
 
 
-def _check_triangle(ns, inject):
+def _check_triangle(inject):
     errors = []
     for j in range(3):
         for z in (1.0, 2.0, 3.0, 0.9 + 1.1j):
@@ -270,7 +256,7 @@ def _check_triangle(ns, inject):
     )
 
 
-def _check_density_dual(ns, inject):
+def _check_density_dual(inject):
     rng = np.random.default_rng(7)
     deviations = []
     for j in range(3):
@@ -289,7 +275,7 @@ def _check_density_dual(ns, inject):
     )
 
 
-def _check_period(ns, inject):
+def _check_period(inject):
     grid = GridSpec(-8.0, 8.0, 161, 0.0, 2.0 * math.pi, 41)
     candidate = 2.0 * math.pi / 6.0 if inject else 2.0 * math.pi / 3.0
     worst = _worst([wavepacket.period_check(j, 2.0, grid, candidate) for j in range(3)])
@@ -318,13 +304,11 @@ CHECKS = (
     ("period", "period", _check_period),
 )
 
-INJECT_TARGETS = {flag: name for name, flag, _ in CHECKS}
-
 
 def cmd_verify(ns) -> int:
     failed = 0
     for name, flag, check in CHECKS:
-        passed, detail = check(ns, getattr(ns, "inject_" + flag.replace("-", "_")))
+        passed, detail = check(getattr(ns, "inject_" + flag.replace("-", "_")))
         failed += not passed
         print(f"{'PASS' if passed else 'FAIL'} {name:<18} {detail}")
     print(
@@ -375,6 +359,9 @@ def cmd_uncertainty(ns) -> int:
 
 
 def cmd_piv(ns) -> int:
+    if ns.delta < 0:
+        print(f"piv: invalid exclusion radius --delta {ns.delta!r}, below 0", file=sys.stderr)
+        return 2
     grid = ns.grid
     config = [
         f"y range [{grid.x_min!r}, {grid.x_max!r}] with {grid.x_steps} points",
@@ -585,8 +572,6 @@ _OPTIONS = {
     "j": ("coherent-state family index", int),
     "z_re": ("real part of the label z", _finite_float),
     "z_im": ("imaginary part of the label z", _finite_float),
-    "alpha_re": ("real part of alpha for the --trunc eigenstate check", _finite_float),
-    "alpha_im": ("imaginary part of that alpha", _finite_float),
     "xmin": ("grid start", _finite_float),
     "xmax": ("grid end", _finite_float),
     "xsteps": ("grid points", int),
@@ -629,15 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    delta = painleve.DEFAULT_DELTA
-    p = command("verify", cmd_verify, "run the full invariant suite",
-                alpha_re=4.0, alpha_im=0.0, trunc=None, delta=delta)
+    p = command("verify", cmd_verify, "run the full invariant suite")
     for _, flag, _ in CHECKS:
         p.add_argument("--inject-" + flag, action="store_true", help=argparse.SUPPRESS)
     command("uncertainty", cmd_uncertainty, "uncertainty-product sweep CSV; all families unless --j is set",
             j=None, amin=0.0, amax=10.0, asteps=201, out="uncertainty.csv")
     command("piv", cmd_piv, "residual scan of the three solutions",
-            xmin=-10.0, xmax=10.0, xsteps=2001, delta=delta, out="piv_scan.csv")
+            xmin=-10.0, xmax=10.0, xsteps=2001, delta=painleve.DEFAULT_DELTA, out="piv_scan.csv")
     grid = wavepacket.DEFAULT_GRID
     p = command("density", cmd_density,
                 "space-time density CSV; one file per family unless --j is set",
@@ -667,7 +650,7 @@ def main(argv=None) -> int:
         shape = (ns.grid.x_steps, ns.grid.t_steps)
     elif "asteps" in ns:  # uncertainty writes a row per |alpha| step and family
         shape = (ns.asteps, 3 if ns.j is None else 1)
-    elif getattr(ns, "trunc", None):  # verify and decompose hold --trunc levels
+    elif getattr(ns, "trunc", None):  # decompose holds --trunc levels
         shape = (ns.trunc,)
     need = math.prod(shape) * _BYTES_PER_SAMPLE.get(ns.command, 0)
     if need > GRID_MEMORY_LIMIT:

@@ -207,13 +207,9 @@ def adequate_truncation_standard(abs_z: float) -> int:
     return _tail_index("z", abs_z, 1.0, itertools.count(1.0)) + 1
 
 
-def _sized(required: int, n_trunc: int | None) -> int:
-    """``n_trunc``, or the tail-rule size ``required`` when it is None.
-
-    The one size check: a truncation below ``required`` raises ``TruncationError``.
-    """
-    if n_trunc is None:
-        return required
+def _sized(required: int, n_trunc: int) -> int:
+    """``n_trunc``, after the one size check: a truncation below the tail-rule
+    size ``required`` raises ``TruncationError``."""
     if n_trunc < required:
         raise TruncationError(required, n_trunc)
     return n_trunc
@@ -415,7 +411,7 @@ def statistics(spec: CoherentSpec) -> CSStatistics:
     return CSStatistics(mean_x, mean_p, mean_x2, mean_p2, mean_h, product)
 
 
-def standard_cs_nonnorm(z: complex, n_trunc: int | None = None) -> np.ndarray:
+def standard_cs_nonnorm(z: complex, n_trunc: int) -> np.ndarray:
     """Non-normalized standard coherent state with coefficients z^n / sqrt(n!)."""
     z = complex(z)
     n_trunc = int(_sized(adequate_truncation_standard(abs(z)), n_trunc))
@@ -423,7 +419,7 @@ def standard_cs_nonnorm(z: complex, n_trunc: int | None = None) -> np.ndarray:
     return _ladder_rungs(1.0, z, roots, 0, 1, n_trunc)
 
 
-def deformed_cs_nonnorm(z: complex, j, n_trunc: int | None = None) -> np.ndarray:
+def deformed_cs_nonnorm(z: complex, j, n_trunc: int) -> np.ndarray:
     """Non-normalized family-j state with coefficients z^(3k+j) / sqrt((3k+j)!).
 
     This is the mod-3 slice of the standard coherent state |z>; its

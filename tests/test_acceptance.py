@@ -220,7 +220,8 @@ def test_10_verify_command_and_fault_injection(capsys):
 
     flips_ok = True
     flip_report = []
-    for flag, target in sorted(cli.INJECT_TARGETS.items()):
+    targets = {flag: name for name, flag, _ in cli.CHECKS}
+    for flag, target in sorted(targets.items()):
         code = cli.main(["verify", f"--inject-{flag}"])
         lines = capsys.readouterr().out.strip().splitlines()
         failed = [l.split()[1] for l in lines if l.startswith("FAIL")]

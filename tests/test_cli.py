@@ -18,6 +18,10 @@ def run(argv):
     return cli.main(argv)
 
 
+# --inject-* flag -> the one check it corrupts
+INJECT_TARGETS = {flag: name for name, flag, _ in cli.CHECKS}
+
+
 def read_rows(path):
     header = None
     rows = []
@@ -52,7 +56,7 @@ class TestVerify:
         assert all(l.startswith("PASS") for l in check_lines)
         assert out[-1] == "CHECKS passed=8 failed=0"
 
-    @pytest.mark.parametrize("flag,target", sorted(cli.INJECT_TARGETS.items()))
+    @pytest.mark.parametrize("flag,target", sorted(INJECT_TARGETS.items()))
     def test_injection_flips_exactly_one_check(self, capsys, flag, target):
         assert run(["verify", f"--inject-{flag}"]) == 1
         out = capsys.readouterr().out.strip().splitlines()
@@ -61,35 +65,34 @@ class TestVerify:
         assert out[-1] == "CHECKS passed=7 failed=1"
 
     def test_truncation_override_reports_suggestion(self, capsys):
-        assert run(["verify", "--trunc", "5", "--alpha-re", "4"]) == 1
+        # --inject-eigen truncates each family to 5 levels at alpha = 4
+        assert run(["verify", "--inject-eigen"]) == 1
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("FAIL cs-eigen"))
-        assert "suggested truncation" in line
+        suggested = [int(part.split(";")[0]) for part in line.split("suggested truncation >= ")[1:]]
+        assert suggested == [37, 35, 36]
 
-    @pytest.mark.parametrize("trunc", ["1", "2"])
-    def test_failure_names_the_truncation_each_family_ran_at(self, capsys, trunc):
-        # family j runs at no less than j + 1, which holds its extremal state
-        assert run(["verify", "--trunc", trunc]) == 1
-        out = capsys.readouterr().out
-        line = next(l for l in out.splitlines() if l.startswith("FAIL cs-eigen"))
-        ran_at = [int(part.split(";")[0]) for part in line.split("at truncation ")[1:]]
-        assert ran_at == [max(int(trunc), j + 1) for j in range(3)]
+    @pytest.mark.parametrize("argv", [
+        ["--trunc", "5"],
+        ["--alpha-re", "0", "--inject-eigen"],
+        ["--alpha-im", "1"],
+        ["--delta", "15"],
+    ])
+    def test_takes_only_inject_flags(self, capsys, argv):
+        # each once changed what a PASS covered: --alpha-re 0 passed --inject-eigen,
+        # and --delta 15 excluded 4003 of the 6003 residual points
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {argv[0]}" in err
 
     def test_nan_residual_fails_its_check(self, capsys, monkeypatch):
         monkeypatch.setattr(coherent, "eigen_residual", lambda spec: math.nan)
         assert run(["verify"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert [l.split()[1] for l in out if l.startswith("FAIL")] == ["cs-eigen"]
-
-    def test_huge_label_override_fails_without_warnings(self, capsys):
-        # the coefficients overflow at this truncation; the check reports the
-        # limit, and numpy prints nothing (the suite turns warnings into errors)
-        assert run(["verify", "--alpha-re", "-1e200", "--trunc", "50"]) == 1
-        out, err = capsys.readouterr()
-        assert err == ""
-        failed = [l for l in out.splitlines() if l.startswith("FAIL")]
-        assert len(failed) == 1 and failed[0].startswith("FAIL cs-eigen")
-        assert "beyond the float64 limit" in failed[0]
 
     def test_piv_parameters_runs_the_exact_certificate(self, capsys):
         run(["verify"])
@@ -210,6 +213,17 @@ class TestPiv:
                     "--out", str(out)]) == 1
         assert not out.exists()
         assert "no file written" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta,code", [("-1", 2), ("-1e-300", 2), ("0", 1)])
+    def test_negative_exclusion_radius_is_invalid_input(self, tmp_path, capsys, delta, code):
+        # a negative radius once exited 1 and blamed the solutions; 0 excludes
+        # nothing, so the poles fail the residual gate
+        assert run(["piv", "--delta", delta, "--out", str(tmp_path / "piv.csv")]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        if code == 2:
+            assert err == f"piv: invalid exclusion radius --delta {float(delta)!r}, below 0\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -332,15 +346,13 @@ class TestLabelLimit:
             ["decompose", "--z-re", "30", "--trunc", "3000"],
             ["density", "--z-re", "30"],
             ["density", "--j", "1", "--z-re", "20", "--z-im", "25"],
-            ["verify", "--trunc", "5", "--alpha-re", "2e4"],
             ["density", "--j", "0", "--z-re", "6e102"],  # z^3 overflows
             ["density", "--z-re", "-1e200", "--z-im", "-1e200"],  # z^3 is nan
         ],
     )
     def test_fails_naming_the_limit(self, tmp_path, argv):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        if argv[0] != "verify":
-            argv = [*argv, "--out", "out.csv"]
+        argv = [*argv, "--out", "out.csv"]
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "triladder.cli", *argv],
@@ -349,15 +361,9 @@ class TestLabelLimit:
         except subprocess.TimeoutExpired:
             pytest.fail(f"triladder {' '.join(argv)} hung")
         assert done.returncode == 1
-        if argv[0] == "verify":
-            assert done.stderr == ""
-            failed = [l for l in done.stdout.splitlines() if l.startswith("FAIL")]
-            assert len(failed) == 1 and failed[0].startswith("FAIL cs-eigen")
-            message = failed[0]
-        else:
-            assert done.stdout == ""
-            message, = done.stderr.splitlines()
-            assert message.startswith(argv[0] + ": |")
+        assert done.stdout == ""
+        message, = done.stderr.splitlines()
+        assert message.startswith(argv[0] + ": |")
         assert "beyond the float64 limit" in message and "1.8e4" in message
         assert list(tmp_path.iterdir()) == []
 
@@ -631,19 +637,15 @@ class TestParser:
         assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--trunc", "0"],
         ["decompose", "--trunc", "-5"],
         ["decompose", "--trunc", "0"],
-        ["verify", "--trunc", "-3"],
-        ["verify", "--trunc", "2.5"],
         ["moments", "--nmax", "0", "--samples", "w.txt"],
         ["moments", "--nmax", "-2", "--samples", "w.txt"],
     ])
     def test_nonpositive_truncation_rejected(self, tmp_path, capsys, argv):
         # decompose --trunc 0 once wrote the default table and -5 a traceback;
         # moments --nmax 0 got past the parser and exited 1
-        if argv[0] != "verify":
-            argv = [*argv, "--out", str(tmp_path / "out.csv")]
+        argv = [*argv, "--out", str(tmp_path / "out.csv")]
         flag = argv[1]
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -692,19 +694,16 @@ class TestParser:
          "piv: a 1000000000 x 1 grid needs about 1.1e+12 bytes,"),
         (["uncertainty", "--asteps", "100000000"],
          "uncertainty: a 100000000 x 3 grid needs about 7.8e+10 bytes,"),
-        (["verify", "--trunc", "100000000"],
-         "verify: a truncation of 100000000 levels needs about 1.93e+10 bytes,"),
         (["decompose", "--trunc", "100000000"],
          "decompose: a truncation of 100000000 levels needs about 3.6e+10 bytes,"),
-    ], ids=["density", "piv", "uncertainty", "verify", "decompose"])
+    ], ids=["density", "piv", "uncertainty", "decompose"])
     def test_oversized_grid_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                        argv, err):
         # the commands are stubbed out, so a missing guard fails here instead
         # of allocating the grid or the truncation
-        for name in ("cmd_density", "cmd_piv", "cmd_uncertainty", "cmd_verify", "cmd_decompose"):
+        for name in ("cmd_density", "cmd_piv", "cmd_uncertainty", "cmd_decompose"):
             monkeypatch.setattr(cli, name, lambda ns: pytest.fail("the command ran"))
-        if argv[0] != "verify":
-            argv = [*argv, "--out", str(tmp_path / "out.csv")]
+        argv = [*argv, "--out", str(tmp_path / "out.csv")]
         start = time.perf_counter()
         assert run(argv) == 2
         assert time.perf_counter() - start < 0.5
@@ -713,7 +712,7 @@ class TestParser:
         ))
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    @pytest.mark.parametrize("command", ["decompose"])
     def test_longest_truncation_within_the_limit_runs(self, monkeypatch, command):
         monkeypatch.setattr(cli, "cmd_" + command, lambda ns: 0)
         levels = cli.GRID_MEMORY_LIMIT // cli._BYTES_PER_SAMPLE[command]

@@ -703,13 +703,15 @@ class TestLadderStepTable:
 
 
 class TestSizeCheck:
-    """One size rule for every builder: an omitted size is the tail-rule
-    size, that size passes and one level less raises ``TruncationError``."""
+    """One size rule for every builder: the tail-rule size passes and one
+    level less raises ``TruncationError``. Only ``CoherentSpec`` may omit
+    its size, which is then the tail-rule size."""
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_boundary_for_every_builder(self, j):
         z = 1.7 + 0.4j
         spec = coherent.CoherentSpec(j, z**3)
+        assert spec.truncation == spec.required
         builders = [
             (spec.required, lambda n: coherent.build_cs(coherent.CoherentSpec(j, z**3, n))),
             (coherent.adequate_truncation_standard(abs(z)),
@@ -718,7 +720,7 @@ class TestSizeCheck:
              lambda n: coherent.deformed_cs_nonnorm(z, j, n)),
         ]
         for required, build in builders:
-            assert build(None).size == build(required).size == required
+            assert build(required).size == required
             with pytest.raises(coherent.TruncationError) as info:
                 build(required - 1)
             assert (info.value.required, info.value.given) == (required, required - 1)
@@ -816,15 +818,15 @@ class TestStandardCS:
             assert got.tobytes() == loop_standard(z, size).tobytes(), size
 
     def test_vacuum(self):
-        v = coherent.standard_cs_nonnorm(0.0)
+        v = coherent.standard_cs_nonnorm(0.0, coherent.adequate_truncation_standard(0.0))
         assert v.tolist() == [1.0 + 0.0j]
 
     def test_coefficient_value(self):
-        v = coherent.standard_cs_nonnorm(1.0)
+        v = coherent.standard_cs_nonnorm(1.0, coherent.adequate_truncation_standard(1.0))
         assert v[2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     def test_norm_squared_is_exponential(self):
-        v = coherent.standard_cs_nonnorm(2.0)
+        v = coherent.standard_cs_nonnorm(2.0, coherent.adequate_truncation_standard(2.0))
         assert np.linalg.norm(v) ** 2 == pytest.approx(math.exp(4.0), rel=1e-10)
 
     def test_truncation_error(self):
