@@ -349,6 +349,7 @@ class TestLabelLimit:
             ["density", "--j", "0", "--z-re", "6e102"],  # z^3 overflows
             ["density", "--z-re", "-1e200", "--z-im", "-1e200"],  # z^3 is nan
         ],
+        ids=["argv0", "argv1", "argv2", "argv3", "argv5", "argv6"],  # argv4 ran verify
     )
     def test_fails_naming_the_limit(self, tmp_path, argv):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -641,7 +642,7 @@ class TestParser:
         ["decompose", "--trunc", "0"],
         ["moments", "--nmax", "0", "--samples", "w.txt"],
         ["moments", "--nmax", "-2", "--samples", "w.txt"],
-    ])
+    ], ids=["argv1", "argv2", "argv5", "argv6"])  # argv0, argv3 and argv4 ran verify
     def test_nonpositive_truncation_rejected(self, tmp_path, capsys, argv):
         # decompose --trunc 0 once wrote the default table and -5 a traceback;
         # moments --nmax 0 got past the parser and exited 1
