@@ -35,16 +35,14 @@ SPOT_CHECK_TOL = 1e-6
 PERIOD_TOL = 1e-10
 NON_PERIOD_FLOOR = 1e-3
 
-# The most memory, in bytes, that a piv or density grid, an uncertainty sweep
-# (|alpha| steps by families) or a decompose --trunc may ask for: its sample
-# count times the peak RSS measured per sample. That is about 130 B per
-# density cell with all three families (86.6 MB at 1601 x 241), 1.1 KB per
-# piv x point (251.7 MB at 200 001 points), 260 B per uncertainty row (103.2
-# MiB at 100 001 steps, 176.9 MiB at 200 001) and 360 B per decompose level
-# (195.3 MiB at 5e5, 699.7 MiB at 2e6). A larger one exits 2 before anything
-# is allocated.
+# The most memory, in bytes, that a piv or density grid or an uncertainty sweep
+# (|alpha| steps by families) may ask for: its sample count times the peak RSS
+# measured per sample. That is about 130 B per density cell with all three
+# families (86.6 MB at 1601 x 241), 1.1 KB per piv x point (251.7 MB at
+# 200 001 points) and 260 B per uncertainty row (103.2 MiB at 100 001 steps,
+# 176.9 MiB at 200 001). A larger one exits 2 before anything is allocated.
 GRID_MEMORY_LIMIT = 2**30
-_BYTES_PER_SAMPLE = dict(density=130, piv=1100, uncertainty=260, decompose=360)
+_BYTES_PER_SAMPLE = dict(density=130, piv=1100, uncertainty=260)
 
 
 def _worst(values) -> float:
@@ -161,7 +159,7 @@ def _check_piv_residual(inject):
     if inject:
         base = solutions[0]
         solutions = [dataclasses.replace(base, g=lambda y: base.g(y) + 0.01)]
-    scans = [painleve.residual_scan(s, grid, painleve.DEFAULT_DELTA) for s in solutions]
+    scans = [painleve.residual_scan(s, grid) for s in solutions]
     worst = _worst(np.concatenate([np.abs(s.residual[~s.excluded]) for s in scans]))
     excluded = sum(np.count_nonzero(s.excluded) for s in scans)
     return (
@@ -333,10 +331,7 @@ def cmd_uncertainty(ns) -> int:
     for abs_alpha in np.linspace(amin, amax, asteps).tolist():
         alpha_text = repr(abs_alpha)
         for j in families:
-            try:
-                product = coherent.a_norm_squared(j, abs_alpha) + 0.5
-            except coherent.LabelRangeError:
-                product = math.nan
+            product = coherent.a_norm_squared(j, abs_alpha) + 0.5
             if not math.isfinite(product):
                 print(
                     f"uncertainty: the a_norm_squared series is not finite at"
@@ -359,13 +354,10 @@ def cmd_uncertainty(ns) -> int:
 
 
 def cmd_piv(ns) -> int:
-    if ns.delta < 0:
-        print(f"piv: invalid exclusion radius --delta {ns.delta!r}, below 0", file=sys.stderr)
-        return 2
     grid = ns.grid
     config = [
         f"y range [{grid.x_min!r}, {grid.x_max!r}] with {grid.x_steps} points",
-        f"delta={ns.delta!r} residual_tol={RESIDUAL_TOL:g}",
+        f"delta={painleve.DEFAULT_DELTA!r} residual_tol={RESIDUAL_TOL:g}",
     ]
     ys = list(map(repr, grid.x_values().tolist()))
     rows, included, results = [], [], []
@@ -377,7 +369,14 @@ def cmd_piv(ns) -> int:
             f"solution_id={sol_id} ordering={ordering} a={a} b={b}"
             f" singularities={list(sol.singularities)}"
         )
-        scan = painleve.residual_scan(sol, grid, ns.delta)
+        scan = painleve.residual_scan(sol, grid)
+        if scan.excluded.all():  # the gate below would pass it unchecked
+            print(
+                f"piv: solution {sol_id} is excluded at every grid point, so no"
+                " residual is checked; no file written",
+                file=sys.stderr,
+            )
+            return 1
         rows += zip(
             [str(sol_id)] * len(ys),
             ys,
@@ -450,7 +449,7 @@ def cmd_density(ns) -> int:
 def cmd_decompose(ns) -> int:
     z = complex(ns.z_re, ns.z_im)
     tri = coherent.triangle_decompose(z, ns.j)
-    n_trunc = tri.default_truncation() if ns.trunc is None else ns.trunc
+    n_trunc = tri.default_truncation()
     rec = tri.reconstruction(n_trunc)
     target = tri.target(n_trunc)
     errors = np.abs(rec - target)
@@ -530,7 +529,7 @@ def cmd_moments(ns) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --trunc and --nmax: a size of at least one."""
+    """argparse type for --nmax: a size of at least one."""
     try:
         value = int(text)
     except ValueError:
@@ -578,8 +577,6 @@ _OPTIONS = {
     "tmin": ("time grid start", _finite_float),
     "tmax": ("time grid end", _finite_float),
     "tsteps": ("time grid points", int),
-    "trunc": ("Fock truncation; None chooses an adequate one", _positive_int),
-    "delta": ("singularity exclusion radius", _finite_float),
     "amin": ("sweep start", _finite_float),
     "amax": ("sweep end", _finite_float),
     "asteps": ("sweep points", int),
@@ -620,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("uncertainty", cmd_uncertainty, "uncertainty-product sweep CSV; all families unless --j is set",
             j=None, amin=0.0, amax=10.0, asteps=201, out="uncertainty.csv")
     command("piv", cmd_piv, "residual scan of the three solutions",
-            xmin=-10.0, xmax=10.0, xsteps=2001, delta=painleve.DEFAULT_DELTA, out="piv_scan.csv")
+            xmin=-10.0, xmax=10.0, xsteps=2001, out="piv_scan.csv")
     grid = wavepacket.DEFAULT_GRID
     p = command("density", cmd_density,
                 "space-time density CSV; one file per family unless --j is set",
@@ -630,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
                 out="density.csv")
     p.add_argument("--inject-spotcheck", action="store_true", help=argparse.SUPPRESS)
     command("decompose", cmd_decompose, "triangle reconstruction error table",
-            j=0, z_re=2.0, z_im=0.0, trunc=None, out="decompose.csv")
+            j=0, z_re=2.0, z_im=0.0, out="decompose.csv")
     p = command("moments", cmd_moments, "moment check of a sampled weight",
                 j=0, nmax=5, rtol=1e-3, out="moments.csv")
     p.add_argument("--samples", required=True, help="two-column file of (x, f) samples")
@@ -650,14 +647,10 @@ def main(argv=None) -> int:
         shape = (ns.grid.x_steps, ns.grid.t_steps)
     elif "asteps" in ns:  # uncertainty writes a row per |alpha| step and family
         shape = (ns.asteps, 3 if ns.j is None else 1)
-    elif getattr(ns, "trunc", None):  # decompose holds --trunc levels
-        shape = (ns.trunc,)
     need = math.prod(shape) * _BYTES_PER_SAMPLE.get(ns.command, 0)
     if need > GRID_MEMORY_LIMIT:
-        what = (f"a {shape[0]} x {shape[1]} grid" if shape[1:]
-                else f"a truncation of {shape[0]} levels")
         print(
-            f"{ns.command}: {what} needs about {need:.3g} bytes,"
+            f"{ns.command}: a {shape[0]} x {shape[1]} grid needs about {need:.3g} bytes,"
             f" past the grid limit of {GRID_MEMORY_LIMIT} bytes; no file written",
             file=sys.stderr,
         )

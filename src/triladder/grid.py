@@ -1,5 +1,6 @@
 """Uniform sampling grids shared by the residual scans and the density maps."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ class GridSpec:
             raise ValueError("grid requires at least one sample per axis")
         if self.t_min > self.t_max:
             raise ValueError("grid requires t_min <= t_max")
+        if not (math.isfinite(self.x_max - self.x_min) and math.isfinite(self.t_max - self.t_min)):
+            raise ValueError("grid requires finite spans x_max - x_min and t_max - t_min")
 
     def x_values(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.x_steps)

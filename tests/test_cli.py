@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,10 +165,10 @@ class TestUncertainty:
         assert run(["uncertainty", "--amin", "1e155", "--amax", "1e156",
                     "--asteps", "2", "--out", str(out)]) == 1
         assert not out.exists()
+        # reported as density and decompose report a label past its limit
         assert capsys.readouterr().err == (
-            "uncertainty: the a_norm_squared series is not finite at"
-            " |alpha|=1e+155, j=0 (it overflows from about |alpha| = 1.9e4);"
-            " no file written\n"
+            "uncertainty: |alpha| = 1e+155 is beyond the float64 limit of the norm"
+            " series: |alpha|^2 overflows 1.798e+308 from |alpha| = 1.34e154\n"
         )
 
     def test_deterministic_output(self, tmp_path, capsys):
@@ -214,15 +215,18 @@ class TestPiv:
         assert not out.exists()
         assert "no file written" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("delta,code", [("-1", 2), ("-1e-300", 2), ("0", 1)])
-    def test_negative_exclusion_radius_is_invalid_input(self, tmp_path, capsys, delta, code):
-        # a negative radius once exited 1 and blamed the solutions; 0 excludes
-        # nothing, so the poles fail the residual gate
-        assert run(["piv", "--delta", delta, "--out", str(tmp_path / "piv.csv")]) == code
-        out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1
-        if code == 2:
-            assert err == f"piv: invalid exclusion radius --delta {float(delta)!r}, below 0\n"
+    @pytest.mark.parametrize("argv,sol_id", [
+        (["--xmin", "1e-9", "--xmax", "2e-9", "--xsteps", "2"], 1),
+        (["--xmin", "-0.05", "--xmax", "0.05", "--xsteps", "11"], 2),
+    ], ids=["every-solution", "solution-2"])
+    def test_solution_checked_at_no_point_fails(self, tmp_path, capsys, argv, sol_id):
+        # the empty maximum is 0.0, so these once passed the gate: the first
+        # with every row excluded, the second with solution 2 checked nowhere
+        assert run(["piv", *argv, "--out", str(tmp_path / "piv.csv")]) == 1
+        assert capsys.readouterr() == ("", (
+            f"piv: solution {sol_id} is excluded at every grid point, so no residual"
+            " is checked; no file written\n"
+        ))
         assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_output(self, tmp_path, capsys):
@@ -343,13 +347,13 @@ class TestLabelLimit:
         "argv",
         [
             ["decompose", "--z-re", "30"],
-            ["decompose", "--z-re", "30", "--trunc", "3000"],
             ["density", "--z-re", "30"],
             ["density", "--j", "1", "--z-re", "20", "--z-im", "25"],
             ["density", "--j", "0", "--z-re", "6e102"],  # z^3 overflows
             ["density", "--z-re", "-1e200", "--z-im", "-1e200"],  # z^3 is nan
         ],
-        ids=["argv0", "argv1", "argv2", "argv3", "argv5", "argv6"],  # argv4 ran verify
+        # argv1 ran decompose --trunc and argv4 verify --trunc
+        ids=["argv0", "argv2", "argv3", "argv5", "argv6"],
     )
     def test_fails_naming_the_limit(self, tmp_path, argv):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -520,8 +524,7 @@ class TestGoldenBytes:
         (["uncertainty", "--amin", "1", "--amax", "1.5e4", "--asteps", "31"],
          "107c106549cd52a6"),
         (["piv"], "488c1b6bac90ea0a"),
-        (["piv", "--xmin", "-3", "--xmax", "4", "--xsteps", "301", "--delta", "0.2"],
-         "c44d777534723b5e"),
+        (["piv", "--xmin", "-3", "--xmax", "4", "--xsteps", "301"], "ea55b962a2e9b783"),
     ])
     def test_output_bytes(self, tmp_path, capsys, argv, digest):
         out = tmp_path / "out.csv"
@@ -638,14 +641,11 @@ class TestParser:
         assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["decompose", "--trunc", "-5"],
-        ["decompose", "--trunc", "0"],
         ["moments", "--nmax", "0", "--samples", "w.txt"],
         ["moments", "--nmax", "-2", "--samples", "w.txt"],
-    ], ids=["argv1", "argv2", "argv5", "argv6"])  # argv0, argv3 and argv4 ran verify
+    ], ids=["argv5", "argv6"])  # argv0 to argv4 ran verify --trunc or decompose --trunc
     def test_nonpositive_truncation_rejected(self, tmp_path, capsys, argv):
-        # decompose --trunc 0 once wrote the default table and -5 a traceback;
-        # moments --nmax 0 got past the parser and exited 1
+        # moments --nmax 0 once got past the parser and exited 1
         argv = [*argv, "--out", str(tmp_path / "out.csv")]
         flag = argv[1]
         with pytest.raises(SystemExit) as exc:
@@ -688,6 +688,25 @@ class TestParser:
         assert exc.value.code == 2
         assert "grid requires at least one sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["piv", "--xmin", "-1.7e308", "--xmax", "1.7e308", "--xsteps", "3"],
+        ["density", "--j", "0", "--xmin", "-1.7e308", "--xmax", "1.7e308",
+         "--xsteps", "3", "--tsteps", "2"],
+        ["density", "--j", "0", "--xsteps", "3", "--tsteps", "2",
+         "--tmin", "-1.7e308", "--tmax", "1.7e308"],
+    ], ids=["piv", "density-x", "density-t"])
+    def test_grid_span_past_float64_is_a_usage_error(self, tmp_path, capsys, argv):
+        # each span overflows to inf; piv once wrote nan and inf rows after
+        # numpy overflow warnings, and density warned before it refused
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+            warnings.simplefilter("error")
+            run([*argv, "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"{argv[0]}: grid requires finite spans x_max - x_min"
+                            " and t_max - t_min\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv,err", [
         (["density", "--j", "0", "--xsteps", "100000000", "--tsteps", "100000"],
          "density: a 100000000 x 100000 grid needs about 1.3e+15 bytes,"),
@@ -695,14 +714,12 @@ class TestParser:
          "piv: a 1000000000 x 1 grid needs about 1.1e+12 bytes,"),
         (["uncertainty", "--asteps", "100000000"],
          "uncertainty: a 100000000 x 3 grid needs about 7.8e+10 bytes,"),
-        (["decompose", "--trunc", "100000000"],
-         "decompose: a truncation of 100000000 levels needs about 3.6e+10 bytes,"),
-    ], ids=["density", "piv", "uncertainty", "decompose"])
+    ], ids=["density", "piv", "uncertainty"])
     def test_oversized_grid_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                        argv, err):
         # the commands are stubbed out, so a missing guard fails here instead
-        # of allocating the grid or the truncation
-        for name in ("cmd_density", "cmd_piv", "cmd_uncertainty", "cmd_decompose"):
+        # of allocating the grid
+        for name in ("cmd_density", "cmd_piv", "cmd_uncertainty"):
             monkeypatch.setattr(cli, name, lambda ns: pytest.fail("the command ran"))
         argv = [*argv, "--out", str(tmp_path / "out.csv")]
         start = time.perf_counter()
@@ -712,13 +729,6 @@ class TestParser:
             f"{err} past the grid limit of 1073741824 bytes; no file written\n"
         ))
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("command", ["decompose"])
-    def test_longest_truncation_within_the_limit_runs(self, monkeypatch, command):
-        monkeypatch.setattr(cli, "cmd_" + command, lambda ns: 0)
-        levels = cli.GRID_MEMORY_LIMIT // cli._BYTES_PER_SAMPLE[command]
-        assert run([command, "--trunc", str(levels)]) == 0
-        assert run([command, "--trunc", str(levels + 1)]) == 2
 
     def test_density_takes_no_truncation(self, tmp_path, capsys):
         # the spot check always runs at the tail-rule size
@@ -730,6 +740,44 @@ class TestParser:
         with pytest.raises(SystemExit):
             run(["density", "--help"])
         assert "--trunc" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["piv", "--delta", "0.2"], ["decompose", "--trunc", "90"]],
+                             ids=["piv", "decompose"])
+    def test_gate_takes_no_check_knob(self, tmp_path, capsys, argv):
+        # piv --delta 100 once excluded 4003 of the 6003 rows and still passed;
+        # each command checks at one fixed radius or size
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(SystemExit):
+            run([argv[0], "--help"])
+        assert argv[1] not in capsys.readouterr().out
+
+    # every option string of each command, but -h/--help
+    COMMAND_OPTIONS = {
+        "verify": "--inject-commutator --inject-piv-sign --inject-piv-residual"
+                  " --inject-eigen --inject-stats --inject-triangle --inject-density"
+                  " --inject-period",
+        "uncertainty": "--j --amin --amax --asteps --out",
+        "piv": "--xmin --xmax --xsteps --out",
+        "density": "--j --z-re --z-im --xmin --xmax --xsteps --tmin --tmax --tsteps --out"
+                   " --inject-spotcheck",
+        "decompose": "--j --z-re --z-im --out",
+        "moments": "--j --nmax --rtol --out --samples",
+    }
+
+    def test_each_command_takes_exactly_its_options(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        assert sub.choices.keys() == self.COMMAND_OPTIONS.keys()
+        value_dests = set()
+        for name, parser in sub.choices.items():
+            actions = [a for a in parser._actions if a.dest != "help"]
+            assert {s for a in actions for s in a.option_strings} == set(
+                self.COMMAND_OPTIONS[name].split()), name
+            value_dests |= {a.dest for a in actions if a.nargs != 0}
+        assert value_dests == set(cli._OPTIONS) | {"samples"}
 
     @pytest.mark.parametrize("command", ["density", "piv"])
     def test_largest_grid_within_the_limit_runs(self, tmp_path, capsys, monkeypatch, command):

@@ -23,6 +23,10 @@ class TestGridSpec:
             GridSpec(-1.0, 1.0, 0)
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0, 5, t_min=2.0, t_max=1.0, t_steps=3)
+        with pytest.raises(ValueError, match="finite spans"):
+            GridSpec(-1.7e308, 1.7e308, 3)
+        with pytest.raises(ValueError, match="finite spans"):
+            GridSpec(-1.0, 1.0, 3, t_min=-1.7e308, t_max=1.7e308, t_steps=2)
 
 
 class TestHermiteFunctions:
