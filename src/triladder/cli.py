@@ -234,13 +234,10 @@ def _check_triangle(inject):
             if inject:
                 w0, w1, w2 = tri.weights
                 tri = dataclasses.replace(tri, weights=(w0, w1 * (1 + 1e-6), w2))
-            n = tri.default_truncation()
-            errors.append(
-                np.max(np.abs(tri.reconstruction(n) - tri.target(n)))
-            )
+            errors.append(np.max(np.abs(tri.reconstruction() - tri.target())))
     partition = []
     for z in (1.0, 1.7, 3.0):
-        n = max(coherent.triangle_decompose(z, j).default_truncation() for j in range(3))
+        n = max(coherent.triangle_decompose(z, j).truncation for j in range(3))
         total = sum(
             np.linalg.norm(coherent.deformed_cs_nonnorm(z, j, n)) ** 2
             for j in range(3)
@@ -449,9 +446,8 @@ def cmd_density(ns) -> int:
 def cmd_decompose(ns) -> int:
     z = complex(ns.z_re, ns.z_im)
     tri = coherent.triangle_decompose(z, ns.j)
-    n_trunc = tri.default_truncation()
-    rec = tri.reconstruction(n_trunc)
-    target = tri.target(n_trunc)
+    rec = tri.reconstruction()
+    target = tri.target()
     errors = np.abs(rec - target)
     worst = float(np.max(errors))
     # the coefficients grow like e^(|z|^2/2), so the error is gated relative to them
@@ -460,7 +456,7 @@ def cmd_decompose(ns) -> int:
     if not _gate("decompose", "max scaled error", scaled, TRIANGLE_TOL):
         return 1
     config = [
-        f"j={ns.j} z_re={z.real!r} z_im={z.imag!r} truncation={n_trunc}",
+        f"j={ns.j} z_re={z.real!r} z_im={z.imag!r} truncation={len(target)}",
         "weights=" + " ".join(f"({w.real!r},{w.imag!r})" for w in tri.weights),
         "labels=" + " ".join(f"({l.real!r},{l.imag!r})" for l in tri.labels),
         f"max_abs_error={worst!r} scale={scale!r} (tol {TRIANGLE_TOL:g} on max_abs_error/scale)",

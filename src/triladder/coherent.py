@@ -440,7 +440,7 @@ class TriangleDecomposition:
     The labels z, z w, z w^2 (w = e^(2 pi i / 3)) form an equilateral
     triangle; the weights are the roots-of-unity filter w^(-kj) / 3 that
     keeps exactly the n = 3k + j coefficients. All three weights share the
-    modulus 1/3.
+    modulus 1/3. Both states are built at ``truncation``, walked once.
     """
 
     z: complex
@@ -448,23 +448,22 @@ class TriangleDecomposition:
     weights: tuple[complex, complex, complex]
     labels: tuple[complex, complex, complex]
 
-    def default_truncation(self) -> int:
-        """Common adequate size for the reconstruction and its target."""
+    @functools.cached_property
+    def truncation(self) -> int:
+        """Tail-rule size adequate for both the reconstruction and its target."""
         return max(
             adequate_truncation_standard(abs(self.z)),
             adequate_truncation(self.j, abs(self.z) ** 3),
         )
 
-    def reconstruction(self, n_trunc: int) -> np.ndarray:
-        """Weighted sum of the three standard coherent states."""
-        total = np.zeros(int(n_trunc), dtype=complex)
-        for weight, label in zip(self.weights, self.labels):
-            total += weight * standard_cs_nonnorm(label, n_trunc)
-        return total
+    def reconstruction(self) -> np.ndarray:
+        """Weighted sum of the three standard coherent states, at ``truncation``."""
+        states = (standard_cs_nonnorm(label, self.truncation) for label in self.labels)
+        return sum(weight * state for weight, state in zip(self.weights, states))
 
-    def target(self, n_trunc: int) -> np.ndarray:
-        """The non-normalized |z>_j the reconstruction must reproduce."""
-        return deformed_cs_nonnorm(self.z, self.j, n_trunc)
+    def target(self) -> np.ndarray:
+        """The non-normalized |z>_j the reconstruction must reproduce, at ``truncation``."""
+        return deformed_cs_nonnorm(self.z, self.j, self.truncation)
 
 
 def triangle_decompose(z: complex, j) -> TriangleDecomposition:

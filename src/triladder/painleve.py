@@ -40,8 +40,8 @@ __all__ = [
     "residual_numerator",
 ]
 
-# Exclusion radius around poles of g; residuals diverge like 1/(y - y0)
-# there, so a fixed radius beats an adaptive threshold.
+# Exclusion radius around poles of g, the same for every scan; residuals
+# diverge like 1/(y - y0) there, so a fixed radius beats an adaptive threshold.
 DEFAULT_DELTA = 0.1
 
 # Below this |g| the terms (g')^2/(2g) and b/g cancel only in exact
@@ -206,24 +206,28 @@ def builtin_solutions() -> list[PIVSolution]:
     return [solution_from_extremal(ExtremalSeed(o)) for o in CANONICAL_ORDERINGS]
 
 
-def piv_residual(sol: PIVSolution, y, delta: float = DEFAULT_DELTA):
+def _near_pole(sol: PIVSolution, y: np.ndarray):
+    """Where y lies within DEFAULT_DELTA of a pole of g: the one exclusion rule."""
+    return np.any([np.abs(y - pole) < DEFAULT_DELTA for pole in sol.singularities], axis=0)
+
+
+def piv_residual(sol: PIVSolution, y):
     """Defect g'' - RHS of the equation at each of the points ``y``.
 
     ``y`` is a float, for which a float is returned, or an ndarray, for
     which an ndarray of the same shape is. Raises SingularPointError if any
-    y lies within ``delta`` of a pole of g and ZeroDivisionError if g
-    vanishes at any y (the b/g term is undefined there). A float goes
-    through the same numpy arithmetic as an array, so a term that divides
-    by zero or overflows gives inf or nan for both rather than raising.
+    y lies within the fixed radius DEFAULT_DELTA of a pole of g, and
+    ZeroDivisionError if g vanishes at any y (b/g is undefined there). A
+    float goes through the same numpy arithmetic as an array, so a term
+    that divides by zero or overflows gives inf or nan for both, not an error.
     """
     scalar = np.ndim(y) == 0
     y = np.asarray(y, dtype=float)
-    for pole in sol.singularities:
-        near = np.abs(y - pole) < delta
-        if np.any(near):
-            raise SingularPointError(
-                f"y = {np.extract(near, y)[0]} lies within {delta} of the pole at {pole}"
-            )
+    near = _near_pole(sol, y)
+    if np.any(near):
+        raise SingularPointError(
+            f"y = {np.extract(near, y)[0]} lies within {DEFAULT_DELTA} of a pole of g"
+        )
     with np.errstate(all="ignore"):
         g = sol.g(y)
         if np.any(g == 0.0):
@@ -251,16 +255,14 @@ def _scalar_g(sol: PIVSolution, y: float) -> float:
         return math.nan
 
 
-def residual_scan(
-    sol: PIVSolution, grid: GridSpec, delta: float = DEFAULT_DELTA
-) -> np.recarray:
+def residual_scan(sol: PIVSolution, grid: GridSpec) -> np.recarray:
     """Residuals over grid.x_values() in one array pass.
 
     Returns a record array with one record per grid point and the fields
     ``y``, ``g``, ``residual`` (float) and ``excluded`` (bool); ``len()``
     counts the points and each column reads as ``scan.residual``. A point
-    is excluded when it falls within ``delta`` of a pole, when g is not
-    finite there, or when |g| < G_FLOOR (including exact zeros of g);
+    is excluded when it lies within the fixed DEFAULT_DELTA of a pole, when
+    g is not finite there, or when |g| < G_FLOOR (exact zeros included);
     excluded points carry residual = nan. Where g is not finite its column
     holds what Python float arithmetic gives: nan where g divides by zero
     (numpy would give +-inf), +-inf where it overflows.
@@ -273,11 +275,9 @@ def residual_scan(
     # again: numpy gives +-inf both for a division by zero, which Python
     # floats raise on, and for an overflow, which they give as +-inf too.
     g[bad] = [_scalar_g(sol, v) for v in y[bad].tolist()]
-    excluded = bad | (np.abs(g) < G_FLOOR)
-    for pole in sol.singularities:
-        excluded |= np.abs(y - pole) < delta
+    excluded = bad | (np.abs(g) < G_FLOOR) | _near_pole(sol, y)
     residual = np.full(y.shape, math.nan)
-    residual[~excluded] = piv_residual(sol, y[~excluded], delta)
+    residual[~excluded] = piv_residual(sol, y[~excluded])
     return np.rec.fromarrays(
         [y, g, residual, excluded], names=["y", "g", "residual", "excluded"]
     )

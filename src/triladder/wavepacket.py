@@ -72,23 +72,24 @@ def hermite_basis(n_levels: int, x) -> np.ndarray:
     Row n is psi_n(x) = pi^(-1/4) (2^n n!)^(-1/2) H_n(x) e^(-x^2/2), on x
     raveled. Uses the normalized recurrence
         psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1},
-    which keeps every value of order one and cannot overflow.
+    which keeps every value of order one and cannot overflow below
+    |x| = 1.3e308; past it the values are nan, left to the finiteness gates.
     """
     if n_levels < 1:
         raise ValueError("need at least one level")
     x = np.asarray(x, dtype=float).ravel()
     out = np.zeros((n_levels, x.size))
-    with np.errstate(over="ignore"):  # -x^2/2 -> -inf past |x| = 1.3e154: the seed is 0 there
+    with np.errstate(over="ignore", invalid="ignore"):  # -x^2/2 -> -inf past |x| = 1.3e154: seed 0
         out[0] = np.pi**-0.25 * np.exp(-x * x / 2.0)
-    back = np.empty_like(x)
-    for n in range(n_levels - 1):  # at n = 0 the weight on out[n - 1] is 0
-        # in place, with the formula's operations in its order; back is taken
-        # first, as out[n - 1] is out[n + 1] itself when n = 0 and n_levels = 2
-        np.multiply(out[n - 1], math.sqrt(n / (n + 1.0)), out=back)
-        row = out[n + 1]
-        np.multiply(x, math.sqrt(2.0 / (n + 1)), out=row)
-        row *= out[n]
-        row -= back
+        back = np.empty_like(x)
+        for n in range(n_levels - 1):  # at n = 0 the weight on out[n - 1] is 0
+            # in place, with the formula's operations in its order; back is taken
+            # first, as out[n - 1] is out[n + 1] itself when n = 0 and n_levels = 2
+            np.multiply(out[n - 1], math.sqrt(n / (n + 1.0)), out=back)
+            row = out[n + 1]
+            np.multiply(x, math.sqrt(2.0 / (n + 1)), out=row)
+            row *= out[n]
+            row -= back
     return out
 
 
@@ -113,7 +114,8 @@ def rho_fock(j, z: complex, x, t) -> np.ndarray:
     coeffs = coherent.build_cs(spec)[spec.j :: 3]
     x = np.asarray(x, dtype=float)
     rows = hermite_basis(spec.truncation, x)[spec.j :: 3].reshape(-1, *x.shape)
-    step = np.exp(-3j * np.asarray(t, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # nan from |t| = 6e307, refused by the gates
+        step = np.exp(-3j * np.asarray(t, dtype=float))
     weighted = np.empty((len(coeffs), *step.shape), dtype=complex)
     phase = np.ones_like(step)
     for k, c in enumerate(coeffs):
@@ -146,8 +148,6 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
         return float(rho) if shape == () else np.broadcast_to(rho, shape).copy()
     tri = coherent.triangle_decompose(z, j)
     rot = np.exp(-1j * t)
-    with np.errstate(over="ignore"):  # -x^2/2 -> -inf past |x| = 1.3e154: the density is 0 there
-        gx = -x * x / 2.0
     psi = np.zeros(shape, dtype=complex)
     term = np.empty(shape, dtype=complex)  # one buffer for each vertex's term in turn
     # The density CSVs pin the last bits of weight * term, and numpy's complex
@@ -158,16 +158,20 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
     # grid). Both orders are stated here; term[()] is a view, which numpy
     # never reuses.
     in_place = term.nbytes >= 256 * 1024
-    for weight, label in zip(tri.weights, tri.labels):
-        zeta = label * rot
-        np.multiply(_SQRT2 * zeta, x, out=term)
-        np.add(gx, term, out=term)
-        np.subtract(term, zeta * zeta / 2.0, out=term)
-        np.exp(term, out=term)
-        if in_place:
-            psi += np.multiply(term, weight, out=term)
-        else:
-            psi += weight * term[()]
+    # -x^2/2 -> -inf past |x| = 1.3e154: the density is 0 there; with |x| near
+    # 1e308 the exponent is nan, left to the gates, which test finiteness
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = -x * x / 2.0
+        for weight, label in zip(tri.weights, tri.labels):
+            zeta = label * rot
+            np.multiply(_SQRT2 * zeta, x, out=term)
+            np.add(gx, term, out=term)
+            np.subtract(term, zeta * zeta / 2.0, out=term)
+            np.exp(term, out=term)
+            if in_place:
+                psi += np.multiply(term, weight, out=term)
+            else:
+                psi += weight * term[()]
     psi *= np.pi**-0.25
     norm2 = 0.0
     for wk, lk in zip(tri.weights, tri.labels):

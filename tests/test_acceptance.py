@@ -22,7 +22,7 @@ def test_01_piv_residuals_on_dense_grid():
     start = time.perf_counter()
     worst = 0.0
     for sol in painleve.builtin_solutions():
-        for point in painleve.residual_scan(sol, grid, delta=0.1):
+        for point in painleve.residual_scan(sol, grid):
             if not point.excluded:
                 worst = max(worst, abs(point.residual))
     elapsed = time.perf_counter() - start
@@ -130,8 +130,7 @@ def test_06_triangle_reconstruction_and_partition():
     for j in range(3):
         for z in (0.5, 1.5, 3.0, 2.1 + 2.1j):
             tri = coherent.triangle_decompose(z, j)
-            n = tri.default_truncation()
-            err = np.max(np.abs(tri.reconstruction(n) - tri.target(n)))
+            err = np.max(np.abs(tri.reconstruction() - tri.target()))
             worst = max(worst, float(err))
     partition_dev = 0.0
     for z in (1.0, 2.0, 3.0):

@@ -338,6 +338,23 @@ class TestDensity:
         assert len(err.splitlines()) == 1 and err.endswith("no file written\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("axis", [
+        ["--xmin", "-8e307", "--xmax", "8e307"],
+        ["--tmin", "-8e307", "--tmax", "8e307"],
+        ["--xmin", "0", "--xmax", "1.7e308"],
+    ], ids=["x", "t", "x-hermite"])
+    def test_grid_ends_near_float64_limit_refuse_in_one_line(self, tmp_path, capsys, axis):
+        # the spans are finite, but the Gaussian exponent, the Fock phase
+        # e^(-3it) and the Hermite recurrence overflow to nan there; numpy
+        # once warned before the refusal
+        argv = ["density", "--j", "0", "--xsteps", "3", "--tsteps", "2", *axis]
+        assert run([*argv, "--out", str(tmp_path / "rho.csv")]) == 1
+        assert capsys.readouterr() == ("", (
+            "density: dual-path spot check failed for j=0: max |fock - gaussian| ="
+            " nan, not below 1e-06; no file written\n"
+        ))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLabelLimit:
     """Labels past the tail rule's float64 limit once hung these commands;
@@ -393,11 +410,11 @@ class TestDecompose:
                     "--out", str(out)]) == 0
         rows = read_rows(out)
         tri = coherent.triangle_decompose(1.3 + 0.8j, 2)
-        target = tri.target(len(rows))
-        assert len(rows) == tri.default_truncation()
+        target = tri.target()
+        assert len(rows) == tri.truncation
         assert [float(r["target_re"]) for r in rows] == target.real.tolist()
         assert [float(r["target_im"]) for r in rows] == target.imag.tolist()
-        rec = tri.reconstruction(len(rows))
+        rec = tri.reconstruction()
         assert [float(r["reconstructed_re"]) for r in rows] == rec.real.tolist()
         assert [float(r["abs_error"]) for r in rows] == np.abs(rec - target).tolist()
 
@@ -405,7 +422,7 @@ class TestDecompose:
         # a relative error of 1e-9 on every coefficient, far above TRIANGLE_TOL
         reconstruction = coherent.TriangleDecomposition.reconstruction
         monkeypatch.setattr(coherent.TriangleDecomposition, "reconstruction",
-                            lambda tri, n: reconstruction(tri, n) * (1 + 1e-9))
+                            lambda tri: reconstruction(tri) * (1 + 1e-9))
         out = tmp_path / "dec.csv"
         assert run(["decompose", "--j", "1", "--z-re", "5", "--out", str(out)]) == 1
         assert list(tmp_path.iterdir()) == []

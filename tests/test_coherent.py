@@ -886,29 +886,31 @@ class TestTriangleDecomposition:
         assert d12 == pytest.approx(d20, abs=1e-14)
 
     def test_reconstruction_oracle_small_truncation(self):
-        # direct coefficient comparison at n = 30, the filter keeps n = 3k
+        # direct coefficient comparison at the tail-rule size 27; the filter keeps n = 3k
         tri = coherent.triangle_decompose(1.0, 0)
-        err = np.max(np.abs(tri.reconstruction(30) - tri.target(30)))
+        assert tri.truncation == 27
+        err = np.max(np.abs(tri.reconstruction() - tri.target()))
         assert err < 1e-12
 
     def test_filter_property(self):
         tri = coherent.triangle_decompose(1.0, 1)
-        rec = tri.reconstruction(30)
-        off = np.arange(30) % 3 != 1
+        rec = tri.reconstruction()
+        assert rec.shape == (tri.truncation,)
+        off = np.arange(tri.truncation) % 3 != 1
         assert np.max(np.abs(rec[off])) < 1e-12
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     @pytest.mark.parametrize("z", [0.5, 1.5, 3.0, 2.1 + 2.1j])
     def test_reconstruction_matches_target(self, j, z):
         tri = coherent.triangle_decompose(z, j)
-        n = tri.default_truncation()
-        err = np.max(np.abs(tri.reconstruction(n) - tri.target(n)))
+        err = np.max(np.abs(tri.reconstruction() - tri.target()))
         assert err < 1e-12
 
     def test_degenerate_label(self):
+        # the tail rule keeps only |0> at z = 0
         tri = coherent.triangle_decompose(0.0, 0)
-        rec = tri.reconstruction(4)
-        np.testing.assert_allclose(rec, [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(tri.reconstruction(), [1], atol=1e-15)
+        np.testing.assert_array_equal(tri.target(), [1])
 
     def test_cross_family_orthogonality_exact(self):
         n = coherent.adequate_truncation(2, 8.0)

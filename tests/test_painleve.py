@@ -133,13 +133,13 @@ class TestResidualScan:
     def test_dense_grid_tol(self):
         grid = GridSpec(-10.0, 10.0, 2001)
         for sol in painleve.builtin_solutions():
-            points = painleve.residual_scan(sol, grid, delta=0.1)
+            points = painleve.residual_scan(sol, grid)
             worst = max(abs(p.residual) for p in points if not p.excluded)
             assert worst < 1e-10
 
     def test_seed3_exclusion_set(self):
         sol = painleve.solution_from_extremal(painleve.ExtremalSeed((3, 1, 2)))
-        points = painleve.residual_scan(sol, self.GRID, delta=0.1)
+        points = painleve.residual_scan(sol, self.GRID)
         for p in points:
             if abs(2 * p.y * p.y - 3) < 0.1:
                 assert p.excluded
@@ -176,7 +176,7 @@ class TestResidualScan:
         assert worst > 1e-3
 
 
-def scalar_scan(sol, grid, delta=painleve.DEFAULT_DELTA):
+def scalar_scan(sol, grid):
     """The per-point loop of scalar g and piv_residual calls, kept as the oracle."""
     gs, residuals, excluded = [], [], []
     for y in grid.x_values().tolist():
@@ -185,12 +185,12 @@ def scalar_scan(sol, grid, delta=painleve.DEFAULT_DELTA):
         except ZeroDivisionError:
             g = math.nan
         skip = (
-            any(abs(y - pole) < delta for pole in sol.singularities)
+            any(abs(y - pole) < painleve.DEFAULT_DELTA for pole in sol.singularities)
             or not math.isfinite(g)
             or abs(g) < painleve.G_FLOOR
         )
         gs.append(g)
-        residuals.append(math.nan if skip else painleve.piv_residual(sol, y, delta))
+        residuals.append(math.nan if skip else painleve.piv_residual(sol, y))
         excluded.append(skip)
     return np.array(gs), np.array(residuals), np.array(excluded)
 
@@ -198,9 +198,9 @@ def scalar_scan(sol, grid, delta=painleve.DEFAULT_DELTA):
 class TestArrayScan:
     DEFAULT_PIV_GRID = GridSpec(-10.0, 10.0, 2001)
 
-    def assert_matches_loop(self, sol, grid, delta=painleve.DEFAULT_DELTA):
-        scan = painleve.residual_scan(sol, grid, delta)
-        g, residual, excluded = scalar_scan(sol, grid, delta)
+    def assert_matches_loop(self, sol, grid):
+        scan = painleve.residual_scan(sol, grid)
+        g, residual, excluded = scalar_scan(sol, grid)
         assert len(scan) == grid.x_steps
         assert np.array_equal(scan.y, grid.x_values())
         assert np.array_equal(scan.g, g, equal_nan=True)
@@ -225,7 +225,7 @@ class TestArrayScan:
         sol = painleve.solution_from_extremal(painleve.ExtremalSeed(ordering))
         root = math.sqrt(1.5)
         self.assert_matches_loop(sol, GridSpec(-root - 0.3, root + 0.3, 1999))
-        self.assert_matches_loop(sol, GridSpec(-root, root, 7), delta=0.0)
+        self.assert_matches_loop(sol, GridSpec(-root, root, 7))
 
     def test_perturbed_solution(self):
         base = painleve.solution_from_extremal(painleve.ExtremalSeed((1, 2, 3)))
@@ -264,12 +264,27 @@ class TestArrayScan:
         assert residual.shape == (2,)
 
     def test_scalar_underflow_gives_what_the_array_gives(self):
-        # y*y underflows to 0 in seed 2's g' while g = -1e300 is not 0
+        # seed 1 has no pole, so no radius hides the origin: y*y and g^3
+        # underflow to 0 while g = -2y/3 is not 0 (the terms cancel to 0 at
+        # 1e-300; at the subnormal 1e-320, (g')^2/(2g) and b/g overflow to
+        # opposite infinities, so both paths give nan)
+        sol1 = painleve.solution_from_extremal(painleve.ExtremalSeed((1, 2, 3)))
+        for y in (1e-300, -1e-300, 1e-320):
+            scalar = painleve.piv_residual(sol1, y)
+            array = painleve.piv_residual(sol1, np.array([y]))
+            assert type(scalar) is float
+            assert np.array_equal([scalar], array, equal_nan=True)
+
+    def test_exclusion_radius_is_open(self):
+        # a point exactly DEFAULT_DELTA from seed 2's pole at 0 is scanned
         sol2 = painleve.solution_from_extremal(painleve.ExtremalSeed((2, 1, 3)))
-        scalar = painleve.piv_residual(sol2, 1e-300, delta=0.0)
-        array = painleve.piv_residual(sol2, np.array([1e-300]), delta=0.0)
-        assert type(scalar) is float
-        assert np.array_equal([scalar], array, equal_nan=True)
+        scan = self.assert_matches_loop(sol2, GridSpec(-0.1, 0.1, 3))
+        assert scan.excluded.tolist() == [False, True, False]
+        assert np.all(np.isfinite(scan.residual[[0, 2]]))
+        assert np.all(np.abs(scan.residual[[0, 2]]) < 1e-12)
+        assert abs(painleve.piv_residual(sol2, 0.1)) < 1e-12
+        with pytest.raises(painleve.SingularPointError):
+            painleve.piv_residual(sol2, np.nextafter(0.1, 0.0))
 
     def test_array_residual_keeps_its_raises(self):
         sol1 = painleve.solution_from_extremal(painleve.ExtremalSeed((1, 2, 3)))
