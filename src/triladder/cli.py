@@ -5,8 +5,8 @@ headers echoing the configuration, and floats written in shortest
 round-trip form, so repeated runs with the same flags are bit-identical.
 
 Exit codes: 0 on success, 1 when a check fails, a result is not finite or a
-label or truncation is past its limit, 2 for invalid input. The data commands
-refuse through one gate (``_gate``) and write through one envelope (``_emit``),
+label is past its limit, 2 for invalid input. The data commands refuse
+through one gate (``_gate``) and write through one envelope (``_emit``),
 each with one report line; neither adds an exit code.
 """
 
@@ -182,15 +182,20 @@ def _check_cs_eigen(inject):
             _within(worst, EIGEN_TOL),
             f"worst residual {worst:.3e} over 12 samples (tol {EIGEN_TOL:g})",
         )
-    # each family at alpha = 4 truncated to 5 levels, far below its tail-rule size
-    specs = [coherent.CoherentSpec(j, 4.0, 5) for j in range(3)]
-    residuals = [coherent.eigen_residual(spec) for spec in specs]
-    failures = [
-        f"j={spec.j} residual={res:.3e} at truncation {spec.truncation};"
-        f" suggested truncation >= {spec.required}"
-        for spec, res in zip(specs, residuals)
-        if not _within(res, EIGEN_TOL)
-    ]
+    # each family's state at alpha = 4 cut to 5 levels, far below its tail-rule
+    # size, and renormalized; a_g takes |3> to sqrt(6) |0> and |4> to sqrt(24) |1>
+    failures = []
+    for j in range(3):
+        spec = coherent.CoherentSpec(j, 4.0)
+        cut = spec.coeffs[:5] / np.linalg.norm(spec.coeffs[:5])
+        lowered = np.zeros(5, complex)
+        lowered[:2] = np.sqrt([6.0, 24.0]) * cut[3:]
+        res = float(np.linalg.norm(lowered - spec.alpha * cut))
+        if not _within(res, EIGEN_TOL):
+            failures.append(
+                f"j={j} residual={res:.3e} at truncation 5;"
+                f" suggested truncation >= {spec.truncation}"
+            )
     return not failures, "; ".join(failures)
 
 
@@ -237,10 +242,8 @@ def _check_triangle(inject):
             errors.append(np.max(np.abs(tri.reconstruction() - tri.target())))
     partition = []
     for z in (1.0, 1.7, 3.0):
-        n = max(coherent.triangle_decompose(z, j).truncation for j in range(3))
         total = sum(
-            np.linalg.norm(coherent.deformed_cs_nonnorm(z, j, n)) ** 2
-            for j in range(3)
+            np.linalg.norm(coherent.triangle_decompose(z, j).target()) ** 2 for j in range(3)
         )
         partition.append(abs(total - math.exp(z**2)) / math.exp(z**2))
     worst, partition_dev = _worst(errors), _worst(partition)
@@ -653,8 +656,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return ns.func(ns)
-    except (coherent.TruncationError, coherent.LabelRangeError) as exc:
-        print(f"{ns.command}: {exc}", file=sys.stderr)  # a size or label past its limit
+    except coherent.LabelRangeError as exc:
+        print(f"{ns.command}: {exc}", file=sys.stderr)  # a label past its limit
         return 1
     except OSError as exc:  # moments reports its own read errors; only writes get here
         print(f"{ns.command}: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)

@@ -11,25 +11,29 @@ Besides construction, this module evaluates their statistics, the
 decomposition of each family into three standard coherent states sitting on
 an equilateral triangle of labels, and a moment-check harness for candidate
 completeness weights.
-Every state builder returns its coefficients over |0> .. |N-1> as a plain
-complex ndarray of length N; the dense matrices of ``fock`` serve only the
-``fock-algebra`` check and the dense oracles the tests hold these kernels to.
+The series are infinite, so the truncation N is only a numerical device,
+and it has one value: every state is built over |0> .. |N-1> at the size
+the tail rule (``adequate_truncation``) gives its label, as a plain complex
+ndarray of length N. No builder takes a size. The dense matrices of
+``fock`` serve only the ``fock-algebra`` check and the dense oracles the
+tests hold these kernels to.
 
 All three families step along their ladder by the same ratio
 |alpha|^2 / ((n+1)(n+2)(n+3)), n = 3k + j, and the operators that
 ``statistics`` and ``eigen_residual`` apply are shifts with label-free
 weights: sqrt(n)/sqrt(2) for a and a+, n + 1/2 for H and the same
 sqrt((n+1)(n+2)(n+3)) for a_g. All of these live in one table, built at
-import and grown when a truncation first needs more levels. Each entry is
-computed by the expression a walk or a kernel would otherwise evaluate per
-term or per call, so every result is the same to the bit; below n = 2e5
-the ladder factor is an integer under 2^53, so the table is also exact.
+import over every level a tail-rule size reaches. Each entry is computed
+by the expression a walk or a kernel would otherwise evaluate per term or
+per call, so every result is the same to the bit; below n = 2e5 the
+ladder factor is an integer under 2^53, so the table is also exact.
 """
 
 import cmath
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -37,7 +41,6 @@ import numpy as np
 
 __all__ = [
     "TAIL_RELATIVE",
-    "TruncationError",
     "LabelRangeError",
     "CoherentSpec",
     "CSStatistics",
@@ -46,13 +49,10 @@ __all__ = [
     "cs_index",
     "adequate_truncation",
     "adequate_truncation_standard",
-    "cs_coefficients",
     "build_cs",
     "eigen_residual",
     "a_norm_squared",
     "statistics",
-    "standard_cs_nonnorm",
-    "deformed_cs_nonnorm",
     "triangle_decompose",
     "moment_check",
 ]
@@ -71,8 +71,9 @@ _OMEGA = cmath.exp(2j * math.pi / 3)
 # (a_g from |n+3> to |n>). Import builds L = 3 * _TABLE_ROWS = 1026 levels:
 # the longest walk any finite label takes uses n = 1019 (the tail rule at
 # |alpha| = 18736, j = 2; the norm series reaches n = 971 at most), measured
-# by tests/test_coherent.py, so only an explicit truncation past them grows
-# the table, to exactly its size.
+# by tests/test_coherent.py, so every tail-rule size N, and the N + 1
+# levels ``statistics`` reads, fits and no kernel grows the table. ``_grow``
+# extends it, to exactly the levels asked for, for a walk that needs more.
 _TABLE_ROWS = 342
 _STEPS = ([], [], [])
 _ROOTS = ([], [], [])
@@ -109,10 +110,17 @@ _grow(3 * _TABLE_ROWS)
 
 
 def cs_index(j) -> int:
-    """Check a coherent-state family index, numbered 0..2, and return it as an int."""
-    value = int(j)
+    """Check a coherent-state family index, numbered 0..2, and return it as an int.
+
+    Only integers pass (``np.int64`` among them): 1.9, "2" or True is
+    refused, not converted to a family.
+    """
+    try:
+        value = None if isinstance(j, bool) else operator.index(j)
+    except TypeError:
+        value = None
     if value not in (0, 1, 2):
-        raise ValueError(f"family index must lie in {{0, 1, 2}}, got {j}")
+        raise ValueError(f"family index must be an integer in {{0, 1, 2}}, got {j!r}")
     return value
 
 
@@ -127,17 +135,6 @@ def _past_table(walk: str, j: int) -> ArithmeticError:
         f"the {walk} for residue {j} ran past the {len(_STEPS[j])} rows of the"
         " ladder-step table without meeting its stopping rule"
     )
-
-
-class TruncationError(ValueError):
-    """Truncation too small for the tail bound; carries the adequate size."""
-
-    def __init__(self, required: int, given: int):
-        self.required = required
-        self.given = given
-        super().__init__(
-            f"truncation {given} cannot meet the tail bound; need at least {required}"
-        )
 
 
 class LabelRangeError(ValueError):
@@ -207,30 +204,18 @@ def adequate_truncation_standard(abs_z: float) -> int:
     return _tail_index("z", abs_z, 1.0, itertools.count(1.0)) + 1
 
 
-def _sized(required: int, n_trunc: int) -> int:
-    """``n_trunc``, after the one size check: a truncation below the tail-rule
-    size ``required`` raises ``TruncationError``."""
-    if n_trunc < required:
-        raise TruncationError(required, n_trunc)
-    return n_trunc
-
-
 @dataclass(frozen=True)
 class CoherentSpec:
-    """Family index j, eigenvalue alpha of a_g, and Fock truncation.
+    """Family index j and eigenvalue alpha of a_g.
 
-    When ``truncation`` is omitted it is chosen by the tail rule, which is
-    always adequate; an explicit value is kept as given so undersized
-    probes remain expressible.
-
-    The spec is where its state gets built, once: ``required`` walks the
-    tail rule and ``coeffs`` runs the coefficient recurrence, each on first
-    use, and ``build_cs``, ``statistics`` and ``eigen_residual`` reuse them.
+    The spec is where its state gets built, once: ``truncation`` walks the
+    tail rule, at construction so a label past its limit is refused there,
+    and ``coeffs`` runs the coefficient recurrence on first use;
+    ``build_cs``, ``statistics`` and ``eigen_residual`` reuse both.
     """
 
     j: int
     alpha: complex
-    truncation: int | None = None
 
     def __post_init__(self):
         j = cs_index(self.j)
@@ -239,28 +224,19 @@ class CoherentSpec:
             raise ValueError("alpha must be finite")
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "alpha", alpha)
-        if self.truncation is None:
-            object.__setattr__(self, "truncation", self.required)
-        else:
-            trunc = int(self.truncation)
-            if trunc < j + 1:
-                raise ValueError(
-                    f"truncation {trunc} cannot even hold the extremal state |{j}>"
-                )
-            object.__setattr__(self, "truncation", trunc)
+        self.truncation  # walks the tail rule now, so a label past its limit raises here
 
     @functools.cached_property
-    def required(self) -> int:
-        """The tail-rule size for this label (``adequate_truncation``)."""
+    def truncation(self) -> int:
+        """The tail-rule size N for this label (``adequate_truncation``)."""
         return adequate_truncation(self.j, abs(self.alpha))
 
     @functools.cached_property
     def coeffs(self) -> np.ndarray:
-        """Normalized coefficients at ``truncation``, read-only.
-
-        Unchecked against ``required``, like ``cs_coefficients``.
-        """
-        coeffs = cs_coefficients(self.j, self.alpha, self.truncation)
+        """Normalized coefficients over |0> .. |N-1>, read-only."""
+        first = 1.0 / math.sqrt(math.factorial(self.j))
+        coeffs = _ladder_rungs(first, self.alpha, _ROOTS[self.j], self.j, 3, self.truncation)
+        coeffs /= _norm(coeffs)
         coeffs.flags.writeable = False
         return coeffs
 
@@ -275,23 +251,6 @@ class CSStatistics:
     mean_p2: float
     mean_H: float
     uncertainty_product: float
-
-
-def cs_coefficients(j, alpha: complex, n_trunc: int) -> np.ndarray:
-    """Normalized family-j coefficients on an N-dimensional truncation.
-
-    No adequacy check: normalization is taken over the truncated basis, so
-    undersized truncations give a legitimate (but poor) trial state.
-    """
-    j = cs_index(j)
-    n_trunc = int(n_trunc)
-    if n_trunc < j + 1:
-        raise ValueError(f"truncation {n_trunc} cannot hold the extremal state |{j}>")
-    _grow(n_trunc)
-    first = 1.0 / math.sqrt(math.factorial(j))
-    coeffs = _ladder_rungs(first, complex(alpha), _ROOTS[j], j, 3, n_trunc)
-    coeffs /= _norm(coeffs)
-    return coeffs
 
 
 def _ladder_rungs(first, ratio, roots, start: int, stride: int, n_trunc: int) -> np.ndarray:
@@ -313,27 +272,19 @@ def _ladder_rungs(first, ratio, roots, start: int, stride: int, n_trunc: int) ->
 
 
 def build_cs(spec: CoherentSpec) -> np.ndarray:
-    """Normalized coherent state; rejects truncations below the tail rule.
-
-    Reads the spec's cached ``required`` and ``coeffs`` and returns a
-    writable copy of the coefficients.
-    """
-    _sized(spec.required, spec.truncation)
+    """Normalized coherent state: a writable copy of the spec's cached ``coeffs``."""
     return spec.coeffs.copy()
 
 
 def eigen_residual(spec: CoherentSpec) -> float:
-    """|| a_g |alpha>_j - alpha |alpha>_j || at the spec's truncation.
+    """|| a_g |alpha>_j - alpha |alpha>_j || at the spec's tail-rule size.
 
     a_g lowers by three levels: (a_g c)_{n-3} = sqrt(n (n-1) (n-2)) c_n,
-    with the weights read from the table. Deliberately skips the adequacy
-    check so undersized truncations report their (large) residual instead
-    of raising.
+    with the weights read from the table.
     """
     coeffs = spec.coeffs
     lowered = np.zeros(coeffs.size, complex)
     top = max(coeffs.size - 3, 0)
-    _grow(top)
     np.multiply(_LOWER[:top], coeffs[3:], out=lowered[:top])
     lowered -= spec.alpha * coeffs
     return _norm(lowered)
@@ -389,12 +340,10 @@ def statistics(spec: CoherentSpec) -> CSStatistics:
     a and a+ act as one-level shifts weighted by sqrt(n), so x c and p c are
     sums of two shifted arrays and H is the diagonal n + 1/2; both weights
     come from the table. The state is padded by one level so the raising
-    part is not clipped by the truncation. Truncations below the tail rule
-    raise ``TruncationError``, as in ``build_cs``, and the spec's cached
-    coefficients are read in place.
+    part is not clipped by the truncation. The spec's cached coefficients
+    are read in place.
     """
-    size = _sized(spec.required, spec.truncation) + 1
-    _grow(size)
+    size = spec.truncation + 1
     vec, lowered, raised = np.zeros((3, size), complex)
     vec[:-1] = spec.coeffs
     weights = _SHIFT[: size - 1]
@@ -409,28 +358,6 @@ def statistics(spec: CoherentSpec) -> CSStatistics:
     mean_h = float((_ENERGY[:size] * np.abs(vec) ** 2).sum())
     product = math.sqrt((mean_x2 - mean_x**2) * (mean_p2 - mean_p**2))
     return CSStatistics(mean_x, mean_p, mean_x2, mean_p2, mean_h, product)
-
-
-def standard_cs_nonnorm(z: complex, n_trunc: int) -> np.ndarray:
-    """Non-normalized standard coherent state with coefficients z^n / sqrt(n!)."""
-    z = complex(z)
-    n_trunc = int(_sized(adequate_truncation_standard(abs(z)), n_trunc))
-    roots = map(math.sqrt, itertools.count(1.0))
-    return _ladder_rungs(1.0, z, roots, 0, 1, n_trunc)
-
-
-def deformed_cs_nonnorm(z: complex, j, n_trunc: int) -> np.ndarray:
-    """Non-normalized family-j state with coefficients z^(3k+j) / sqrt((3k+j)!).
-
-    This is the mod-3 slice of the standard coherent state |z>; its
-    eigenvalue under a_g is alpha = z^3.
-    """
-    z = complex(z)
-    j = cs_index(j)
-    n_trunc = int(_sized(adequate_truncation(j, abs(z) ** 3), n_trunc))
-    _grow(n_trunc)
-    first = z**j / math.sqrt(math.factorial(j))
-    return _ladder_rungs(first, z**3, _ROOTS[j], j, 3, n_trunc)
 
 
 @dataclass(frozen=True)
@@ -457,13 +384,19 @@ class TriangleDecomposition:
         )
 
     def reconstruction(self) -> np.ndarray:
-        """Weighted sum of the three standard coherent states, at ``truncation``."""
-        states = (standard_cs_nonnorm(label, self.truncation) for label in self.labels)
+        """Weighted sum of the three non-normalized standard coherent states,
+        coefficients label^n / sqrt(n!), at ``truncation``."""
+        states = (
+            _ladder_rungs(1.0, label, map(math.sqrt, itertools.count(1.0)), 0, 1, self.truncation)
+            for label in self.labels
+        )
         return sum(weight * state for weight, state in zip(self.weights, states))
 
     def target(self) -> np.ndarray:
-        """The non-normalized |z>_j the reconstruction must reproduce, at ``truncation``."""
-        return deformed_cs_nonnorm(self.z, self.j, self.truncation)
+        """The non-normalized |z>_j, coefficients z^(3k+j) / sqrt((3k+j)!), at
+        ``truncation``: the mod-3 slice of |z>, with a_g eigenvalue alpha = z^3."""
+        first = self.z**self.j / math.sqrt(math.factorial(self.j))
+        return _ladder_rungs(first, self.z**3, _ROOTS[self.j], self.j, 3, self.truncation)
 
 
 def triangle_decompose(z: complex, j) -> TriangleDecomposition:

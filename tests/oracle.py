@@ -64,12 +64,12 @@ def evolve(spec: coherent.CoherentSpec, t: float) -> tuple[complex, coherent.Coh
     """Time evolution: a global phase and a rotated eigenvalue.
 
     U(t)|alpha>_j = e^(-i (j + 1/2) t) |alpha e^(-3it)>_j, so evolution
-    never leaves the family and the truncation can be carried over. It is
-    the oracle for the rung phases of ``wavepacket.rho_fock``.
+    never leaves the family and keeps |alpha|, and with it the tail-rule
+    size. It is the oracle for the rung phases of ``wavepacket.rho_fock``.
     """
     phase = cmath.exp(-1j * (spec.j + 0.5) * t)
     rotated = spec.alpha * cmath.exp(-3j * t)
-    return phase, coherent.CoherentSpec(spec.j, rotated, spec.truncation)
+    return phase, coherent.CoherentSpec(spec.j, rotated)
 
 
 def mean_occupation(j: int, abs_alpha: float):

@@ -134,12 +134,8 @@ def test_06_triangle_reconstruction_and_partition():
             worst = max(worst, float(err))
     partition_dev = 0.0
     for z in (1.0, 2.0, 3.0):
-        n = max(
-            [coherent.adequate_truncation_standard(z)]
-            + [coherent.adequate_truncation(j, z**3) for j in range(3)]
-        )
         total = sum(
-            np.linalg.norm(coherent.deformed_cs_nonnorm(z, j, n)) ** 2
+            np.linalg.norm(coherent.triangle_decompose(z, j).target()) ** 2
             for j in range(3)
         )
         partition_dev = max(partition_dev, abs(total - math.exp(z * z)) / math.exp(z * z))

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -54,6 +55,24 @@ def test_fock_holds_what_the_algebra_check_runs():
         "number_analogue",
     ]
     assert "evolve" not in coherent.__all__
+
+
+def test_no_public_coherent_callable_takes_a_truncation():
+    # every state is built at its tail-rule size, so a size argument would be
+    # a second truncation rule; classes are checked with their public methods
+    sized = []
+    for name in coherent.__all__:
+        obj = getattr(coherent, name)
+        members = vars(obj).items() if isinstance(obj, type) else ()
+        callables = [(name, obj)] + [
+            (f"{name}.{attr}", member) for attr, member in members
+            if callable(member) and not attr.startswith("_")
+        ]
+        for label, func in callables:
+            if callable(func):
+                params = inspect.signature(func).parameters
+                sized += [f"{label}({p})" for p in params if p in ("truncation", "n_trunc")]
+    assert sized == []
 
 
 def test_package_defines_only_its_version():

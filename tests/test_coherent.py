@@ -116,7 +116,7 @@ class TestTruncationRule:
                 lambda: c.adequate_truncation_standard(26.59),
                 lambda: c.adequate_truncation_standard(26.6),
                 lambda: c.CoherentSpec(0, 1e200),
-                lambda: c.build_cs(c.CoherentSpec(0, 2e4, 10)),
+                lambda: c.build_cs(c.CoherentSpec(0, 2e4)),
                 lambda: c.a_norm_squared(1, 1.4e154),
             ]
             for case in cases:
@@ -155,12 +155,16 @@ class TestTruncationRule:
         assert issubclass(coherent.LabelRangeError, ValueError)
 
     def test_spec_auto_and_explicit(self):
+        # the size is always the tail rule's; an explicit one is no argument
         spec = coherent.CoherentSpec(1, 2.0)
         assert spec.truncation == coherent.adequate_truncation(1, 2.0)
-        probe = coherent.CoherentSpec(1, 2.0, truncation=5)
-        assert probe.truncation == 5
-        with pytest.raises(ValueError):
-            coherent.CoherentSpec(2, 1.0, truncation=2)
+        with pytest.raises(TypeError):
+            coherent.CoherentSpec(1, 2.0, 5)
+        with pytest.raises(TypeError):
+            coherent.CoherentSpec(1, 2.0, truncation=5)
+        # a non-integral family index is refused, not truncated to a family
+        with pytest.raises(ValueError, match="got 1.9"):
+            coherent.CoherentSpec(1.9, 2.0)
 
 
 class TestBuildCS:
@@ -180,18 +184,6 @@ class TestBuildCS:
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         off = np.arange(v.size) % 3 != j
         assert np.all(v[off] == 0)
-
-    def test_truncation_error_carries_required_size(self):
-        spec = coherent.CoherentSpec(0, 4.0, truncation=5)
-        with pytest.raises(coherent.TruncationError) as info:
-            coherent.build_cs(spec)
-        assert info.value.required == coherent.adequate_truncation(0, 4.0)
-        assert info.value.given == 5
-
-    def test_explicit_adequate_truncation_accepted(self):
-        needed = coherent.adequate_truncation(1, 2.0)
-        v = coherent.build_cs(coherent.CoherentSpec(1, 2.0, truncation=needed + 6))
-        assert v.size == needed + 6
 
 
 class TestEigenResidual:
@@ -213,18 +205,19 @@ class TestEigenResidual:
             top = abs(coherent.build_cs(spec)[-1])
             assert res <= 10 * abs(alpha) * top + 1e-14
 
-    def test_undersized_truncation_flagged(self):
-        res = coherent.eigen_residual(coherent.CoherentSpec(2, 5.0, truncation=9))
-        assert res > 1e-3
+
+def cut(coeffs, size):
+    """The first ``size`` coefficients, renormalized: a state below its tail-rule size."""
+    return coeffs[:size] / np.linalg.norm(coeffs[:size])
 
 
-def dense_eigen_residual(spec):
+def dense_eigen_residual(alpha, coeffs):
     """The residual with a_g as the dense cube of the annihilation matrix."""
-    n_op = max(spec.truncation, 4)
+    n_op = max(coeffs.size, 4)
     vec = np.zeros(n_op, dtype=complex)
-    vec[: spec.truncation] = coherent.cs_coefficients(spec.j, spec.alpha, spec.truncation)
+    vec[: coeffs.size] = coeffs
     lowering = fock.build_deformed_ladders(n_op)[0].matrix
-    return float(np.linalg.norm(lowering @ vec - spec.alpha * vec))
+    return float(np.linalg.norm(lowering @ vec - alpha * vec))
 
 
 def dense_statistics(spec):
@@ -261,14 +254,17 @@ class TestShiftFormAgainstDenseOracle:
     @pytest.mark.parametrize("j", [0, 1, 2])
     @pytest.mark.parametrize("abs_alpha", ORACLE_LABELS)
     def test_eigen_residual(self, j, abs_alpha):
-        alpha = abs_alpha * cmath.exp(0.4j)
-        adequate = coherent.adequate_truncation(j, abs_alpha)
-        for size in sorted({adequate, max(adequate // 2, j + 1), j + 4, j + 1}):
-            spec = coherent.CoherentSpec(j, alpha, size)
-            got, want = coherent.eigen_residual(spec), dense_eigen_residual(spec)
-            # an adequate residual is rounding noise on terms of size |alpha|
-            assert abs(got - want) <= 1e-12 * max(want, abs_alpha), size
-            if size < adequate:
+        spec = coherent.CoherentSpec(j, abs_alpha * cmath.exp(0.4j))
+        got, want = coherent.eigen_residual(spec), dense_eigen_residual(spec.alpha, spec.coeffs)
+        # an adequate residual is rounding noise on terms of size |alpha|
+        assert abs(got - want) <= 1e-12 * max(want, abs_alpha)
+        # the shift form the kernel uses, on the state cut below its size
+        for size in sorted({max(spec.truncation // 2, j + 1), j + 4, j + 1}):
+            if size < spec.truncation:
+                state = cut(spec.coeffs, size)
+                got = loop_eigen_residual(spec.alpha, state)
+                want = dense_eigen_residual(spec.alpha, state)
+                assert abs(got - want) <= 1e-12 * max(want, abs_alpha), size
                 assert got > 1e-10, size  # fails the verify tolerance
 
     def test_no_dense_operator_is_built(self, monkeypatch):
@@ -280,7 +276,7 @@ class TestShiftFormAgainstDenseOracle:
 
 
 def loop_coefficients(j, alpha, n_trunc):
-    """cs_coefficients set element by element."""
+    """CoherentSpec.coeffs set element by element, at any size."""
     coeffs = np.zeros(n_trunc, dtype=complex)
     c = 1.0 / math.sqrt(math.factorial(j))
     idx = j
@@ -323,41 +319,33 @@ class TestStateBuiltOnce:
         rng = np.random.default_rng([j, int(abs_alpha)])
         alpha = abs_alpha * cmath.exp(2j * math.pi * rng.uniform())
         adequate = loop_truncation(j, abs_alpha)
-        auto = coherent.CoherentSpec(j, alpha)
-        assert auto.truncation == auto.required == adequate
-        for size in (adequate, adequate + 7, j + 1):
-            spec = coherent.CoherentSpec(j, alpha, size)
-            want = loop_coefficients(j, alpha, size)
-            assert np.array_equal(coherent.cs_coefficients(j, alpha, size), want)
-            assert np.array_equal(spec.coeffs, want)
-            residual = coherent.eigen_residual(spec)
-            assert residual == loop_eigen_residual(alpha, want)
-            if size < adequate:
-                assert residual > 1e-10  # the verify tolerance
-                for build in (coherent.build_cs, coherent.statistics):
-                    with pytest.raises(coherent.TruncationError) as info:
-                        build(spec)
-                    assert (info.value.required, info.value.given) == (adequate, size)
-                continue
-            assert np.array_equal(coherent.build_cs(spec), want)
-            assert coherent.statistics(spec) == appended_statistics(want)
+        spec = coherent.CoherentSpec(j, alpha)
+        assert spec.truncation == adequate
+        want = loop_coefficients(j, alpha, adequate)
+        assert np.array_equal(spec.coeffs, want)
+        assert coherent.eigen_residual(spec) == loop_eigen_residual(alpha, want)
+        assert np.array_equal(coherent.build_cs(spec), want)
+        assert coherent.statistics(spec) == appended_statistics(want)
+        # the undersized state is the recurrence's prefix, renormalized
+        if j + 1 < adequate:
+            state = cut(spec.coeffs, j + 1)
+            assert np.allclose(state, loop_coefficients(j, alpha, j + 1), rtol=0, atol=1e-15)
+            assert loop_eigen_residual(alpha, state) > 1e-10  # the verify tolerance
 
-    @pytest.mark.parametrize("explicit", [False, True])
-    def test_walk_and_recurrence_run_once_per_spec(self, monkeypatch, explicit):
-        truncation = coherent.adequate_truncation(1, 4.0) + 7 if explicit else None
+    def test_walk_and_recurrence_run_once_per_spec(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("adequate_truncation", "cs_coefficients"):
+        for name in ("adequate_truncation", "_ladder_rungs"):
 
             def counted(*args, _real=getattr(coherent, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
 
             monkeypatch.setattr(coherent, name, counted)
-        spec = coherent.CoherentSpec(1, 2.4 + 3.2j, truncation)
+        spec = coherent.CoherentSpec(1, 2.4 + 3.2j)
         coherent.build_cs(spec)
         coherent.statistics(spec)
         coherent.eigen_residual(spec)
-        assert calls == {"adequate_truncation": 1, "cs_coefficients": 1}
+        assert calls == {"adequate_truncation": 1, "_ladder_rungs": 1}
 
     def test_coeffs_read_only_and_build_copies(self):
         spec = coherent.CoherentSpec(2, 3.0 + 1.0j)
@@ -398,21 +386,22 @@ class TestWeightTables:
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_bit_identical_past_the_first_growth(self, initial_table, j):
-        alpha = 40.0 * cmath.exp(0.7j + j)
+        labels = [40.0 * cmath.exp(0.7j + j), 1.5e4 * cmath.exp(-0.3j), 18000.0j]
         first = 3 * coherent._TABLE_ROWS  # the levels built at import
-        sizes = (first - 1, first, first + 1, 2 * first + 3 + j, 4500 + j)
         results = {}
-        for size in sizes:
-            spec = coherent.CoherentSpec(j, alpha, size)
-            want = loop_coefficients(j, alpha, size)
-            results[size] = coherent.statistics(spec), coherent.eigen_residual(spec)
-            assert results[size] == (appended_statistics(want), loop_eigen_residual(alpha, want))
-            assert coherent._ENERGY.size >= size + 1
-        assert coherent._ENERGY.size > 4500
-        # smaller truncations read a prefix of the grown tables, to the bit
-        for size in sizes:
-            spec = coherent.CoherentSpec(j, alpha, size)
-            assert (coherent.statistics(spec), coherent.eigen_residual(spec)) == results[size]
+        for alpha in labels:
+            spec = coherent.CoherentSpec(j, alpha)
+            want = loop_coefficients(j, alpha, spec.truncation)
+            results[alpha] = coherent.statistics(spec), coherent.eigen_residual(spec)
+            assert results[alpha] == (appended_statistics(want), loop_eigen_residual(alpha, want))
+        assert coherent._ENERGY.size == first  # no kernel grows the table
+        # a grown table holds the first one as its prefix, to the bit
+        for levels in (first + 1, 2 * first + 3 + j, 4500 + j):
+            coherent._grow(levels)
+            assert coherent._ENERGY.size == levels
+            for alpha in labels:
+                spec = coherent.CoherentSpec(j, alpha)
+                assert (coherent.statistics(spec), coherent.eigen_residual(spec)) == results[alpha]
         assert_weights_are_the_kernels_expressions()
 
     def test_first_growth_covers_every_tail_rule_size(self, initial_table):
@@ -426,9 +415,11 @@ class TestWeightTables:
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_sizes_with_few_or_no_lowering_weights(self, initial_table, j):
-        alpha = 1.3 - 0.6j
-        for size in range(j + 1, j + 5):
-            spec = coherent.CoherentSpec(j, alpha, size)
+        # the tail rule keeps one rung at |alpha| = 0 and 1e-15, two at 1e-10
+        for abs_alpha, size in ((0.0, j + 1), (1e-15, j + 1), (1e-10, j + 4)):
+            alpha = abs_alpha * (1.3 - 0.6j)
+            spec = coherent.CoherentSpec(j, alpha)
+            assert spec.truncation == size
             want = loop_coefficients(j, alpha, size)
             assert coherent.eigen_residual(spec) == loop_eigen_residual(alpha, want), size
         # nothing past the levels built at import, so nothing is grown
@@ -454,13 +445,11 @@ class TestWeightTables:
         j=st.sampled_from([0, 1, 2]),
         abs_alpha=st.floats(0.0, 1.5e4),
         phase=st.floats(0.0, 2.0 * math.pi),
-        extra=st.integers(0, 60),
     )
-    def test_kernels_equal_the_loop_oracles(self, j, abs_alpha, phase, extra):
+    def test_kernels_equal_the_loop_oracles(self, j, abs_alpha, phase):
         alpha = abs_alpha * cmath.exp(1j * phase)
-        size = loop_truncation(j, abs_alpha) + extra
-        spec = coherent.CoherentSpec(j, alpha, size)
-        want = loop_coefficients(j, alpha, size)
+        spec = coherent.CoherentSpec(j, alpha)
+        want = loop_coefficients(j, alpha, loop_truncation(j, abs(alpha)))
         assert coherent.statistics(spec) == appended_statistics(want)
         assert coherent.eigen_residual(spec) == loop_eigen_residual(alpha, want)
 
@@ -569,7 +558,7 @@ def loop_a_norm_squared(j, abs_alpha):
 
 
 def loop_deformed(z, j, n_trunc):
-    """deformed_cs_nonnorm's coefficients set element by element."""
+    """TriangleDecomposition.target's coefficients set element by element."""
     coeffs = np.zeros(n_trunc, dtype=complex)
     c = z**j / math.sqrt(math.factorial(j))
     idx = j
@@ -651,18 +640,16 @@ class TestLadderStepTable:
         z = abs_alpha ** (1.0 / 3.0) * cmath.exp(2j * math.pi * rng.uniform())
         steps = coherent._STEPS[j]
         edge = 3 * coherent._TABLE_ROWS  # the first level past the initial table
-        adequate = loop_truncation(j, abs_alpha)
-        sizes = (j + 1, max(j + 1, adequate // 2), adequate, edge - 1, edge, edge + 1, 3 * edge)
-        for size in sizes:
-            got = coherent.cs_coefficients(j, alpha, size)
-            want = loop_coefficients(j, alpha, size)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), size
-        required = loop_truncation(j, abs(z) ** 3)
-        for size in (required, edge - 1, edge, edge + 1, 3 * edge):
-            got = coherent.deformed_cs_nonnorm(z, j, size)
-            want = loop_deformed(z, j, size)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), size
-        # the explicit truncations grew the same lists in place
+        want = loop_coefficients(j, alpha, loop_truncation(j, abs_alpha))
+        tri = coherent.triangle_decompose(z, j)
+        want_target = loop_deformed(z, j, tri.truncation)
+        for levels in (edge, 3 * edge):
+            coherent._grow(levels)
+            got = coherent.CoherentSpec(j, alpha).coeffs
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), levels
+            got = coherent.triangle_decompose(z, j).target()
+            assert np.array_equal(got.view(np.uint64), want_target.view(np.uint64)), levels
+        # growth extended the same lists in place
         assert coherent._STEPS[j] is steps
         assert len(steps) == len(range(j, 3 * edge, 3))
         assert_rows_are_the_walks_expressions()
@@ -703,27 +690,20 @@ class TestLadderStepTable:
 
 
 class TestSizeCheck:
-    """One size rule for every builder: the tail-rule size passes and one
-    level less raises ``TruncationError``. Only ``CoherentSpec`` may omit
-    its size, which is then the tail-rule size."""
+    """One size rule for every builder: each state is built at the smallest
+    size whose first dropped term is below the tail bound, as the
+    unguarded walks find it, and no builder takes a size."""
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_boundary_for_every_builder(self, j):
         z = 1.7 + 0.4j
         spec = coherent.CoherentSpec(j, z**3)
-        assert spec.truncation == spec.required
-        builders = [
-            (spec.required, lambda n: coherent.build_cs(coherent.CoherentSpec(j, z**3, n))),
-            (coherent.adequate_truncation_standard(abs(z)),
-             lambda n: coherent.standard_cs_nonnorm(z, n)),
-            (coherent.adequate_truncation(j, abs(z) ** 3),
-             lambda n: coherent.deformed_cs_nonnorm(z, j, n)),
-        ]
-        for required, build in builders:
-            assert build(required).size == required
-            with pytest.raises(coherent.TruncationError) as info:
-                build(required - 1)
-            assert (info.value.required, info.value.given) == (required, required - 1)
+        tri = coherent.triangle_decompose(z, j)
+        both = max(loop_truncation_standard(abs(z)), loop_truncation(j, abs(z) ** 3))
+        assert spec.truncation == loop_truncation(j, abs(z**3))
+        assert tri.truncation == both
+        states = (spec.coeffs, coherent.build_cs(spec), tri.reconstruction(), tri.target())
+        assert [state.size for state in states] == [spec.truncation] * 2 + [both] * 2
 
 
 class TestStatistics:
@@ -788,6 +768,7 @@ class TestEvolution:
             spec = coherent.CoherentSpec(j, alpha)
             before = coherent.build_cs(spec)
             phase, evolved = oracle.evolve(spec, t)
+            assert evolved.truncation == spec.truncation  # the tail rule reads only |alpha|
             after = coherent.build_cs(evolved)
             n = np.arange(spec.truncation)
             direct = before * np.exp(-1j * (n + 0.5) * t)
@@ -795,7 +776,7 @@ class TestEvolution:
 
 
 def loop_standard(z, n_trunc):
-    """standard_cs_nonnorm's coefficients set element by element."""
+    """A non-normalized standard coherent state z^n / sqrt(n!), set element by element."""
     coeffs = np.zeros(n_trunc, dtype=complex)
     c = 1.0
     for n in range(n_trunc):
@@ -805,57 +786,62 @@ def loop_standard(z, n_trunc):
 
 
 class TestStandardCS:
+    """The three standard coherent states that ``reconstruction`` weighs."""
+
     @pytest.mark.parametrize("z", [
         0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
         complex(-1.5, -0.0), complex(-0.0, 2.5), 1.3 - 0.6j,
         26.0, -26.0j, 26.0 * cmath.exp(0.9j), 26.2 * cmath.exp(-2.1j),
     ])
     def test_bit_identical_to_loop_oracle(self, z):
-        required = coherent.adequate_truncation_standard(abs(z))
-        for size in (required, required + 1, 2 * required + 7):
-            got = coherent.standard_cs_nonnorm(z, size)
+        for j in range(3):
+            tri = coherent.triangle_decompose(z, j)
+            n = tri.truncation
+            assert n >= coherent.adequate_truncation_standard(abs(z))
+            states = (loop_standard(label, n) for label in tri.labels)
+            want = sum(weight * state for weight, state in zip(tri.weights, states))
             # the bytes also tell -0.0 from 0.0
-            assert got.tobytes() == loop_standard(z, size).tobytes(), size
+            assert tri.reconstruction().tobytes() == want.tobytes(), j
 
     def test_vacuum(self):
-        v = coherent.standard_cs_nonnorm(0.0, coherent.adequate_truncation_standard(0.0))
-        assert v.tolist() == [1.0 + 0.0j]
+        tri = coherent.triangle_decompose(0.0, 0)
+        assert tri.truncation == 1
+        np.testing.assert_allclose(tri.reconstruction(), [1.0], rtol=0, atol=1e-15)
 
     def test_coefficient_value(self):
-        v = coherent.standard_cs_nonnorm(1.0, coherent.adequate_truncation_standard(1.0))
-        assert v[2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        # the j = 2 filter keeps the standard state's |2> coefficient 1 / sqrt(2!)
+        rec = coherent.triangle_decompose(1.0, 2).reconstruction()
+        assert rec[2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     def test_norm_squared_is_exponential(self):
-        v = coherent.standard_cs_nonnorm(2.0, coherent.adequate_truncation_standard(2.0))
-        assert np.linalg.norm(v) ** 2 == pytest.approx(math.exp(4.0), rel=1e-10)
-
-    def test_truncation_error(self):
-        with pytest.raises(coherent.TruncationError):
-            coherent.standard_cs_nonnorm(3.0, n_trunc=10)
+        total = sum(
+            np.linalg.norm(coherent.triangle_decompose(2.0, j).reconstruction()) ** 2
+            for j in range(3)
+        )
+        assert total == pytest.approx(math.exp(4.0), rel=1e-10)
 
 
 class TestDeformedNonnorm:
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_slice_of_standard(self, j):
         z = 1.3 - 0.6j
+        tri = coherent.triangle_decompose(z, j)
         n = max(
             coherent.adequate_truncation_standard(abs(z)),
             coherent.adequate_truncation(j, abs(z) ** 3),
         )
-        full = coherent.standard_cs_nonnorm(z, n)
-        part = coherent.deformed_cs_nonnorm(z, j, n)
+        assert tri.truncation == n
+        full = loop_standard(z, n)
+        part = tri.target()
         mask = np.arange(n) % 3 == j
         np.testing.assert_allclose(part[mask], full[mask], atol=1e-14)
         assert np.all(part[~mask] == 0)
 
     def test_mod_three_partition_of_exponential(self):
         for z in (1.0, 1.8, 3.0):
-            n = max(
-                [coherent.adequate_truncation_standard(z)]
-                + [coherent.adequate_truncation(j, z**3) for j in range(3)]
-            )
+            # each family at its own size; the zeros past a smaller one add nothing
             total = sum(
-                np.linalg.norm(coherent.deformed_cs_nonnorm(z, j, n)) ** 2
+                np.linalg.norm(coherent.triangle_decompose(z, j).target()) ** 2
                 for j in range(3)
             )
             assert total == pytest.approx(math.exp(z * z), rel=1e-10)
@@ -913,13 +899,11 @@ class TestTriangleDecomposition:
         np.testing.assert_array_equal(tri.target(), [1])
 
     def test_cross_family_orthogonality_exact(self):
-        n = coherent.adequate_truncation(2, 8.0)
-        states = [
-            coherent.cs_coefficients(j, 2.0 * cmath.exp(0.3j), n) for j in range(3)
-        ]
+        states = [coherent.CoherentSpec(j, 8.0 * cmath.exp(0.9j)).coeffs for j in range(3)]
         for j in range(3):
             for k in range(j + 1, 3):
-                assert complex(np.vdot(states[j], states[k])) == 0.0
+                n = min(states[j].size, states[k].size)  # the shorter state is zero past n
+                assert complex(np.vdot(states[j][:n], states[k][:n])) == 0.0
 
 
 class TestMomentCheck:

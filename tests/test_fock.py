@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,8 +249,9 @@ class TestLadderIndex:
             np.testing.assert_allclose(v, basis(6 + j_cs, 12), atol=1e-12)
 
     def test_range_validation(self):
-        for bad in (-1, 3):
-            with pytest.raises(ValueError):
+        # a non-integral index is refused, not truncated to a family
+        for bad in (-1, 3, 1.5, 2.999, "2", True):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
                 coherent.cs_index(bad)
 
     def test_coercion_helpers(self):
