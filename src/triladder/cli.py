@@ -31,16 +31,15 @@ SERIES_TOL = 1e-10
 TRIANGLE_TOL = 1e-12
 PARTITION_TOL = 1e-10
 DUAL_PATH_TOL = 1e-8
-SPOT_CHECK_TOL = 1e-6
 PERIOD_TOL = 1e-10
 NON_PERIOD_FLOOR = 1e-3
 
 # The most memory, in bytes, that a piv or density grid or an uncertainty sweep
 # (|alpha| steps by families) may ask for: its sample count times the peak RSS
 # measured per sample. That is about 130 B per density cell with all three
-# families (86.6 MB at 1601 x 241), 1.1 KB per piv x point (251.7 MB at
-# 200 001 points) and 260 B per uncertainty row (103.2 MiB at 100 001 steps,
-# 176.9 MiB at 200 001). A larger one exits 2 before anything is allocated.
+# families and their dual-path Fock fields (81.6 MiB at 1601 x 241), 1.1 KB per
+# piv x point (251.7 MB at 200 001 points) and 260 B per uncertainty row (103.2 MiB
+# at 100 001 steps, 176.9 MiB at 200 001). A larger one exits 2 before anything is allocated.
 GRID_MEMORY_LIMIT = 2**30
 _BYTES_PER_SAMPLE = dict(density=130, piv=1100, uncertainty=260)
 
@@ -254,30 +253,39 @@ def _check_triangle(inject):
     )
 
 
+def _dual_path(j, z, grid, inject):
+    """The Gaussian-path field of family ``j`` at ``z`` on ``grid``, and max
+    |fock - gaussian| over every cell; ``inject`` adds 1e-6 to the Fock side.
+    The Fock field, ``density_fock``'s in blocks, comes first, so a label
+    past its limit raises before any Gaussian grid work.
+    """
+    block = 4096  # x or t points: up to 33 MB of Hermite rows (N <= 1020), 22 MB of phases
+    xs, ts = grid.x_values()[:, None], grid.t_values()[None, :]
+    fock = np.empty((xs.size, ts.size))
+    for a in range(0, xs.size, block):
+        for b in range(0, ts.size, block):
+            x, t = xs[a : a + block], ts[:, b : b + block]
+            fock[a : a + block, b : b + block] = wavepacket.rho_fock(j, z, x, t)
+    field = wavepacket.density_gaussian(j, z, grid)
+    return field, _worst(np.abs(fock + 1e-6 * inject - field.values))
+
+
+_CHECK_GRID = GridSpec(-8.0, 8.0, 161, 0.0, 2.0 * math.pi, 41)  # the default ranges, coarser
+
+
 def _check_density_dual(inject):
-    rng = np.random.default_rng(7)
-    deviations = []
-    for j in range(3):
-        xs = rng.uniform(-8.0, 8.0, 400)
-        ts = rng.uniform(0.0, 2.0 * np.pi, 400)
-        rho_f = wavepacket.rho_fock(j, 2.0, xs, ts)
-        if inject:
-            rho_f = rho_f + 1e-6
-        rho_g = wavepacket.rho_gaussian(j, 2.0, xs, ts)
-        deviations.append(np.max(np.abs(rho_f - rho_g)))
-    worst = _worst(deviations)
+    worst = _worst([_dual_path(j, 2.0, _CHECK_GRID, inject)[1] for j in range(3)])
     return (
         _within(worst, DUAL_PATH_TOL),
         f"max |fock - gaussian| = {worst:.3e} at z=2,"
-        f" 400 points per family (tol {DUAL_PATH_TOL:g})",
+        f" {_CHECK_GRID.x_steps} x {_CHECK_GRID.t_steps} grid per family (tol {DUAL_PATH_TOL:g})",
     )
 
 
 def _check_period(inject):
-    grid = GridSpec(-8.0, 8.0, 161, 0.0, 2.0 * math.pi, 41)
     candidate = 2.0 * math.pi / 6.0 if inject else 2.0 * math.pi / 3.0
-    worst = _worst([wavepacket.period_check(j, 2.0, grid, candidate) for j in range(3)])
-    off_period = wavepacket.period_check(0, 2.0, grid, 2.0 * math.pi / 6.0)
+    worst = _worst([wavepacket.period_check(j, 2.0, _CHECK_GRID, candidate) for j in range(3)])
+    off_period = wavepacket.period_check(0, 2.0, _CHECK_GRID, 2.0 * math.pi / 6.0)
     ok = (
         _within(worst, PERIOD_TOL)
         and math.isfinite(off_period)
@@ -405,34 +413,26 @@ def cmd_density(ns) -> int:
     families = [0, 1, 2] if sweep else [ns.j]
     base = Path(ns.out)
     xs, ts = grid.x_values(), grid.t_values()
-    checked = []  # every family passes its spot check before any file is written
+    checked = []  # every family passes the dual-path gate before any file is written
     for j in families:
-        rng = np.random.default_rng(42)
-        ix = rng.integers(0, xs.size, 100)
-        it = rng.integers(0, ts.size, 100)
-        # the Fock spots come first, so a rejected label costs no grid work
-        spots = wavepacket.rho_fock(j, z, xs[ix], ts[it])
-        field = wavepacket.density_gaussian(j, z, grid)
-        if ns.inject_spotcheck:
-            spots = spots + 1e-5
-        spot_err = float(np.max(np.abs(spots - field.values[ix, it])))
-        what = f"dual-path spot check failed for j={j}: max |fock - gaussian| ="
-        if not _gate("density", what, spot_err, SPOT_CHECK_TOL):
+        field, worst = _dual_path(j, z, grid, ns.inject_spotcheck)
+        what = f"dual-path check failed for j={j}: max |fock - gaussian| ="
+        if not _gate("density", what, worst, DUAL_PATH_TOL):
             return 1
-        checked.append((j, field, spot_err))
+        checked.append((j, field, worst))
     # Rows run t-major: every x for the first t, then the next t.
     t_col = [t for t in map(repr, ts.tolist()) for _ in range(xs.size)]
     x_col = list(map(repr, xs.tolist())) * ts.size
-    for j, field, spot_err in checked:
+    for j, field, worst in checked:
         out = base.with_name(f"{base.stem}_j{j}{base.suffix or '.csv'}") if sweep else base
         config = [
             f"j={j} z_re={z.real!r} z_im={z.imag!r}",
             f"x range [{grid.x_min!r}, {grid.x_max!r}] with {grid.x_steps} points",
             f"t range [{grid.t_min!r}, {grid.t_max!r}] with {grid.t_steps} points",
-            f"spot_check_max_err={spot_err!r} (tol {SPOT_CHECK_TOL:g})",
+            f"dual_path_max_err={worst!r} (tol {DUAL_PATH_TOL:g})",
         ]
         rows = zip(t_col, x_col, map(repr, field.values.T.ravel().tolist()))
-        _emit(out, "density", config, "t,x,rho", rows, len(t_col), f", spot check {spot_err:.3e}")
+        _emit(out, "density", config, "t,x,rho", rows, len(t_col), f", dual-path check {worst:.3e}")
         meta = out.with_name(out.name + ".meta")
         with meta.open("w", encoding="ascii", newline="\n") as fh:
             fh.write(f"command=density\nj={j}\n")

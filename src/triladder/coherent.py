@@ -375,6 +375,9 @@ class TriangleDecomposition:
     weights: tuple[complex, complex, complex]
     labels: tuple[complex, complex, complex]
 
+    def __post_init__(self):
+        object.__setattr__(self, "j", cs_index(self.j))
+
     @functools.cached_property
     def truncation(self) -> int:
         """Tail-rule size adequate for both the reconstruction and its target."""

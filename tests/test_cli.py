@@ -284,8 +284,8 @@ class TestDensity:
         assert [float(r["t"]) for r in rows[::81]] == grid.t_values().tolist()
 
     def test_nan_spot_check_blocks_output(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(wavepacket, "rho_fock",
-                            lambda j, z, x, t: np.full(np.shape(x), np.nan))
+        monkeypatch.setattr(wavepacket, "rho_fock", lambda j, z, x, t: np.full(
+            np.broadcast_shapes(np.shape(x), np.shape(t)), np.nan))
         out = tmp_path / "rho.csv"
         assert run(["density", "--j", "0", *self.ARGS, "--out", str(out)]) == 1
         assert not out.exists()
@@ -312,21 +312,70 @@ class TestDensity:
         out = tmp_path / "rho.csv"
         assert run(["density", "--j", j, "--z-re", z_re, "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", (
-            f"density: dual-path spot check failed for j={j}: max |fock - gaussian| ="
-            " nan, not below 1e-06; no file written\n"
+            f"density: dual-path check failed for j={j}: max |fock - gaussian| ="
+            " nan, not below 1e-08; no file written\n"
         ))
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("z_re,worst", [("1e-3", "4.928e-05"), ("1e-5", "nan")])
-    def test_sweep_writes_nothing_when_a_family_fails(self, tmp_path, capsys, z_re, worst):
-        # j = 0 and 1 pass their spot checks here and j = 2 fails; the sweep
-        # once wrote the first two files before refusing
+    # the ids name the figures of the 100-cell spot check that gated density before
+    @pytest.mark.parametrize("z_re,j,worst", [("1e-3", 2, "4.929e-05"), ("1e-5", 1, "2.327e-08")],
+                             ids=["1e-3-4.928e-05", "1e-5-nan"])
+    def test_sweep_writes_nothing_when_a_family_fails(self, tmp_path, capsys, z_re, j, worst):
+        # the families before j pass the dual-path gate here and j fails; the
+        # sweep once wrote the first files before refusing
         assert run(["density", "--z-re", z_re, "--out", str(tmp_path / "d.csv")]) == 1
         assert capsys.readouterr() == ("", (
-            f"density: dual-path spot check failed for j=2: max |fock - gaussian| ="
-            f" {worst}, not below 1e-06; no file written\n"
+            f"density: dual-path check failed for j={j}: max |fock - gaussian| ="
+            f" {worst}, not below 1e-08; no file written\n"
         ))
         assert list(tmp_path.iterdir()) == []
+
+    def test_small_label_past_the_dual_path_tolerance_writes_nothing(self, tmp_path, capsys):
+        # the Gaussian triangle cancels to 2.3e-8 of the Fock path here; the
+        # 100-cell spot check at 1e-6 once let this file through
+        assert run(["density", "--j", "1", "--z-re", "1e-5",
+                    "--out", str(tmp_path / "rho.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("density: dual-path check failed for j=1:")
+        assert err.endswith(", not below 1e-08; no file written\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("j,z_re", [("1", "1e-4"), ("2", "1e-2")])
+    def test_smallest_passing_labels_write(self, tmp_path, capsys, j, z_re):
+        # the decade above each refused label: max |fock - gaussian| on the
+        # default grid is 4.3e-9 (j = 1) and 2.0e-10 (j = 2)
+        out = tmp_path / "rho.csv"
+        assert run(["density", "--j", j, "--z-re", z_re, "--out", str(out)]) == 0
+        assert float(header_value(out, "dual_path_max_err")) < 1e-8
+
+    @pytest.mark.parametrize("j,z", [(0, 2.0), (2, 0.9 + 1.1j)])
+    def test_gate_covers_every_written_cell(self, tmp_path, capsys, j, z):
+        out = tmp_path / "rho.csv"
+        argv = ["density", "--j", str(j), "--z-re", repr(z.real), "--z-im", repr(z.imag)]
+        assert run([*argv, *self.ARGS, "--out", str(out)]) == 0
+        grid = GridSpec(-8.0, 8.0, 81, 0.0, 2 * math.pi, 7)
+        fock = wavepacket.density_fock(j, z, grid).values
+        gaussian = wavepacket.density_gaussian(j, z, grid).values
+        worst = float(np.max(np.abs(fock - gaussian)))
+        assert float(header_value(out, "dual_path_max_err")) == worst
+
+    @pytest.mark.parametrize("steps,blocks", [
+        (["--xsteps", "5000", "--tsteps", "2"], [(4096, 2), (904, 2)]),
+        (["--xsteps", "2", "--tsteps", "5000"], [(2, 4096), (2, 904)]),
+    ], ids=["x", "t"])
+    def test_fock_field_is_built_in_bounded_blocks(self, tmp_path, capsys, monkeypatch,
+                                                   steps, blocks):
+        # the Fock path holds N Hermite rows per x point and K phases per t
+        # point: one call on a long, thin grid would need about 16 N bytes per cell
+        calls, rho_fock = [], wavepacket.rho_fock
+        monkeypatch.setattr(wavepacket, "rho_fock", lambda j, z, x, t: (
+            calls.append((np.size(x), np.size(t))) or rho_fock(j, z, x, t)))
+        out = tmp_path / "rho.csv"
+        assert run(["density", "--j", "0", *steps, "--out", str(out)]) == 0
+        assert calls == blocks
+        assert float(header_value(out, "dual_path_max_err")) < 1e-8
 
     def test_grid_end_where_x_squared_overflows(self, tmp_path, capsys):
         # -x^2/2 is -inf at x = 1e300, where the density is 0: one refusal
@@ -350,8 +399,8 @@ class TestDensity:
         argv = ["density", "--j", "0", "--xsteps", "3", "--tsteps", "2", *axis]
         assert run([*argv, "--out", str(tmp_path / "rho.csv")]) == 1
         assert capsys.readouterr() == ("", (
-            "density: dual-path spot check failed for j=0: max |fock - gaussian| ="
-            " nan, not below 1e-06; no file written\n"
+            "density: dual-path check failed for j=0: max |fock - gaussian| ="
+            " nan, not below 1e-08; no file written\n"
         ))
         assert list(tmp_path.iterdir()) == []
 
@@ -558,8 +607,8 @@ class TestReportLines:
         pytest.param(["piv", "--xmin", "1e110", "--xmax", "1e111", "--xsteps", "2"],
                      "piv: max residual nan, not below 1e-10; no file written\n", id="piv"),
         pytest.param(["density", "--j", "0", *TestDensity.ARGS, "--inject-spotcheck"],
-                     "density: dual-path spot check failed for j=0: max |fock - gaussian| ="
-                     " 1.000e-05, not below 1e-06; no file written\n", id="density"),
+                     "density: dual-path check failed for j=0: max |fock - gaussian| ="
+                     " 1.000e-06, not below 1e-08; no file written\n", id="density"),
         pytest.param(["uncertainty", "--amax", "2e5", "--asteps", "3"],
                      "uncertainty: the a_norm_squared series is not finite at"
                      " |alpha|=100000.0, j=0 (it overflows from about |alpha| = 1.9e4);"
@@ -572,13 +621,13 @@ class TestReportLines:
         assert list(tmp_path.iterdir()) == []
 
     def test_nan_spot_check_message(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(wavepacket, "rho_fock",
-                            lambda j, z, x, t: np.full(np.shape(x), np.nan))
+        monkeypatch.setattr(wavepacket, "rho_fock", lambda j, z, x, t: np.full(
+            np.broadcast_shapes(np.shape(x), np.shape(t)), np.nan))
         out = tmp_path / "rho.csv"
         assert run(["density", "--j", "2", *TestDensity.ARGS, "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", (
-            "density: dual-path spot check failed for j=2: max |fock - gaussian| ="
-            " nan, not below 1e-06; no file written\n"
+            "density: dual-path check failed for j=2: max |fock - gaussian| ="
+            " nan, not below 1e-08; no file written\n"
         ))
         assert list(tmp_path.iterdir()) == []
 
@@ -587,7 +636,7 @@ class TestReportLines:
         (["piv", "--xsteps", "11"],
          "wrote {out} (33 rows), max residual {max_included_residual:.3e}"),
         (["density", "--j", "0", *TestDensity.ARGS],
-         "wrote {out} (567 rows), spot check {spot_check_max_err:.3e}"),
+         "wrote {out} (567 rows), dual-path check {dual_path_max_err:.3e}"),
         (["decompose"], "wrote {out} (43 rows), max scaled error {scaled_error:.3e}"),
         (["moments", "--nmax", "2"], "wrote {out} (2 rows), 1 passed, 1 failed"),
     ], ids=["uncertainty", "piv", "density", "decompose", "moments"])
@@ -598,7 +647,7 @@ class TestReportLines:
             argv = [*argv, "--samples", str(tmp_path / "exp.txt")]
         code = run([*argv, "--out", str(out)])
         assert code == (1 if argv[0] == "moments" else 0)
-        keys = ("max_included_residual", "spot_check_max_err")
+        keys = ("max_included_residual", "dual_path_max_err")
         values = {k: float(header_value(out, k)) for k in keys if f"{{{k}" in line}
         if argv[0] == "decompose":  # the error the gate tests
             worst, scale = (float(header_value(out, k)) for k in ("max_abs_error", "scale"))
@@ -748,7 +797,7 @@ class TestParser:
         assert list(tmp_path.iterdir()) == []
 
     def test_density_takes_no_truncation(self, tmp_path, capsys):
-        # the spot check always runs at the tail-rule size
+        # the dual-path check always runs at the tail-rule size
         with pytest.raises(SystemExit) as exc:
             run(["density", "--trunc", "5", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2

@@ -898,6 +898,15 @@ class TestTriangleDecomposition:
         np.testing.assert_allclose(tri.reconstruction(), [1], atol=1e-15)
         np.testing.assert_array_equal(tri.target(), [1])
 
+    @pytest.mark.parametrize("j", [5, 1.0])
+    def test_replaced_family_index_is_checked(self, j):
+        # only triangle_decompose checked j: a replaced 5 once raised a bare
+        # IndexError from target(), and 1.0 a TypeError
+        tri = coherent.triangle_decompose(2.0, 1)
+        with pytest.raises(ValueError, match=f"family index must be an integer in .*, got {j!r}"):
+            dataclasses.replace(tri, j=j)
+        assert dataclasses.replace(tri, j=np.int64(2)).j == 2
+
     def test_cross_family_orthogonality_exact(self):
         states = [coherent.CoherentSpec(j, 8.0 * cmath.exp(0.9j)).coeffs for j in range(3)]
         for j in range(3):
