@@ -36,12 +36,13 @@ NON_PERIOD_FLOOR = 1e-3
 
 # The most memory, in bytes, that a piv or density grid or an uncertainty sweep
 # (|alpha| steps by families) may ask for: its sample count times the peak RSS
-# measured per sample. That is about 130 B per density cell with all three
-# families and their dual-path Fock fields (81.6 MiB at 1601 x 241), 1.1 KB per
-# piv x point (251.7 MB at 200 001 points) and 260 B per uncertainty row (103.2 MiB
-# at 100 001 steps, 176.9 MiB at 200 001). A larger one exits 2 before anything is allocated.
+# per sample. A density cell costs 226 B on one t row, each x label its own string
+# (246.0 -> 461.4 MiB from 1e6 to 2e6 x points), 137 B on 241 rows (81.5 -> 232.3 MiB
+# from 1601 to 6401); 250 B also covers the 33 MB at start and 55 MB of Fock blocks.
+# A piv x point costs 1.1 KB (251.7 MB at 200 001 points), an uncertainty row 260 B
+# (103.2 MiB at 100 001 steps, 176.9 MiB at 200 001). A larger one exits 2 at once.
 GRID_MEMORY_LIMIT = 2**30
-_BYTES_PER_SAMPLE = dict(density=130, piv=1100, uncertainty=260)
+_BYTES_PER_SAMPLE = dict(density=250, piv=1100, uncertainty=260)
 
 
 def _worst(values) -> float:
@@ -256,16 +257,10 @@ def _check_triangle(inject):
 def _dual_path(j, z, grid, inject):
     """The Gaussian-path field of family ``j`` at ``z`` on ``grid``, and max
     |fock - gaussian| over every cell; ``inject`` adds 1e-6 to the Fock side.
-    The Fock field, ``density_fock``'s in blocks, comes first, so a label
-    past its limit raises before any Gaussian grid work.
+    The Fock field comes first, so a label past its limit raises before any
+    Gaussian grid work.
     """
-    block = 4096  # x or t points: up to 33 MB of Hermite rows (N <= 1020), 22 MB of phases
-    xs, ts = grid.x_values()[:, None], grid.t_values()[None, :]
-    fock = np.empty((xs.size, ts.size))
-    for a in range(0, xs.size, block):
-        for b in range(0, ts.size, block):
-            x, t = xs[a : a + block], ts[:, b : b + block]
-            fock[a : a + block, b : b + block] = wavepacket.rho_fock(j, z, x, t)
+    fock = wavepacket.density_fock(j, z, grid).values
     field = wavepacket.density_gaussian(j, z, grid)
     return field, _worst(np.abs(fock + 1e-6 * inject - field.values))
 
