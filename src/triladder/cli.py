@@ -7,7 +7,10 @@ round-trip form, so repeated runs with the same flags are bit-identical.
 Exit codes: 0 on success, 1 when a check fails, a result is not finite or a
 label is past its limit, 2 for invalid input. The data commands refuse
 through one gate (``_gate``) and write through one envelope (``_emit``),
-each with one report line; neither adds an exit code.
+each with one report line; neither adds an exit code. ``_emit`` takes the
+data column by column and writes it in blocks of ``_ROWS_PER_WRITE`` rows,
+each rendered once per column and written with one join, so no Python
+object is made per row and the memory it holds is bounded by the block.
 """
 
 import argparse
@@ -35,12 +38,15 @@ PERIOD_TOL = 1e-10
 NON_PERIOD_FLOOR = 1e-3
 
 # The most memory, in bytes, that a piv or density grid or an uncertainty sweep
-# (|alpha| steps by families) may ask for: its sample count times the peak RSS
-# per sample. A density cell costs 226 B on one t row, each x label its own string
-# (246.0 -> 461.4 MiB from 1e6 to 2e6 x points), 137 B on 241 rows (81.5 -> 232.3 MiB
-# from 1601 to 6401); 250 B also covers the 33 MB at start and 55 MB of Fock blocks.
-# A piv x point costs 1.1 KB (251.7 MB at 200 001 points), an uncertainty row 260 B
-# (103.2 MiB at 100 001 steps, 176.9 MiB at 200 001). A larger one exits 2 at once.
+# (|alpha| steps by families) may ask for: its sample count times the bytes charged
+# per sample. A larger one exits 2 at once. The charges were set when the CSV writer
+# held whole columns of row strings, and are kept so that the same inputs exit 2;
+# with the block writer each costs less in peak RSS. A density cell costs 200 B on
+# one t row, each x label its own string (222.1 -> 413.2 MiB from 1e6 to 2e6 x
+# points), 64 B on 241 rows (55.3 -> 126.3 MiB from 1601 to 6401); 250 B also covers
+# the 33 MB at start and 55 MB of Fock blocks. A piv x point costs 275 B (59.6 ->
+# 85.8 MiB from 100 001 to 200 001 points), an uncertainty row 86 B (57.0 -> 81.5 MiB
+# from 100 001 to 200 001 steps of three rows).
 GRID_MEMORY_LIMIT = 2**30
 _BYTES_PER_SAMPLE = dict(density=250, piv=1100, uncertainty=260)
 
@@ -59,14 +65,33 @@ def _within(worst, tol) -> bool:
     return math.isfinite(worst) and worst < tol
 
 
-def _write_csv(path, comments, header, rows):
+# Blocks of 65 536 rows were no faster, and raised a default density run's peak
+# RSS from 37.6 to 55.3 MiB.
+_ROWS_PER_WRITE = 4096
+
+
+def _write_csv(path, comments, header, columns):
+    """Write the ``comments``, the ``header`` and the rows of ``columns``.
+
+    A column is a list of ready strings or an ndarray, whose items are
+    written as ``repr`` of their ``.tolist()`` values (for floats the
+    shortest round-trip form). Each block of ``_ROWS_PER_WRITE`` rows is
+    one list of cells and separators, joined and written at once.
+    """
     path = Path(path)
+    rows, width = len(columns[0]), 2 * len(columns)
     with path.open("w", encoding="ascii", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write("".join(f"# {line}\n" for line in comments) + header + "\n")
+        for start in range(0, rows, _ROWS_PER_WRITE):
+            block = [col[start : start + _ROWS_PER_WRITE] for col in columns]
+            m = len(block[0])
+            parts = [","] * (width * m)
+            for k, cells in enumerate(block):
+                if not isinstance(cells, list):
+                    cells = list(map(repr, cells.tolist()))
+                parts[2 * k :: width] = cells
+            parts[width - 1 :: width] = ["\n"] * m
+            fh.write("".join(parts))
     return path
 
 
@@ -79,13 +104,13 @@ def _gate(command, what, worst, tol) -> bool:
     return False
 
 
-def _emit(path, command, config_lines, header, rows, count, summary="", results=()):
-    """Write ``rows`` (``count`` of them, maybe an iterator) under the comments
+def _emit(path, command, config_lines, header, columns, summary="", results=()):
+    """Write the rows of ``columns`` (see ``_write_csv``) under the comments
     ``command=``, ``config_lines``, ``version=`` and ``results``, and print the
     one ``wrote`` line."""
     comments = [f"command={command}", *config_lines, f"version={__version__}", *results]
-    out = _write_csv(path, comments, header, rows)
-    print(f"wrote {out} ({count} rows){summary}")
+    out = _write_csv(path, comments, header, columns)
+    print(f"wrote {out} ({len(columns[0])} rows){summary}")
 
 
 # ---------------------------------------------------------------- verify --
@@ -169,18 +194,34 @@ def _check_piv_residual(inject):
     )
 
 
+# The cs-eigen check's 12 (j, alpha) samples, as numpy's default_rng(20240601)
+# draws them: j = integers(0, 3), then alpha = uniform(0, 5) e^(2 pi i uniform()).
+# They are written out so that verify never imports numpy.random; a tier-1 test
+# draws them again and compares.
+_EIGEN_SAMPLES = (
+    (0, (-2.4985960432991656+1.4806071285640203j)),
+    (2, (2.954959602194254+3.700023362629495j)),
+    (2, (-2.89643731261181-0.7569052232610007j)),
+    (1, (-0.4475438595952277-3.929265640787965j)),
+    (1, (-0.008757489535676843-0.7406489983972301j)),
+    (1, (4.6630435682617914-1.3983955039887248j)),
+    (0, (0.08837939828673497+0.22085391884311031j)),
+    (2, (2.9853211559776454+0.15076758609588187j)),
+    (0, (1.7167776305617992+0.4498857806452749j)),
+    (2, (0.0459856670839509+0.7640063926434498j)),
+    (0, (-1.7557291385020959-1.7874508988992754j)),
+    (0, (0.26961141782642317+0.38821712073832454j)),
+)
+
+
 def _check_cs_eigen(inject):
     if not inject:
-        rng = np.random.default_rng(20240601)
-        residuals = []
-        for _ in range(12):
-            j = int(rng.integers(0, 3))
-            alpha = rng.uniform(0.0, 5.0) * np.exp(2j * np.pi * rng.uniform())
-            residuals.append(coherent.eigen_residual(coherent.CoherentSpec(j, alpha)))
-        worst = _worst(residuals)
+        worst = _worst(
+            [coherent.eigen_residual(coherent.CoherentSpec(j, a)) for j, a in _EIGEN_SAMPLES]
+        )
         return (
             _within(worst, EIGEN_TOL),
-            f"worst residual {worst:.3e} over 12 samples (tol {EIGEN_TOL:g})",
+            f"worst residual {worst:.3e} over {len(_EIGEN_SAMPLES)} samples (tol {EIGEN_TOL:g})",
         )
     # each family's state at alpha = 4 cut to 5 levels, far below its tail-rule
     # size, and renormalized; a_g takes |3> to sqrt(6) |0> and |4> to sqrt(24) |1>
@@ -330,9 +371,9 @@ def cmd_uncertainty(ns) -> int:
         print("uncertainty: invalid sweep range", file=sys.stderr)
         return 2
     families = [0, 1, 2] if ns.j is None else [ns.j]
-    rows = []
+    alpha_col, products = [], []
     for abs_alpha in np.linspace(amin, amax, asteps).tolist():
-        alpha_text = repr(abs_alpha)
+        alpha_col += [repr(abs_alpha)] * len(families)
         for j in families:
             product = coherent.a_norm_squared(j, abs_alpha) + 0.5
             if not math.isfinite(product):
@@ -343,13 +384,14 @@ def cmd_uncertainty(ns) -> int:
                     file=sys.stderr,
                 )
                 return 1
-            rows.append((alpha_text, str(j), repr(product)))
+            products.append(product)
     config = [
         f"amin={amin!r} amax={amax!r} asteps={asteps}",
         f"families={','.join(str(j) for j in families)}",
         "uncertainty_product = a_norm_squared(j, |alpha|) + 1/2",
     ]
-    _emit(ns.out, "uncertainty", config, "abs_alpha,j,uncertainty_product", rows, len(rows))
+    columns = [alpha_col, [str(j) for j in families] * asteps, np.array(products)]
+    _emit(ns.out, "uncertainty", config, "abs_alpha,j,uncertainty_product", columns)
     return 0
 
 
@@ -363,7 +405,7 @@ def cmd_piv(ns) -> int:
         f"delta={painleve.DEFAULT_DELTA!r} residual_tol={RESIDUAL_TOL:g}",
     ]
     ys = list(map(repr, grid.x_values().tolist()))
-    rows, included, results = [], [], []
+    ids, scans, results = [], [], []
     for sol_id, ordering in enumerate(painleve.CANONICAL_ORDERINGS, start=1):
         seed = painleve.ExtremalSeed(ordering)
         a, b = painleve.piv_parameters(seed)
@@ -380,21 +422,22 @@ def cmd_piv(ns) -> int:
                 file=sys.stderr,
             )
             return 1
-        rows += zip(
-            [str(sol_id)] * len(ys),
-            ys,
-            map(repr, scan.g.tolist()),
-            map(repr, scan.residual.tolist()),
-            map(str, scan.excluded.astype(int).tolist()),
-        )
-        included.append(np.abs(scan.residual[~scan.excluded]))
-    worst = _worst(np.concatenate(included))
+        ids += [str(sol_id)] * len(ys)
+        scans.append(scan)
+    worst = _worst(np.concatenate([np.abs(s.residual[~s.excluded]) for s in scans]))
     if not _gate("piv", "max residual", worst, RESIDUAL_TOL):
         return 1
     results.append(f"max_included_residual={worst!r}")
     header = "solution_id,y,g,residual,excluded"
     summary = f", max residual {worst:.3e}"
-    _emit(ns.out, "piv", config, header, rows, len(rows), summary, results)
+    columns = [
+        ids,
+        ys * len(scans),
+        np.concatenate([s.g for s in scans]),
+        np.concatenate([s.residual for s in scans]),
+        np.concatenate([s.excluded for s in scans]).astype(int),
+    ]
+    _emit(ns.out, "piv", config, header, columns, summary, results)
     return 0
 
 
@@ -426,8 +469,8 @@ def cmd_density(ns) -> int:
             f"t range [{grid.t_min!r}, {grid.t_max!r}] with {grid.t_steps} points",
             f"dual_path_max_err={worst!r} (tol {DUAL_PATH_TOL:g})",
         ]
-        rows = zip(t_col, x_col, map(repr, field.values.T.ravel().tolist()))
-        _emit(out, "density", config, "t,x,rho", rows, len(t_col), f", dual-path check {worst:.3e}")
+        columns = [t_col, x_col, field.values.T.ravel()]
+        _emit(out, "density", config, "t,x,rho", columns, f", dual-path check {worst:.3e}")
         meta = out.with_name(out.name + ".meta")
         with meta.open("w", encoding="ascii", newline="\n") as fh:
             fh.write(f"command=density\nj={j}\n")
@@ -459,14 +502,10 @@ def cmd_decompose(ns) -> int:
         "labels=" + " ".join(f"({l.real!r},{l.imag!r})" for l in tri.labels),
         f"max_abs_error={worst!r} scale={scale!r} (tol {TRIANGLE_TOL:g} on max_abs_error/scale)",
     ]
-    columns = [
-        map(repr, arr.tolist())
-        for arr in (target.real, target.imag, rec.real, rec.imag, errors)
-    ]
-    rows = zip(map(str, range(len(target))), *columns)
+    columns = [np.arange(len(target)), target.real, target.imag, rec.real, rec.imag, errors]
     header = "n,target_re,target_im,reconstructed_re,reconstructed_im,abs_error"
     summary = f", max scaled error {scaled:.3e}"
-    _emit(ns.out, "decompose", config, header, rows, len(target), summary)
+    _emit(ns.out, "decompose", config, header, columns, summary)
     return 0
 
 
@@ -508,14 +547,17 @@ def cmd_moments(ns) -> int:
         f"j={ns.j} n_max={ns.nmax} rtol={ns.rtol!r} samples={sample_path}",
         "target(n) = (3(n-1)+j)! ; computed(n) = trapezoid of x^(n-1) f(x)",
     ]
-    out_rows = [
-        (str(r.n), repr(r.computed), str(r.target), repr(r.rel_error), str(int(ok)))
-        for r, ok in zip(rows, passed)
+    columns = [
+        [str(r.n) for r in rows],
+        [repr(r.computed) for r in rows],
+        [str(r.target) for r in rows],
+        [repr(r.rel_error) for r in rows],
+        [str(int(ok)) for ok in passed],
     ]
     failures = passed.count(False)
     summary = f", {len(rows) - failures} passed, {failures} failed"
     header = "n,computed,target,rel_error,passed"
-    _emit(ns.out, "moments", config, header, out_rows, len(rows), summary)
+    _emit(ns.out, "moments", config, header, columns, summary)
     return 0 if failures == 0 else 1
 
 

@@ -1,10 +1,11 @@
 """Reference implementations the tests check the package against.
 
-Two kinds live here, each independent of the kernel it checks: the dense
+Three kinds live here, each independent of the code it checks: the dense
 float64 oracles (position and momentum matrices, number states built by
 repeated cubed raising, and the closed-form time evolution of a family
-state), and a 50-digit sum for the mean occupation. None of them is run by
-a command, a ``verify`` check or the benchmark.
+state), a 50-digit sum for the mean occupation, and a row-at-a-time CSV
+formatter for the CLI's block writer. None of them is run by a command, a
+``verify`` check or the benchmark.
 """
 
 import cmath
@@ -99,3 +100,15 @@ def mean_occupation(j: int, abs_alpha: float):
                 return first_moment / total
             weight = nxt
             n += 3
+
+
+def csv_text(comments, header, rows) -> str:
+    """The text of a CLI data file, formatted one row at a time.
+
+    Each comment becomes a ``# `` line, then comes the ``header`` line,
+    then each row of ``rows`` (a tuple of ready strings) joined by commas;
+    every line ends with LF.
+    """
+    lines = [f"# {line}" for line in comments] + [header]
+    lines += [",".join(row) for row in rows]
+    return "".join(line + "\n" for line in lines)

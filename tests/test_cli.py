@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from triladder import cli, coherent, wavepacket
 from triladder.grid import GridSpec
 
@@ -40,6 +41,11 @@ def header_value(path, key):
     """The text after ``key=`` in the CSV's comment lines, up to the next space."""
     words = [w for l in path.read_text().splitlines() if l.startswith("#") for w in l.split()]
     return next(w.split("=", 1)[1] for w in words if w.startswith(key + "="))
+
+
+def comments_of(path):
+    """A written CSV's comment lines, without their leading '# '."""
+    return [l[2:] for l in path.read_text().splitlines() if l.startswith("# ")]
 
 
 def write_exp_weight(path, step=0.01, top=60.0):
@@ -109,6 +115,24 @@ class TestVerify:
         run(["verify", "--inject-piv-sign"])
         out = capsys.readouterr().out
         assert "+2 E~1" in out
+
+    def test_eigen_samples_are_the_seeded_draws(self):
+        rng = np.random.default_rng(20240601)
+        drawn = []
+        for _ in range(12):
+            j = int(rng.integers(0, 3))
+            alpha = rng.uniform(0.0, 5.0) * np.exp(2j * np.pi * rng.uniform())
+            drawn.append((j, complex(alpha)))
+        assert cli._EIGEN_SAMPLES == tuple(drawn)
+
+    def test_leaves_numpy_random_unimported(self):
+        # first access to numpy.random costs about 10 ms in a fresh process
+        script = ("import sys; from triladder import cli; code = cli.main(['verify']);"
+                  " print(code, 'numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.stdout.splitlines()[-1] == "0 False"
 
 
 class TestUncertainty:
@@ -571,7 +595,8 @@ class TestGoldenBytes:
     Their values come only from elementwise IEEE + - * / and Python float
     arithmetic, so every platform gives the same bytes. density and
     decompose pass through np.exp, einsum or hypot, whose last bits may
-    differ between numpy builds, so they are not pinned here.
+    differ between numpy builds, so they are not pinned here; TestUnpinnedBytes
+    checks their files against the row-at-a-time formatter instead.
     """
 
     @pytest.mark.parametrize("argv,digest", [
@@ -587,6 +612,85 @@ class TestGoldenBytes:
         out = tmp_path / "out.csv"
         assert run([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+class TestWriter:
+    """``_write_csv`` in blocks of 3 rows, byte for byte against the
+    row-at-a-time formatter of ``tests/oracle.py``."""
+
+    COMMENTS = ["command=test", "a=1 b=2"]
+    FLOATS = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-05, 0.1])
+
+    def check(self, tmp_path, header, columns):
+        out = tmp_path / "out.csv"
+        assert cli._write_csv(out, self.COMMENTS, header, columns) == out
+        rows = [[c[i] if isinstance(c, list) else repr(c[i].item()) for c in columns]
+                for i in range(len(columns[0]))]
+        assert out.read_bytes() == oracle.csv_text(self.COMMENTS, header, rows).encode("ascii")
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
+    def test_mixed_columns(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
+        self.check(tmp_path, "s,i,f,g", [
+            [f"s{i}" for i in range(rows)],
+            np.arange(rows) - 3,
+            np.resize(self.FLOATS, rows),
+            np.resize(self.FLOATS[::-1], rows),
+        ])
+
+    @pytest.mark.parametrize("rows", [0, 7])
+    def test_one_column(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
+        self.check(tmp_path, "f", [np.resize(self.FLOATS, rows)])
+
+
+class TestUnpinnedBytes:
+    """density, decompose and moments against the row-at-a-time formatter,
+    fed from the same in-process fields. Their bits depend on the numpy
+    build, so TestGoldenBytes cannot pin them. Blocks of 4 rows make each
+    file cross block boundaries."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
+
+    def test_density_sweep(self, tmp_path, capsys):
+        z = 0.9 + 1.1j
+        t_axis = wavepacket.DEFAULT_GRID.t_min, wavepacket.DEFAULT_GRID.t_max, 3
+        grid = GridSpec(-3.0, 3.0, 7, *t_axis)  # 21 rows: 5 blocks
+        assert run(["density", "--z-re", "0.9", "--z-im", "1.1", "--xmin", "-3", "--xmax", "3",
+                    "--xsteps", "7", "--tsteps", "3", "--out", str(tmp_path / "rho.csv")]) == 0
+        for j in range(3):
+            values = wavepacket.density_gaussian(j, z, grid).values
+            rows = [(repr(t), repr(x), repr(values[ix, it].item()))
+                    for it, t in enumerate(grid.t_values().tolist())
+                    for ix, x in enumerate(grid.x_values().tolist())]
+            out = tmp_path / f"rho_j{j}.csv"
+            assert out.read_text() == oracle.csv_text(comments_of(out), "t,x,rho", rows)
+
+    @pytest.mark.parametrize("j,z", [(0, 2.0 + 0.0j), (1, 0.9 + 1.1j)])
+    def test_decompose(self, tmp_path, capsys, j, z):
+        out = tmp_path / "dec.csv"
+        assert run(["decompose", "--j", str(j), "--z-re", repr(z.real), "--z-im", repr(z.imag),
+                    "--out", str(out)]) == 0
+        tri = coherent.triangle_decompose(z, j)
+        target, rec = tri.target(), tri.reconstruction()
+        errors = np.abs(rec - target)
+        rows = [(str(n), *(repr(v.item()) for v in (t.real, t.imag, r.real, r.imag, e)))
+                for n, (t, r, e) in enumerate(zip(target, rec, errors))]
+        header = "n,target_re,target_im,reconstructed_re,reconstructed_im,abs_error"
+        assert out.read_text() == oracle.csv_text(comments_of(out), header, rows)
+
+    def test_moments(self, tmp_path, capsys):
+        samples, out = tmp_path / "exp.txt", tmp_path / "mom.csv"
+        write_exp_weight(samples)
+        # from n = 8 the target (3(n-1))! is past int64
+        assert run(["moments", "--samples", str(samples), "--nmax", "9", "--out", str(out)]) == 1
+        rows = [(str(r.n), repr(r.computed), str(r.target), repr(r.rel_error),
+                 str(int(r.rel_error < 1e-3)))
+                for r in coherent.moment_check(0, cli._read_samples(samples), 9)]
+        header = "n,computed,target,rel_error,passed"
+        assert out.read_text() == oracle.csv_text(comments_of(out), header, rows)
 
 
 class TestReportLines:
