@@ -8,9 +8,14 @@ Exit codes: 0 on success, 1 when a check fails, a result is not finite or a
 label is past its limit, 2 for invalid input. The data commands refuse
 through one gate (``_gate``) and write through one envelope (``_emit``),
 each with one report line; neither adds an exit code. ``_emit`` takes the
-data column by column and writes it in blocks of ``_ROWS_PER_WRITE`` rows,
-each rendered once per column and written with one join, so no Python
-object is made per row and the memory it holds is bounded by the block.
+data column by column and writes it in blocks of ``_ROWS_PER_WRITE`` rows.
+Each block is one uint8 matrix: float columns rendered by ``shortest.cells``
+(``repr``'s text, computed in uint64 over the whole column), the rows of
+columns given as a table of distinct values, and the separators, with its
+NUL bytes deleted before one write. No Python object is made per cell, and
+the memory held is bounded by the block. On a 2-vCPU VM a default density
+file (96 641 rows) is written in 37-38 ms, against 70-73 ms when each float
+went through ``repr`` (in-process, best of 7).
 """
 
 import argparse
@@ -23,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, coherent, fock, painleve, wavepacket
+from . import __version__, coherent, fock, painleve, shortest, wavepacket
 from .grid import GridSpec
 
 EIGEN_TOL = 1e-10
@@ -39,16 +44,16 @@ NON_PERIOD_FLOOR = 1e-3
 
 # The most memory, in bytes, that a piv or density grid or an uncertainty sweep
 # (|alpha| steps by families) may ask for: its sample count times the bytes charged
-# per sample. A larger one exits 2 at once. The charges were set when the CSV writer
-# held whole columns of row strings, and are kept so that the same inputs exit 2;
-# with the block writer each costs less in peak RSS. A density cell costs 200 B on
-# one t row, each x label its own string (222.1 -> 413.2 MiB from 1e6 to 2e6 x
-# points), 64 B on 241 rows (55.3 -> 126.3 MiB from 1601 to 6401); 250 B also covers
-# the 33 MB at start and 55 MB of Fock blocks. A piv x point costs 275 B (59.6 ->
-# 85.8 MiB from 100 001 to 200 001 points), an uncertainty row 86 B (57.0 -> 81.5 MiB
-# from 100 001 to 200 001 steps of three rows).
+# per sample. A larger one exits 2 at once. Each charge is the peak RSS growth per
+# sample of the worst shape measured, plus the share of the memory at start that
+# keeps the peak at the limit under 1 GiB. A density cell costs 117 B on one t row of
+# a three-family sweep (143.3 -> 254.9 MiB from 1e6 to 2e6 x points, 31.7 MiB at
+# start) and 56-65 B on 241 rows (58.2 -> 126.2 MiB from 1601 to 6401 x points); a
+# piv x point 249 B (85.1 -> 132.5 MiB from 200 001 to 400 001 points, 37.5 MiB at
+# start); an uncertainty row 85 B (60.8 -> 84.9 MiB from 100 001 to 200 001 steps of
+# three rows, 36.5 MiB at start).
 GRID_MEMORY_LIMIT = 2**30
-_BYTES_PER_SAMPLE = dict(density=250, piv=1100, uncertainty=260)
+_BYTES_PER_SAMPLE = dict(density=125, piv=260, uncertainty=90)
 
 
 def _worst(values) -> float:
@@ -65,33 +70,79 @@ def _within(worst, tol) -> bool:
     return math.isfinite(worst) and worst < tol
 
 
-# Blocks of 65 536 rows were no faster, and raised a default density run's peak
-# RSS from 37.6 to 55.3 MiB.
-_ROWS_PER_WRITE = 4096
+# 16 384 rows keep the renderer's uint64 temporaries (128 KiB each) in cache and
+# were the fastest block: a default density run took 220, 187, 171, 208 and 194 ms
+# at 4096, 8192, 16 384, 32 768 and 65 536 rows (in-process medians of 6 on a
+# 2-vCPU VM), and its peak RSS grows with the block (45 MiB here, 62 at 65 536).
+_ROWS_PER_WRITE = 16384
+
+
+def _cells(column):
+    """The cells of ``column`` as uint8 rows with NUL holes (see ``shortest.cells``):
+    a list of ready strings, an int array (each distinct value written once with
+    ``str``) or a float array (``repr`` of each value)."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        # a block at a time, so that the renderer's temporaries stay small
+        starts = range(0, len(column), _ROWS_PER_WRITE)
+        blocks = [shortest.cells(column[s : s + _ROWS_PER_WRITE]) for s in starts]
+        cells = np.zeros((len(column), max([0] + [b.shape[1] for b in blocks])), np.uint8)
+        for s, b in zip(starts, blocks):
+            cells[s : s + len(b), : b.shape[1]] = b
+        return cells
+    if isinstance(column, np.ndarray):
+        table, rows = np.unique(column, return_inverse=True)
+        return _cells([str(i) for i in table.tolist()])[rows.ravel()]
+    text = np.array(column, dtype="S")
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
+
+
+def _block_source(column):
+    """A function from a row range of ``column`` to its cells: a float array is
+    rendered block by block, any other column once for the whole file."""
+    if isinstance(column, tuple):  # (table, rows): the column is table[rows]
+        table, rows = column
+        cells = _cells(table)
+        return lambda start, stop: np.take(cells, rows[start:stop], axis=0)
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return lambda start, stop: shortest.cells(column[start:stop])
+    cells = _cells(column)
+    return lambda start, stop: cells[start:stop]
+
+
+def _row_count(column) -> int:
+    return len(column[1]) if isinstance(column, tuple) else len(column)
 
 
 def _write_csv(path, comments, header, columns):
     """Write the ``comments``, the ``header`` and the rows of ``columns``.
 
-    A column is a list of ready strings or an ndarray, whose items are
-    written as ``repr`` of their ``.tolist()`` values (for floats the
-    shortest round-trip form). Each block of ``_ROWS_PER_WRITE`` rows is
-    one list of cells and separators, joined and written at once.
+    A column is a list of ready strings, an int array, a float array, whose
+    items are written as ``repr`` gives them (for floats the shortest
+    round-trip form), or a pair (table, rows) of such a column and the int
+    rows of it to write, so that a value repeated over many rows is
+    rendered once. Each block of ``_ROWS_PER_WRITE`` rows is one uint8
+    matrix, the cells of each column side by side with the separators; the
+    block's NUL bytes are deleted and the rest written at once. Of a default
+    density file's 37.5 ms, rendering the floats takes about 16 ms, deleting
+    the NULs 7 ms and laying out the blocks 2.5 ms.
     """
     path = Path(path)
-    rows, width = len(columns[0]), 2 * len(columns)
-    with path.open("w", encoding="ascii", newline="\n") as fh:
-        fh.write("".join(f"# {line}\n" for line in comments) + header + "\n")
+    rows = _row_count(columns[0])
+    sources = [_block_source(col) for col in columns]
+    with path.open("wb") as fh:
+        head = "".join(f"# {line}\n" for line in comments) + header + "\n"
+        fh.write(head.encode("ascii"))
         for start in range(0, rows, _ROWS_PER_WRITE):
-            block = [col[start : start + _ROWS_PER_WRITE] for col in columns]
-            m = len(block[0])
-            parts = [","] * (width * m)
-            for k, cells in enumerate(block):
-                if not isinstance(cells, list):
-                    cells = list(map(repr, cells.tolist()))
-                parts[2 * k :: width] = cells
-            parts[width - 1 :: width] = ["\n"] * m
-            fh.write("".join(parts))
+            parts = [source(start, start + _ROWS_PER_WRITE) for source in sources]
+            block = np.empty((len(parts[0]), sum(p.shape[1] + 1 for p in parts)), np.uint8)
+            col = 0
+            for part in parts:
+                block[:, col : col + part.shape[1]] = part
+                col += part.shape[1]
+                block[:, col] = ord(",")
+                col += 1
+            block[:, -1] = ord("\n")
+            fh.write(block.tobytes().translate(None, b"\0"))
     return path
 
 
@@ -110,7 +161,7 @@ def _emit(path, command, config_lines, header, columns, summary="", results=()):
     one ``wrote`` line."""
     comments = [f"command={command}", *config_lines, f"version={__version__}", *results]
     out = _write_csv(path, comments, header, columns)
-    print(f"wrote {out} ({len(columns[0])} rows){summary}")
+    print(f"wrote {out} ({_row_count(columns[0])} rows){summary}")
 
 
 # ---------------------------------------------------------------- verify --
@@ -371,9 +422,9 @@ def cmd_uncertainty(ns) -> int:
         print("uncertainty: invalid sweep range", file=sys.stderr)
         return 2
     families = [0, 1, 2] if ns.j is None else [ns.j]
-    alpha_col, products = [], []
-    for abs_alpha in np.linspace(amin, amax, asteps).tolist():
-        alpha_col += [repr(abs_alpha)] * len(families)
+    alphas = np.linspace(amin, amax, asteps)
+    products = []
+    for abs_alpha in alphas.tolist():
         for j in families:
             product = coherent.a_norm_squared(j, abs_alpha) + 0.5
             if not math.isfinite(product):
@@ -390,7 +441,8 @@ def cmd_uncertainty(ns) -> int:
         f"families={','.join(str(j) for j in families)}",
         "uncertainty_product = a_norm_squared(j, |alpha|) + 1/2",
     ]
-    columns = [alpha_col, [str(j) for j in families] * asteps, np.array(products)]
+    steps, family = np.divmod(np.arange(len(products)), len(families))
+    columns = [(alphas, steps), (np.array(families), family), np.array(products)]
     _emit(ns.out, "uncertainty", config, "abs_alpha,j,uncertainty_product", columns)
     return 0
 
@@ -404,8 +456,7 @@ def cmd_piv(ns) -> int:
         f"y range [{grid.x_min!r}, {grid.x_max!r}] with {grid.x_steps} points",
         f"delta={painleve.DEFAULT_DELTA!r} residual_tol={RESIDUAL_TOL:g}",
     ]
-    ys = list(map(repr, grid.x_values().tolist()))
-    ids, scans, results = [], [], []
+    scans, results = [], []
     for sol_id, ordering in enumerate(painleve.CANONICAL_ORDERINGS, start=1):
         seed = painleve.ExtremalSeed(ordering)
         a, b = painleve.piv_parameters(seed)
@@ -422,7 +473,6 @@ def cmd_piv(ns) -> int:
                 file=sys.stderr,
             )
             return 1
-        ids += [str(sol_id)] * len(ys)
         scans.append(scan)
     worst = _worst(np.concatenate([np.abs(s.residual[~s.excluded]) for s in scans]))
     if not _gate("piv", "max residual", worst, RESIDUAL_TOL):
@@ -430,12 +480,13 @@ def cmd_piv(ns) -> int:
     results.append(f"max_included_residual={worst!r}")
     header = "solution_id,y,g,residual,excluded"
     summary = f", max residual {worst:.3e}"
+    solution, point = np.divmod(np.arange(len(scans) * grid.x_steps), grid.x_steps)
     columns = [
-        ids,
-        ys * len(scans),
+        (np.arange(1, len(scans) + 1), solution),
+        (grid.x_values(), point),
         np.concatenate([s.g for s in scans]),
         np.concatenate([s.residual for s in scans]),
-        np.concatenate([s.excluded for s in scans]).astype(int),
+        (np.array([0, 1]), np.concatenate([s.excluded for s in scans]).astype(np.intp)),
     ]
     _emit(ns.out, "piv", config, header, columns, summary, results)
     return 0
@@ -459,8 +510,7 @@ def cmd_density(ns) -> int:
             return 1
         checked.append((j, field, worst))
     # Rows run t-major: every x for the first t, then the next t.
-    t_col = [t for t in map(repr, ts.tolist()) for _ in range(xs.size)]
-    x_col = list(map(repr, xs.tolist())) * ts.size
+    t_row, x_row = np.divmod(np.arange(ts.size * xs.size), xs.size)
     for j, field, worst in checked:
         out = base.with_name(f"{base.stem}_j{j}{base.suffix or '.csv'}") if sweep else base
         config = [
@@ -469,7 +519,7 @@ def cmd_density(ns) -> int:
             f"t range [{grid.t_min!r}, {grid.t_max!r}] with {grid.t_steps} points",
             f"dual_path_max_err={worst!r} (tol {DUAL_PATH_TOL:g})",
         ]
-        columns = [t_col, x_col, field.values.T.ravel()]
+        columns = [(ts, t_row), (xs, x_row), field.values.T.ravel()]
         _emit(out, "density", config, "t,x,rho", columns, f", dual-path check {worst:.3e}")
         meta = out.with_name(out.name + ".meta")
         with meta.open("w", encoding="ascii", newline="\n") as fh:

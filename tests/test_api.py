@@ -13,7 +13,7 @@ import triladder
 from triladder import coherent, fock
 
 MODULES = ["triladder.coherent", "triladder.fock", "triladder.grid", "triladder.painleve",
-           "triladder.wavepacket"]
+           "triladder.shortest", "triladder.wavepacket"]
 
 ROOT = Path(__file__).parents[1]
 

@@ -619,13 +619,22 @@ class TestWriter:
     row-at-a-time formatter of ``tests/oracle.py``."""
 
     COMMENTS = ["command=test", "a=1 b=2"]
-    FLOATS = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-05, 0.1])
+    # 5e-324 is the smallest subnormal double, 2.2250738585072014e-308 the smallest normal
+    FLOATS = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
+                       2.2250738585072014e-308, 1e16, 1e-05, 0.1])
+
+    @staticmethod
+    def cell(column, i):
+        if isinstance(column, tuple):
+            table, rows = column
+            return TestWriter.cell(table, rows[i])
+        return column[i] if isinstance(column, list) else repr(column[i].item())
 
     def check(self, tmp_path, header, columns):
         out = tmp_path / "out.csv"
         assert cli._write_csv(out, self.COMMENTS, header, columns) == out
-        rows = [[c[i] if isinstance(c, list) else repr(c[i].item()) for c in columns]
-                for i in range(len(columns[0]))]
+        count = cli._row_count(columns[0])
+        rows = [[self.cell(c, i) for c in columns] for i in range(count)]
         assert out.read_bytes() == oracle.csv_text(self.COMMENTS, header, rows).encode("ascii")
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
@@ -642,6 +651,19 @@ class TestWriter:
     def test_one_column(self, tmp_path, monkeypatch, rows):
         monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
         self.check(tmp_path, "f", [np.resize(self.FLOATS, rows)])
+
+    @pytest.mark.parametrize("rows", [1, 4, 7])
+    def test_table_columns(self, tmp_path, monkeypatch, rows):
+        # (table, rows) columns, each table value written wherever its row points;
+        # the float table spans blocks of different widths
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
+        picks = np.resize([9, 0, 4, 1, 7, 2, 5, 3, 8, 6], rows)
+        self.check(tmp_path, "t,i,s,f", [
+            (self.FLOATS, picks),
+            (np.array([7, -12, 0]), picks % 3),
+            (["a", "bb", "ccc"], picks[::-1] % 3),
+            np.resize(self.FLOATS, rows),
+        ])
 
 
 class TestUnpinnedBytes:
@@ -870,11 +892,11 @@ class TestParser:
 
     @pytest.mark.parametrize("argv,err", [
         (["density", "--j", "0", "--xsteps", "100000000", "--tsteps", "100000"],
-         "density: a 100000000 x 100000 grid needs about 2.5e+15 bytes,"),
+         "density: a 100000000 x 100000 grid needs about 1.25e+15 bytes,"),
         (["piv", "--xsteps", "1000000000"],
-         "piv: a 1000000000 x 1 grid needs about 1.1e+12 bytes,"),
+         "piv: a 1000000000 x 1 grid needs about 2.6e+11 bytes,"),
         (["uncertainty", "--asteps", "100000000"],
-         "uncertainty: a 100000000 x 3 grid needs about 7.8e+10 bytes,"),
+         "uncertainty: a 100000000 x 3 grid needs about 2.7e+10 bytes,"),
     ], ids=["density", "piv", "uncertainty"])
     def test_oversized_grid_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                        argv, err):
