@@ -46,14 +46,17 @@ NON_PERIOD_FLOOR = 1e-3
 # (|alpha| steps by families) may ask for: its sample count times the bytes charged
 # per sample. A larger one exits 2 at once. Each charge is the peak RSS growth per
 # sample of the worst shape measured, plus the share of the memory at start that
-# keeps the peak at the limit under 1 GiB. A density cell costs 117 B on one t row of
-# a three-family sweep (143.3 -> 254.9 MiB from 1e6 to 2e6 x points, 31.7 MiB at
-# start) and 56-65 B on 241 rows (58.2 -> 126.2 MiB from 1601 to 6401 x points); a
-# piv x point 249 B (85.1 -> 132.5 MiB from 200 001 to 400 001 points, 37.5 MiB at
+# keeps the peak at the limit under 1 GiB. Density, three-family sweeps: the worst
+# cell is on one x point at the default label, 144 B (168.3 -> 305.7 MiB from 1e6 to
+# 2e6 t points, 31.0 MiB at start; 96 B from 2e6 to 3e6). At the largest label
+# (|z| = 26.2, x in [-36, 36]) a cell costs 131 B on one x point (55 MiB at start),
+# 120 B on one t row and 58-64 B on 241 or 4096 rows or columns, where the Fock
+# blocks' Hermite rows and phases raise the memory at start to 70-85 MiB. A piv x
+# point costs 249 B (85.1 -> 132.5 MiB from 200 001 to 400 001 points, 37.5 MiB at
 # start); an uncertainty row 85 B (60.8 -> 84.9 MiB from 100 001 to 200 001 steps of
 # three rows, 36.5 MiB at start).
 GRID_MEMORY_LIMIT = 2**30
-_BYTES_PER_SAMPLE = dict(density=125, piv=260, uncertainty=90)
+_BYTES_PER_SAMPLE = dict(density=150, piv=260, uncertainty=90)
 
 
 def _worst(values) -> float:
@@ -79,8 +82,7 @@ _ROWS_PER_WRITE = 16384
 
 def _cells(column):
     """The cells of ``column`` as uint8 rows with NUL holes (see ``shortest.cells``):
-    a list of ready strings, an int array (each distinct value written once with
-    ``str``) or a float array (``repr`` of each value)."""
+    a float array (``repr`` of each value) or a list of ready strings."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         # a block at a time, so that the renderer's temporaries stay small
         starts = range(0, len(column), _ROWS_PER_WRITE)
@@ -89,9 +91,6 @@ def _cells(column):
         for s, b in zip(starts, blocks):
             cells[s : s + len(b), : b.shape[1]] = b
         return cells
-    if isinstance(column, np.ndarray):
-        table, rows = np.unique(column, return_inverse=True)
-        return _cells([str(i) for i in table.tolist()])[rows.ravel()]
     text = np.array(column, dtype="S")
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
@@ -116,13 +115,13 @@ def _row_count(column) -> int:
 def _write_csv(path, comments, header, columns):
     """Write the ``comments``, the ``header`` and the rows of ``columns``.
 
-    A column is a list of ready strings, an int array, a float array, whose
-    items are written as ``repr`` gives them (for floats the shortest
-    round-trip form), or a pair (table, rows) of such a column and the int
-    rows of it to write, so that a value repeated over many rows is
-    rendered once. Each block of ``_ROWS_PER_WRITE`` rows is one uint8
-    matrix, the cells of each column side by side with the separators; the
-    block's NUL bytes are deleted and the rest written at once. Of a default
+    A column is a list of ready strings, a float array, whose items are
+    written as ``repr`` gives them (the shortest round-trip form), or a pair
+    (table, rows) of such a column and the int rows of it to write, so that
+    a value repeated over many rows is rendered once. Each block of
+    ``_ROWS_PER_WRITE`` rows is one uint8 matrix, the cells of each column
+    side by side with the separators; the block's NUL bytes are deleted and
+    the rest written at once. Of a default
     density file's 37.5 ms, rendering the floats takes about 16 ms, deleting
     the NULs 7 ms and laying out the blocks 2.5 ms.
     """
@@ -442,7 +441,7 @@ def cmd_uncertainty(ns) -> int:
         "uncertainty_product = a_norm_squared(j, |alpha|) + 1/2",
     ]
     steps, family = np.divmod(np.arange(len(products)), len(families))
-    columns = [(alphas, steps), (np.array(families), family), np.array(products)]
+    columns = [(alphas, steps), ([str(j) for j in families], family), np.array(products)]
     _emit(ns.out, "uncertainty", config, "abs_alpha,j,uncertainty_product", columns)
     return 0
 
@@ -482,11 +481,11 @@ def cmd_piv(ns) -> int:
     summary = f", max residual {worst:.3e}"
     solution, point = np.divmod(np.arange(len(scans) * grid.x_steps), grid.x_steps)
     columns = [
-        (np.arange(1, len(scans) + 1), solution),
+        ([str(i) for i in range(1, len(scans) + 1)], solution),
         (grid.x_values(), point),
         np.concatenate([s.g for s in scans]),
         np.concatenate([s.residual for s in scans]),
-        (np.array([0, 1]), np.concatenate([s.excluded for s in scans]).astype(np.intp)),
+        (["0", "1"], np.concatenate([s.excluded for s in scans]).astype(np.intp)),
     ]
     _emit(ns.out, "piv", config, header, columns, summary, results)
     return 0
@@ -552,7 +551,7 @@ def cmd_decompose(ns) -> int:
         "labels=" + " ".join(f"({l.real!r},{l.imag!r})" for l in tri.labels),
         f"max_abs_error={worst!r} scale={scale!r} (tol {TRIANGLE_TOL:g} on max_abs_error/scale)",
     ]
-    columns = [np.arange(len(target)), target.real, target.imag, rec.real, rec.imag, errors]
+    columns = [[str(n) for n in range(len(target))], target.real, target.imag, rec.real, rec.imag, errors]
     header = "n,target_re,target_im,reconstructed_re,reconstructed_im,abs_error"
     summary = f", max scaled error {scaled:.3e}"
     _emit(ns.out, "decompose", config, header, columns, summary)

@@ -234,7 +234,9 @@ def cells(values) -> np.ndarray:
     if exp_w:
         view, col = store(col, exp_w)
         view[:, 0] = np.take(_EXPONENT, decpt + 329)
+    # a fallback text may be wider than the pieces, which left the rest unset
     out = out[:, :width]
+    out[:, col:] = 0
     for i, t in zip(slow.tolist(), texts):
         out[i] = 0
         out[i, : len(t)] = np.frombuffer(t, np.uint8)

@@ -32,6 +32,9 @@ RUNS = {
                     "--xsteps", "121", "--tmin", "0.5", "--tmax", "3", "--tsteps", "13"],
     "density_j1_z8": ["density", "--j", "1", "--z-re", "8"],
     "density_inject": ["density", "--j", "0", "--inject-spotcheck"],
+    # the far tail: zeros, subnormals and normal values in one column
+    "density_far_tail": ["density", "--xmin", "25", "--xmax", "40", "--xsteps", "301",
+                         "--tsteps", "3"],
     "piv_default": ["piv"],
     "piv_20001": ["piv", "--xsteps", "20001"],
     "piv_301": ["piv", "--xmin", "-3", "--xmax", "4", "--xsteps", "301"],

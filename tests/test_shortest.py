@@ -64,6 +64,17 @@ def test_zero_nan_and_infinity():
     assert texts([]) == []
 
 
+def test_fallback_text_wider_than_the_others_on_reused_memory():
+    # a subnormal's repr is wider than the rest of its array; the bytes past the
+    # others' texts must be NUL even where the allocator hands back used memory
+    cases = [[0.0, 2.225073858507201e-308], [1.0, -2.225073858507201e-308],
+             [0.0] * 999 + [5e-324, -4.9406564584124654e-320], [math.nan, 1e-310, 0.5]]
+    for values in cases:
+        for size in [*range(1, 1025), *(2**i for i in range(11, 17))]:
+            np.full(size, 255, np.uint8)  # freed at once, its bytes left 0xff
+        assert texts(values) == reprs(values)
+
+
 def test_rows_are_only_as_wide_as_their_array_needs():
     # a column of short values does not pay for the widest possible text
     assert shortest.cells(np.arange(10.0)).shape == (10, 3)
