@@ -179,7 +179,7 @@ def _check_fock_algebra(inject):
     agd = ag.conj().T
     h = fock.build_hamiltonian(n).matrix
     num = fock.number_analogue(n).matrix
-    num_shift = fock.number_analogue(n, shift=3.0).matrix
+    num_shift = fock.number_analogue(n + 3).matrix[3:, 3:]  # N(H + 3): N(H) three levels up
 
     comm_h = h @ ag - ag @ h
     dev1 = np.linalg.norm((comm_h + 3.0 * ag)[:interior, :interior]) / np.linalg.norm(
@@ -591,6 +591,11 @@ def cmd_moments(ns) -> int:
     except (OSError, ValueError) as exc:  # an unreadable or rejected sample file
         print(f"moments: {exc}", file=sys.stderr)
         return 2
+    for row in rows:
+        if not math.isfinite(row.computed):
+            print(f"moments: moment n={row.n} is {row.computed!r}: x^(n-1) f(x) or its integral"
+                  " overflows float64 at these samples; no file written", file=sys.stderr)
+            return 1
     passed = [_within(row.rel_error, ns.rtol) for row in rows]
     config = [
         f"j={ns.j} n_max={ns.nmax} rtol={ns.rtol!r} samples={sample_path}",

@@ -5,7 +5,8 @@ Builds the standard and cubed ladder operators on the number basis
 
     a_g = a^3,  a_g+ = (a+)^3,
     [H, a_g] = -3 a_g,  [H, a_g+] = 3 a_g+,
-    a_g+ a_g = (H - 1/2)(H - 3/2)(H - 5/2).
+    a_g+ a_g = N(H) = (H - 1/2)(H - 3/2)(H - 5/2),
+    [a_g, a_g+] = N(H + 3) - N(H),  N(H + 3): N(H) read three levels up.
 
 Each residue class n = 3k + j of the number basis carries one infinite
 ladder of eigenstates with spacing 3. Units: hbar = m = omega = 1, with
@@ -78,15 +79,14 @@ def build_deformed_ladders(n_trunc: int) -> tuple[FockOperator, FockOperator]:
     return FockOperator(cube), FockOperator(cube.conj().T)
 
 
-def number_analogue(n_trunc: int, shift: float = 0.0) -> FockOperator:
+def number_analogue(n_trunc: int) -> FockOperator:
     """Cubic number analogue N(H) = (H - 1/2)(H - 3/2)(H - 5/2).
 
     Equals a_g+ a_g on the whole truncated space: a_g lowers, so the
-    product is not corrupted by truncation. ``shift`` evaluates the same
-    polynomial at H + shift, which gives N(H + 3) for the ladder-spacing
-    identity [a_g, a_g+] = N(H + 3) - N(H).
+    product is not corrupted by truncation. N(H + 3) in [a_g, a_g+] =
+    N(H + 3) - N(H) is N(H) three levels up: ``number_analogue(n + 3).matrix[3:, 3:]``.
     """
     n_trunc = _check_truncation(n_trunc, minimum=4)
-    energies = np.arange(n_trunc, dtype=float) + 0.5 + shift
+    energies = np.arange(n_trunc, dtype=float) + 0.5
     diag = (energies - 0.5) * (energies - 1.5) * (energies - 2.5)
     return FockOperator(np.diag(diag))

@@ -81,15 +81,8 @@ def hermite_basis(n_levels: int, x) -> np.ndarray:
     out = np.zeros((n_levels, x.size))
     with np.errstate(over="ignore", invalid="ignore"):  # -x^2/2 -> -inf past |x| = 1.3e154: seed 0
         out[0] = np.pi**-0.25 * np.exp(-x * x / 2.0)
-        back = np.empty_like(x)
         for n in range(n_levels - 1):  # at n = 0 the weight on out[n - 1] is 0
-            # in place, with the formula's operations in its order; back is taken
-            # first, as out[n - 1] is out[n + 1] itself when n = 0 and n_levels = 2
-            np.multiply(out[n - 1], math.sqrt(n / (n + 1.0)), out=back)
-            row = out[n + 1]
-            np.multiply(x, math.sqrt(2.0 / (n + 1)), out=row)
-            row *= out[n]
-            row -= back
+            out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
     return out
 
 

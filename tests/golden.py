@@ -4,9 +4,10 @@
 
 Each run below is one ``python -m triladder.cli`` process with ``SRC``
 (default: ``src`` of this checkout) first on PYTHONPATH, in a fresh
-temporary directory. For every run the script prints one line
-``<sha256>  <run>/<name>`` for each file the run wrote and for its exit
-code, stdout and stderr. "Same bytes" between two checkouts is then one
+temporary directory that holds two sample files for ``moments``. The runs
+cover the data files and the refusals (exit 1 or 2, no file). For every
+run the script prints one line ``<sha256>  <run>/<name>`` for each file
+the run wrote and for its exit code, stdout and stderr. "Same bytes" between two checkouts is then one
 diff of two listings, e.g. with the parent's tree in OLD:
 
     diff <(python tests/golden.py OLD/src) <(python tests/golden.py)
@@ -51,7 +52,27 @@ RUNS = {
     "moments_default": ["moments", "--samples", "weight.txt"],
     "moments_alt": ["moments", "--samples", "weight.txt", "--j", "1", "--nmax", "3",
                     "--rtol", "1e-2"],
+    # refusals: each exits 1 or 2 and writes no file
+    "moments_58": ["moments", "--samples", "weight.txt", "--nmax", "58"],
+    "moments_overflow": ["moments", "--samples", "overflow.txt", "--nmax", "3"],
+    "piv_cover": ["piv", "--xmin", "-0.05", "--xmax", "0.05", "--xsteps", "11"],
+    "piv_span": ["piv", "--xmin", "-1.7e308", "--xmax", "1.7e308", "--xsteps", "3"],
+    "density_j2_1e-8": ["density", "--j", "2", "--z-re", "1e-8"],
+    "density_j1_1e-5": ["density", "--j", "1", "--z-re", "1e-5"],
+    "density_j0_6e102": ["density", "--j", "0", "--z-re", "6e102"],
+    "density_sweep_1e-3": ["density", "--z-re", "1e-3"],
+    "density_far": ["density", "--j", "2", "--z-re", "-1e-300", "--xmin", "-1e-3",
+                    "--xmax", "1e300"],
+    "density_near_x": ["density", "--j", "0", "--xmin", "-8e307", "--xmax", "8e307",
+                       "--xsteps", "3", "--tsteps", "2"],
+    "density_near_t": ["density", "--j", "0", "--xsteps", "3", "--tsteps", "2",
+                       "--tmin", "-8e307", "--tmax", "8e307"],
+    "density_oversized": ["density", "--j", "0", "--xsteps", "100000000", "--tsteps", "100000"],
+    "uncertainty_oversized": ["uncertainty", "--asteps", "100000000"],
 }
+
+# the sample files every run finds in its directory
+OVERFLOW = "0 1\n1e300 0\n"  # x^2 overflows at the second sample
 
 
 def write_weight(path, step=0.01, top=60.0):
@@ -81,13 +102,14 @@ def main(argv) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             write_weight(work / "weight.txt")
+            (work / "overflow.txt").write_text(OVERFLOW, encoding="ascii")
             done = subprocess.run([sys.executable, "-m", "triladder.cli", *args], cwd=work,
                                   env=env, capture_output=True, timeout=300)
             print(f"{digest(str(done.returncode).encode())}  {name}/exit")
             print(f"{digest(done.stdout)}  {name}/stdout")
             print(f"{digest(done.stderr)}  {name}/stderr")
             for path in sorted(work.iterdir()):
-                if path.name != "weight.txt":
+                if path.name not in ("weight.txt", "overflow.txt"):
                     print(f"{digest(path.read_bytes())}  {name}/{path.name}")
     return 0
 

@@ -3,9 +3,10 @@
 Three kinds live here, each independent of the code it checks: the dense
 float64 oracles (position and momentum matrices, number states built by
 repeated cubed raising, and the closed-form time evolution of a family
-state), a 50-digit sum for the mean occupation, and a row-at-a-time CSV
-formatter for the CLI's block writer. None of them is run by a command, a
-``verify`` check or the benchmark.
+state), 50-digit values (the mean occupation as a direct sum, and the
+oscillator eigenfunctions from ``mpmath.hermite``), and a row-at-a-time
+CSV formatter for the CLI's block writer. None of them is run by a
+command, a ``verify`` check or the benchmark.
 """
 
 import cmath
@@ -100,6 +101,21 @@ def mean_occupation(j: int, abs_alpha: float):
                 return first_moment / total
             weight = nxt
             n += 3
+
+
+def hermite_function(n: int, x: float):
+    """psi_n(x) = pi^(-1/4) (2^n n!)^(-1/2) H_n(x) e^(-x^2/2) to 50 digits.
+
+    H_n is mpmath's physicists' Hermite polynomial, evaluated directly, not
+    by the normalized recurrence ``wavepacket.hermite_basis`` runs. Returns
+    an ``mpmath.mpf``.
+    """
+    import mpmath
+
+    with mpmath.workdps(DIGITS):
+        x = mpmath.mpf(x)
+        scale = mpmath.pi ** mpmath.mpf(-0.25) / mpmath.sqrt(2**n * mpmath.factorial(n))
+        return scale * mpmath.hermite(n, x) * mpmath.exp(-x * x / 2)
 
 
 def csv_text(comments, header, rows) -> str:

@@ -588,6 +588,23 @@ class TestMoments:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,value", [
+        # x^2 overflows at 1e300 and meets f = 0 there: nan, with numpy warnings once
+        ("0 1\n1e300 0\n", "nan"),
+        # x^2 overflows at 1e200 too, though x^2 f = 1e100 there: inf
+        ("0 1\n1e200 1e-300\n", "inf"),
+    ])
+    def test_overflowing_moment_is_refused(self, tmp_path, capsys, text, value):
+        samples = tmp_path / "s.txt"
+        samples.write_text(text)
+        out = tmp_path / "s.csv"
+        assert run(["moments", "--samples", str(samples), "--nmax", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"moments: moment n=3 is {value}: x^(n-1) f(x) or its integral overflows"
+            " float64 at these samples; no file written\n"
+        ))
+        assert not out.exists()
+
 
 class TestGoldenBytes:
     """Outputs pinned by the first 16 hex digits of their sha256.

@@ -127,7 +127,7 @@ class TestCommutators:
         ag, agd = fock.build_deformed_ladders(n)
         comm = commutator(ag.matrix, agd.matrix)
         gap = (
-            fock.number_analogue(n, shift=3.0).matrix - fock.number_analogue(n).matrix
+            fock.number_analogue(n + 3).matrix[3:, 3:] - fock.number_analogue(n).matrix
         )
         diff = (comm - gap)[:interior, :interior]
         assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(gap[:interior, :interior])
@@ -140,6 +140,13 @@ class TestNumberAnalogue:
         np.testing.assert_allclose(num @ basis(2, 8), 0.0, atol=0.0)
         # (7/2-1/2)(7/2-3/2)(7/2-5/2) = 3*2*1
         np.testing.assert_allclose(num @ basis(3, 8), 6.0 * basis(3, 8), atol=0.0)
+
+    def test_three_levels_up_is_n_at_h_plus_3(self):
+        # the verify check reads N(H + 3) this way
+        n = 60
+        h3 = np.arange(n) + 3.5
+        want = np.diag((h3 - 0.5) * (h3 - 1.5) * (h3 - 2.5))
+        assert np.array_equal(fock.number_analogue(n + 3).matrix[3:, 3:], want)
 
     @pytest.mark.parametrize("n", [7, 23, 60])
     def test_matches_operator_product(self, n):
