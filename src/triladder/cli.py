@@ -5,9 +5,10 @@ headers echoing the configuration, and floats written in shortest
 round-trip form, so repeated runs with the same flags are bit-identical.
 
 Exit codes: 0 on success, 1 when a check fails, a result is not finite or a
-label is past its limit, 2 for invalid input. The data commands refuse
-through one gate (``_gate``) and write through one envelope (``_emit``),
-each with one report line; neither adds an exit code. ``_emit`` takes the
+label is past its limit, 2 for invalid input. Every refusal is a ``_Refusal``
+(or a ``coherent.LabelRangeError``) that ``main`` alone reports, in one stderr
+line; a gate (``_gate``) is one such raise. The data commands write through
+one envelope (``_emit``) with one report line. ``_emit`` takes the
 data column by column and writes it in blocks of ``_ROWS_PER_WRITE`` rows.
 Each block is one uint8 matrix: float columns rendered by ``shortest.cells``
 (``repr``'s text, computed in uint64 over the whole column), the rows of
@@ -145,13 +146,19 @@ def _write_csv(path, comments, header, columns):
     return path
 
 
-def _gate(command, what, worst, tol) -> bool:
-    """Whether ``worst`` passes ``_within``; a failure prints the one refusal
-    line, after which the data command writes nothing and returns 1."""
-    if _within(worst, tol):
-        return True
-    print(f"{command}: {what} {worst:.3e}, not below {tol:g}; no file written", file=sys.stderr)
-    return False
+class _Refusal(Exception):
+    """A command's refusal, reported by ``main`` as ``COMMAND: message``
+    with exit ``code``; the command has left no file."""
+
+    def __init__(self, message, code=1):
+        super().__init__(message)
+        self.code = code
+
+
+def _gate(what, worst, tol):
+    """Refuse unless ``worst`` passes ``_within``."""
+    if not _within(worst, tol):
+        raise _Refusal(f"{what} {worst:.3e}, not below {tol:g}; no file written")
 
 
 def _emit(path, command, config_lines, header, columns, summary="", results=()):
@@ -418,8 +425,7 @@ def cmd_verify(ns) -> int:
 def cmd_uncertainty(ns) -> int:
     amin, amax, asteps = ns.amin, ns.amax, ns.asteps
     if amin < 0 or asteps < 1 or (asteps > 1 and amax <= amin) or amax < amin:
-        print("uncertainty: invalid sweep range", file=sys.stderr)
-        return 2
+        raise _Refusal("invalid sweep range", code=2)
     families = [0, 1, 2] if ns.j is None else [ns.j]
     alphas = np.linspace(amin, amax, asteps)
     products = []
@@ -427,13 +433,10 @@ def cmd_uncertainty(ns) -> int:
         for j in families:
             product = coherent.a_norm_squared(j, abs_alpha) + 0.5
             if not math.isfinite(product):
-                print(
-                    f"uncertainty: the a_norm_squared series is not finite at"
-                    f" |alpha|={abs_alpha!r}, j={j} (it overflows from about"
-                    " |alpha| = 1.9e4); no file written",
-                    file=sys.stderr,
+                raise _Refusal(
+                    f"the a_norm_squared series is not finite at |alpha|={abs_alpha!r},"
+                    f" j={j} (it overflows from about |alpha| = 1.9e4); no file written"
                 )
-                return 1
             products.append(product)
     config = [
         f"amin={amin!r} amax={amax!r} asteps={asteps}",
@@ -466,16 +469,13 @@ def cmd_piv(ns) -> int:
         )
         scan = painleve.residual_scan(sol, grid)
         if scan.excluded.all():  # the gate below would pass it unchecked
-            print(
-                f"piv: solution {sol_id} is excluded at every grid point, so no"
-                " residual is checked; no file written",
-                file=sys.stderr,
+            raise _Refusal(
+                f"solution {sol_id} is excluded at every grid point, so no"
+                " residual is checked; no file written"
             )
-            return 1
         scans.append(scan)
     worst = _worst(np.concatenate([np.abs(s.residual[~s.excluded]) for s in scans]))
-    if not _gate("piv", "max residual", worst, RESIDUAL_TOL):
-        return 1
+    _gate("max residual", worst, RESIDUAL_TOL)
     results.append(f"max_included_residual={worst!r}")
     header = "solution_id,y,g,residual,excluded"
     summary = f", max residual {worst:.3e}"
@@ -504,29 +504,37 @@ def cmd_density(ns) -> int:
     checked = []  # every family passes the dual-path gate before any file is written
     for j in families:
         field, worst = _dual_path(j, z, grid, ns.inject_spotcheck)
-        what = f"dual-path check failed for j={j}: max |fock - gaussian| ="
-        if not _gate("density", what, worst, DUAL_PATH_TOL):
-            return 1
+        _gate(f"dual-path check failed for j={j}: max |fock - gaussian| =", worst, DUAL_PATH_TOL)
         checked.append((j, field, worst))
     # Rows run t-major: every x for the first t, then the next t.
     t_row, x_row = np.divmod(np.arange(ts.size * xs.size), xs.size)
-    for j, field, worst in checked:
-        out = base.with_name(f"{base.stem}_j{j}{base.suffix or '.csv'}") if sweep else base
-        config = [
-            f"j={j} z_re={z.real!r} z_im={z.imag!r}",
-            f"x range [{grid.x_min!r}, {grid.x_max!r}] with {grid.x_steps} points",
-            f"t range [{grid.t_min!r}, {grid.t_max!r}] with {grid.t_steps} points",
-            f"dual_path_max_err={worst!r} (tol {DUAL_PATH_TOL:g})",
-        ]
-        columns = [(ts, t_row), (xs, x_row), field.values.T.ravel()]
-        _emit(out, "density", config, "t,x,rho", columns, f", dual-path check {worst:.3e}")
-        meta = out.with_name(out.name + ".meta")
-        with meta.open("w", encoding="ascii", newline="\n") as fh:
-            fh.write(f"command=density\nj={j}\n")
-            fh.write(f"z_re={z.real!r}\nz_im={z.imag!r}\n")
-            for name in ("x_min", "x_max", "x_steps", "t_min", "t_max", "t_steps"):
-                fh.write(f"{name}={getattr(grid, name)}\n")
-            fh.write(f"version={__version__}\n")
+    written = []  # removed again if a later write fails, so a refused sweep leaves no file
+    try:
+        for j, field, worst in checked:
+            out = base.with_name(f"{base.stem}_j{j}{base.suffix or '.csv'}") if sweep else base
+            config = [
+                f"j={j} z_re={z.real!r} z_im={z.imag!r}",
+                f"x range [{grid.x_min!r}, {grid.x_max!r}] with {grid.x_steps} points",
+                f"t range [{grid.t_min!r}, {grid.t_max!r}] with {grid.t_steps} points",
+                f"dual_path_max_err={worst!r} (tol {DUAL_PATH_TOL:g})",
+            ]
+            columns = [(ts, t_row), (xs, x_row), field.values.T.ravel()]
+            _emit(out, "density", config, "t,x,rho", columns, f", dual-path check {worst:.3e}")
+            written.append(out)
+            meta = out.with_name(out.name + ".meta")
+            with meta.open("w", encoding="ascii", newline="\n") as fh:
+                fh.write(f"command=density\nj={j}\n")
+                fh.write(f"z_re={z.real!r}\nz_im={z.imag!r}\n")
+                for name in ("x_min", "x_max", "x_steps", "t_min", "t_max", "t_steps"):
+                    fh.write(f"{name}={getattr(grid, name)}\n")
+                fh.write(f"version={__version__}\n")
+            written.append(meta)
+    except OSError:
+        for path in written:
+            # a device is no file; /dev/stdout is a link, to a file when stdout is redirected
+            if path.is_file() and not path.is_symlink():
+                path.unlink()
+        raise
     return 0
 
 
@@ -543,8 +551,7 @@ def cmd_decompose(ns) -> int:
     # the coefficients grow like e^(|z|^2/2), so the error is gated relative to them
     scale = float(np.max(np.abs(target), initial=1.0))
     scaled = worst / scale
-    if not _gate("decompose", "max scaled error", scaled, TRIANGLE_TOL):
-        return 1
+    _gate("max scaled error", scaled, TRIANGLE_TOL)
     config = [
         f"j={ns.j} z_re={z.real!r} z_im={z.imag!r} truncation={len(target)}",
         "weights=" + " ".join(f"({w.real!r},{w.imag!r})" for w in tri.weights),
@@ -589,13 +596,11 @@ def cmd_moments(ns) -> int:
         samples = _read_samples(sample_path)
         rows = coherent.moment_check(ns.j, samples, ns.nmax)
     except (OSError, ValueError) as exc:  # an unreadable or rejected sample file
-        print(f"moments: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(str(exc), code=2) from None
     for row in rows:
         if not math.isfinite(row.computed):
-            print(f"moments: moment n={row.n} is {row.computed!r}: x^(n-1) f(x) or its integral"
-                  " overflows float64 at these samples; no file written", file=sys.stderr)
-            return 1
+            raise _Refusal(f"moment n={row.n} is {row.computed!r}: x^(n-1) f(x) or its integral"
+                           " overflows float64 at these samples; no file written")
     passed = [_within(row.rel_error, ns.rtol) for row in rows]
     config = [
         f"j={ns.j} n_max={ns.nmax} rtol={ns.rtol!r} samples={sample_path}",
@@ -738,19 +743,18 @@ def main(argv=None) -> int:
     elif "asteps" in ns:  # uncertainty writes a row per |alpha| step and family
         shape = (ns.asteps, 3 if ns.j is None else 1)
     need = math.prod(shape) * _BYTES_PER_SAMPLE.get(ns.command, 0)
-    if need > GRID_MEMORY_LIMIT:
-        print(
-            f"{ns.command}: a {shape[0]} x {shape[1]} grid needs about {need:.3g} bytes,"
-            f" past the grid limit of {GRID_MEMORY_LIMIT} bytes; no file written",
-            file=sys.stderr,
-        )
-        return 2
     try:
+        if need > GRID_MEMORY_LIMIT:
+            raise _Refusal(
+                f"a {shape[0]} x {shape[1]} grid needs about {need:.3g} bytes,"
+                f" past the grid limit of {GRID_MEMORY_LIMIT} bytes; no file written",
+                code=2,
+            )
         return ns.func(ns)
-    except coherent.LabelRangeError as exc:
-        print(f"{ns.command}: {exc}", file=sys.stderr)  # a label past its limit
-        return 1
-    except OSError as exc:  # moments reports its own read errors; only writes get here
+    except (_Refusal, coherent.LabelRangeError) as exc:  # or a label past its limit
+        print(f"{ns.command}: {exc}", file=sys.stderr)
+        return getattr(exc, "code", 1)
+    except OSError as exc:  # moments refuses its own read errors; only writes get here
         print(f"{ns.command}: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 

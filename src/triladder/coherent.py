@@ -426,7 +426,9 @@ def moment_check(j, weight_samples, n_max: int) -> list[MomentRow]:
     (x, f) pairs for n = 1 .. n_max and compares with the exact targets
     (3(n-1) + j)!, the moments a family-j completeness weight must have.
     The weight itself is supplied by the caller; this is verification
-    machinery, not a construction. An overflow gives inf or nan silently.
+    machinery, not a construction. Where x^(n-1) overflows before f is
+    applied, x^(n-1) f is taken in logs (0 where f = 0); a moment past
+    float64 itself gives inf silently.
     """
     j = cs_index(j)
     samples = np.asarray(weight_samples, dtype=float)
@@ -446,8 +448,11 @@ def moment_check(j, weight_samples, n_max: int) -> list[MomentRow]:
                          f" passes 170! and overflows float64; got {n_max}")
     rows = []
     for n in range(1, int(n_max) + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # x^(n-1) = inf, times f = 0: nan
-            computed = float(np.trapezoid(x ** (n - 1) * f, x))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # log(0) = -inf
+            integrand = x ** (n - 1) * f
+            far = ~np.isfinite(integrand)
+            integrand[far] = np.exp((n - 1) * np.log(x[far]) + np.log(f[far]))
+            computed = float(np.trapezoid(integrand, x))
         target = math.factorial(3 * (n - 1) + j)
         rel = abs(computed - target) / target
         rows.append(MomentRow(n, computed, target, rel))

@@ -149,7 +149,9 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
     # reuses its temporary, multiplying array by scalar in place; below that
     # it multiplies scalar by array out of place (scalar arithmetic on a 0-d
     # grid). Both orders are stated here; term[()] is a view, which numpy
-    # never reuses.
+    # never reuses. Below 256 KiB the product stays out of place and on
+    # term[()]: in place, a one-cell grid rounds as array * scalar does, and
+    # on term itself a 0-d grid leaves scalar arithmetic (numpy 2.4.6).
     in_place = term.nbytes >= 256 * 1024
     # -x^2/2 -> -inf past |x| = 1.3e154: the density is 0 there; with |x| near
     # 1e308 the exponent is nan, left to the gates, which test finiteness

@@ -4,7 +4,7 @@
 
 Each run below is one ``python -m triladder.cli`` process with ``SRC``
 (default: ``src`` of this checkout) first on PYTHONPATH, in a fresh
-temporary directory that holds two sample files for ``moments``. The runs
+temporary directory that holds the sample files for ``moments``. The runs
 cover the data files and the refusals (exit 1 or 2, no file). For every
 run the script prints one line ``<sha256>  <run>/<name>`` for each file
 the run wrote and for its exit code, stdout and stderr. "Same bytes" between two checkouts is then one
@@ -52,9 +52,11 @@ RUNS = {
     "moments_default": ["moments", "--samples", "weight.txt"],
     "moments_alt": ["moments", "--samples", "weight.txt", "--j", "1", "--nmax", "3",
                     "--rtol", "1e-2"],
-    # refusals: each exits 1 or 2 and writes no file
+    # refusals: each exits 1 or 2 and writes no file; moments_overflow writes
+    # its file and exits 1 for the missed targets
     "moments_58": ["moments", "--samples", "weight.txt", "--nmax", "58"],
     "moments_overflow": ["moments", "--samples", "overflow.txt", "--nmax", "3"],
+    "moments_too_large": ["moments", "--samples", "too_large.txt", "--nmax", "3"],
     "piv_cover": ["piv", "--xmin", "-0.05", "--xmax", "0.05", "--xsteps", "11"],
     "piv_span": ["piv", "--xmin", "-1.7e308", "--xmax", "1.7e308", "--xsteps", "3"],
     "density_j2_1e-8": ["density", "--j", "2", "--z-re", "1e-8"],
@@ -71,8 +73,11 @@ RUNS = {
     "uncertainty_oversized": ["uncertainty", "--asteps", "100000000"],
 }
 
-# the sample files every run finds in its directory
-OVERFLOW = "0 1\n1e300 0\n"  # x^2 overflows at the second sample
+# the sample files every run finds in its directory, beside weight.txt
+SAMPLES = {
+    "overflow.txt": "0 1\n1e300 0\n",  # x^2 overflows at the second sample, x^2 f = 0 does not
+    "too_large.txt": "0 1\n1e300 1\n",  # the second moment, 1e600 / 2, overflows
+}
 
 
 def write_weight(path, step=0.01, top=60.0):
@@ -102,14 +107,15 @@ def main(argv) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             write_weight(work / "weight.txt")
-            (work / "overflow.txt").write_text(OVERFLOW, encoding="ascii")
+            for sample, text in SAMPLES.items():
+                (work / sample).write_text(text, encoding="ascii")
             done = subprocess.run([sys.executable, "-m", "triladder.cli", *args], cwd=work,
                                   env=env, capture_output=True, timeout=300)
             print(f"{digest(str(done.returncode).encode())}  {name}/exit")
             print(f"{digest(done.stdout)}  {name}/stdout")
             print(f"{digest(done.stderr)}  {name}/stderr")
             for path in sorted(work.iterdir()):
-                if path.name not in ("weight.txt", "overflow.txt"):
+                if path.name != "weight.txt" and path.name not in SAMPLES:
                     print(f"{digest(path.read_bytes())}  {name}/{path.name}")
     return 0
 

@@ -75,6 +75,20 @@ def test_no_public_coherent_callable_takes_a_truncation():
     assert sized == []
 
 
+def test_only_main_writes_to_stderr_in_cli():
+    # every refusal is raised and reported once, in one form, by main
+    tree = ast.parse((ROOT / "src/triladder/cli.py").read_text(encoding="utf-8"))
+
+    def writes_stderr(node):
+        return any(
+            isinstance(n, ast.Attribute) and n.attr == "stderr"
+            and isinstance(n.value, ast.Name) and n.value.id == "sys"
+            for n in ast.walk(node)
+        )
+
+    assert [getattr(node, "name", None) for node in tree.body if writes_stderr(node)] == ["main"]
+
+
 def test_package_defines_only_its_version():
     # the public names are listed once, in the modules' __all__
     defined = [

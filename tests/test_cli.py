@@ -588,22 +588,39 @@ class TestMoments:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text,value", [
-        # x^2 overflows at 1e300 and meets f = 0 there: nan, with numpy warnings once
-        ("0 1\n1e300 0\n", "nan"),
-        # x^2 overflows at 1e200 too, though x^2 f = 1e100 there: inf
-        ("0 1\n1e200 1e-300\n", "inf"),
+    @pytest.mark.parametrize("text,n", [
+        # x f = 1e300 is finite, its integral is not
+        ("0 1\n1e300 1\n", 2),
+        # x^2 overflows from 1e200, and x^2 f = 2e308 at 2e200 as well, in logs
+        ("1e200 5e-93\n2e200 5e-93\n", 3),
     ])
-    def test_overflowing_moment_is_refused(self, tmp_path, capsys, text, value):
+    def test_overflowing_moment_is_refused(self, tmp_path, capsys, text, n):
         samples = tmp_path / "s.txt"
         samples.write_text(text)
         out = tmp_path / "s.csv"
         assert run(["moments", "--samples", str(samples), "--nmax", "3", "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", (
-            f"moments: moment n=3 is {value}: x^(n-1) f(x) or its integral overflows"
+            f"moments: moment n={n} is inf: x^(n-1) f(x) or its integral overflows"
             " float64 at these samples; no file written\n"
         ))
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,third", [
+        # x^2 overflows at 1e300 and meets f = 0 there: x^2 f is 0
+        ("0 1\n1e300 0\n", "0.0"),
+        # x^2 overflows at 1e200, though x^2 f = 1e100 there
+        ("0 1\n1e200 1e-300\n", "5.0000000000003386e+299"),
+    ])
+    def test_finite_moment_past_an_overflowing_power_is_written(self, tmp_path, capsys, text,
+                                                                third):
+        samples = tmp_path / "s.txt"
+        samples.write_text(text)
+        out = tmp_path / "s.csv"
+        assert run(["moments", "--samples", str(samples), "--nmax", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        rows = read_rows(out)
+        assert [r["passed"] for r in rows] == ["0", "0", "0"]  # the targets are missed
+        assert rows[2]["computed"] == third
 
 
 class TestGoldenBytes:
@@ -805,6 +822,17 @@ class TestWriteErrors:
         assert err.startswith(f"{argv[0]}: cannot write {tmp_path / 'absent'}")
         assert "No such file or directory" in err
         assert not (tmp_path / "absent").exists()
+
+    @pytest.mark.parametrize("blocked", ["out_j2.csv", "out_j1.csv.meta"])
+    def test_failed_sweep_write_leaves_no_file(self, tmp_path, capsys, blocked):
+        # the files written before the failing one are removed again
+        (tmp_path / blocked).mkdir()
+        argv = ["density", "--xsteps", "31", "--tsteps", "5", "--out", str(tmp_path / "out.csv")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"density: cannot write {tmp_path / blocked}: Is a directory\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
 
     def test_empty_path_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

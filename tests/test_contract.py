@@ -4,7 +4,8 @@ Each drawn run of ``uncertainty``, ``piv``, ``density``, ``decompose`` or
 ``moments`` goes through ``cli.main`` in process, with warnings as errors,
 and must end in one of two ways:
 
-- exit 0, with every data field of its files finite, or
+- exit 0, with every data field of its files finite and each gated
+  command's files carrying their gate line with a finite value, or
 - exit 1 or 2, with no file written and one stderr line (argparse's
   ``parser.error`` prints the usage before its one line).
 
@@ -90,6 +91,11 @@ def moments_argv(draw):
     return argv + flag("nmax", draw(st.integers(1, 60))), samples
 
 
+# the header line that records what each gated command's gate passed
+GATE_LINES = {"piv": "max_included_residual=", "density": "dual_path_max_err=",
+              "decompose": "max_abs_error="}
+
+
 def data_fields(text):
     """The data fields of a written CSV's ``text``, without piv's excluded rows."""
     lines = [l for l in text.splitlines() if not l.startswith("#")]
@@ -127,6 +133,10 @@ def check_contract(argv, samples=None):
             if name.endswith(".csv"):
                 bad = [f for f in data_fields(text) if not math.isfinite(float(f))]
                 assert not bad, (name, bad[:5])
+                if argv[0] in GATE_LINES:
+                    key = "# " + GATE_LINES[argv[0]]
+                    gate = [l[len(key):].split()[0] for l in text.splitlines() if l.startswith(key)]
+                    assert len(gate) == 1 and math.isfinite(float(gate[0])), (name, gate)
         return code
     assert code in (1, 2), (code, err)
     assert files == {}
@@ -168,8 +178,10 @@ def test_decompose(argv):
 
 @_SETTINGS
 @given(moments_argv())
-# x^2 overflows at the far sample: nan where f = 0 there, inf where it is not
+# x^2 overflows at the far sample, x^2 f does not: both are written
 @example((["moments", "--samples", "samples.txt", "--nmax", "3"], "0 1\n1e300 0\n"))
 @example((["moments", "--samples", "samples.txt", "--nmax", "3"], "0 1\n1e200 1e-300\n"))
+# the second moment's integral overflows: refused
+@example((["moments", "--samples", "samples.txt", "--nmax", "3"], "0 1\n1e300 1\n"))
 def test_moments(drawn):
     check_contract(*drawn)

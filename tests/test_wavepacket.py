@@ -355,6 +355,15 @@ class TestGaussianFactors:
         want = gaussian_full_mesh(j, z, xs, ts)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("j,z", [(1, 0.3), (2, 1.3 + 1.5j)])
+    def test_bits_at_single_points(self, j, z):
+        # with 0-d x and t the expression's product is Python-scalar
+        # arithmetic, whose last bits differ from numpy's multiply loop
+        xs, ts = np.linspace(-3.0, 3.0, 41), np.linspace(0.0, 6.0, 41)
+        got = np.array([wavepacket.rho_gaussian(j, z, x, t) for x, t in zip(xs, ts)])
+        want = np.array([gaussian_full_mesh(j, z, x, t) for x, t in zip(xs, ts)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_far_points_have_zero_density_silently(self):
         got = wavepacket.rho_gaussian(0, 2.0, np.array([1e300, -1e300, 0.0]), 0.3)
         assert got[0] == got[1] == 0.0 and got[2] > 0.0
