@@ -24,6 +24,7 @@ import dataclasses
 import math
 import re
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -163,11 +164,11 @@ def _gate(what, worst, tol):
 
 def _emit(path, command, config_lines, header, columns, summary="", results=()):
     """Write the rows of ``columns`` (see ``_write_csv``) under the comments
-    ``command=``, ``config_lines``, ``version=`` and ``results``, and print the
-    one ``wrote`` line."""
+    ``command=``, ``config_lines``, ``version=`` and ``results``, and return the
+    one ``wrote`` line to print once the file is kept."""
     comments = [f"command={command}", *config_lines, f"version={__version__}", *results]
     out = _write_csv(path, comments, header, columns)
-    print(f"wrote {out} ({_row_count(columns[0])} rows){summary}")
+    return f"wrote {out} ({_row_count(columns[0])} rows){summary}"
 
 
 # ---------------------------------------------------------------- verify --
@@ -235,13 +236,16 @@ def _check_piv_parameters(inject):
     )
 
 
+# The grid of the piv command's defaults, which the piv-residual check scans.
+_PIV_GRID = GridSpec(-10.0, 10.0, 2001)
+
+
 def _check_piv_residual(inject):
-    grid = GridSpec(-10.0, 10.0, 2001)
     solutions = painleve.builtin_solutions()
     if inject:
         base = solutions[0]
         solutions = [dataclasses.replace(base, g=lambda y: base.g(y) + 0.01)]
-    scans = [painleve.residual_scan(s, grid) for s in solutions]
+    scans = [painleve.residual_scan(s, _PIV_GRID) for s in solutions]
     worst = _worst(np.concatenate([np.abs(s.residual[~s.excluded]) for s in scans]))
     excluded = sum(np.count_nonzero(s.excluded) for s in scans)
     return (
@@ -251,44 +255,24 @@ def _check_piv_residual(inject):
     )
 
 
-# The cs-eigen check's 12 (j, alpha) samples, as numpy's default_rng(20240601)
-# draws them: j = integers(0, 3), then alpha = uniform(0, 5) e^(2 pi i uniform()).
-# They are written out so that verify never imports numpy.random; a tier-1 test
-# draws them again and compares.
-_EIGEN_SAMPLES = (
-    (0, (-2.4985960432991656+1.4806071285640203j)),
-    (2, (2.954959602194254+3.700023362629495j)),
-    (2, (-2.89643731261181-0.7569052232610007j)),
-    (1, (-0.4475438595952277-3.929265640787965j)),
-    (1, (-0.008757489535676843-0.7406489983972301j)),
-    (1, (4.6630435682617914-1.3983955039887248j)),
-    (0, (0.08837939828673497+0.22085391884311031j)),
-    (2, (2.9853211559776454+0.15076758609588187j)),
-    (0, (1.7167776305617992+0.4498857806452749j)),
-    (2, (0.0459856670839509+0.7640063926434498j)),
-    (0, (-1.7557291385020959-1.7874508988992754j)),
-    (0, (0.26961141782642317+0.38821712073832454j)),
-)
+# The (j, alpha) labels of the cs-eigen and cs-statistics checks.
+_LABELS = tuple((j, a) for j in range(3) for a in (0.0, 1.0, 0.8 + 0.6j, 3.5 - 1.2j, 4.9j))
 
 
 def _check_cs_eigen(inject):
     if not inject:
-        worst = _worst(
-            [coherent.eigen_residual(coherent.CoherentSpec(j, a)) for j, a in _EIGEN_SAMPLES]
-        )
+        worst = _worst([coherent.eigen_residual(coherent.CoherentSpec(j, a)) for j, a in _LABELS])
         return (
             _within(worst, EIGEN_TOL),
-            f"worst residual {worst:.3e} over {len(_EIGEN_SAMPLES)} samples (tol {EIGEN_TOL:g})",
+            f"worst residual {worst:.3e} over {len(_LABELS)} samples (tol {EIGEN_TOL:g})",
         )
     # each family's state at alpha = 4 cut to 5 levels, far below its tail-rule
-    # size, and renormalized; a_g takes |3> to sqrt(6) |0> and |4> to sqrt(24) |1>
+    # size, and renormalized; the kernel reads only the coefficients and the label
     failures = []
     for j in range(3):
         spec = coherent.CoherentSpec(j, 4.0)
         cut = spec.coeffs[:5] / np.linalg.norm(spec.coeffs[:5])
-        lowered = np.zeros(5, complex)
-        lowered[:2] = np.sqrt([6.0, 24.0]) * cut[3:]
-        res = float(np.linalg.norm(lowered - spec.alpha * cut))
+        res = coherent.eigen_residual(types.SimpleNamespace(coeffs=cut, alpha=spec.alpha))
         if not _within(res, EIGEN_TOL):
             failures.append(
                 f"j={j} residual={res:.3e} at truncation 5;"
@@ -303,19 +287,18 @@ def _check_cs_statistics(inject):
     )
     chain, series = [], []
     perturb = 1e-6 if inject else 0.0  # applied to the first sample only
-    for j in range(3):
-        for alpha in (0.0, 1.0, 0.8 + 0.6j, 3.5 - 1.2j, 4.9j):
-            st = coherent.statistics(coherent.CoherentSpec(j, alpha))
-            product = st.uncertainty_product + perturb
-            perturb = 0.0
-            chain += [
-                abs(st.mean_x),
-                abs(st.mean_p),
-                abs(st.mean_x2 - st.mean_p2),
-                abs(st.mean_x2 - st.mean_H),
-                abs(st.mean_x2 - product),
-            ]
-            series.append(abs(product - (coherent.a_norm_squared(j, abs(alpha)) + 0.5)))
+    for j, alpha in _LABELS:
+        st = coherent.statistics(coherent.CoherentSpec(j, alpha))
+        product = st.uncertainty_product + perturb
+        perturb = 0.0
+        chain += [
+            abs(st.mean_x),
+            abs(st.mean_p),
+            abs(st.mean_x2 - st.mean_p2),
+            abs(st.mean_x2 - st.mean_H),
+            abs(st.mean_x2 - product),
+        ]
+        series.append(abs(product - (coherent.a_norm_squared(j, abs(alpha)) + 0.5)))
     chain_dev, series_dev = _worst(chain), _worst(series)
     ok = (
         _within(minima_dev, CHAIN_TOL)
@@ -363,7 +346,7 @@ def _dual_path(j, z, grid, inject):
     return field, _worst(np.abs(fock + 1e-6 * inject - field.values))
 
 
-_CHECK_GRID = GridSpec(-8.0, 8.0, 161, 0.0, 2.0 * math.pi, 41)  # the default ranges, coarser
+_CHECK_GRID = dataclasses.replace(wavepacket.DEFAULT_GRID, x_steps=161, t_steps=41)
 
 
 def _check_density_dual(inject):
@@ -445,7 +428,7 @@ def cmd_uncertainty(ns) -> int:
     ]
     steps, family = np.divmod(np.arange(len(products)), len(families))
     columns = [(alphas, steps), ([str(j) for j in families], family), np.array(products)]
-    _emit(ns.out, "uncertainty", config, "abs_alpha,j,uncertainty_product", columns)
+    print(_emit(ns.out, "uncertainty", config, "abs_alpha,j,uncertainty_product", columns))
     return 0
 
 
@@ -487,7 +470,7 @@ def cmd_piv(ns) -> int:
         np.concatenate([s.residual for s in scans]),
         (["0", "1"], np.concatenate([s.excluded for s in scans]).astype(np.intp)),
     ]
-    _emit(ns.out, "piv", config, header, columns, summary, results)
+    print(_emit(ns.out, "piv", config, header, columns, summary, results))
     return 0
 
 
@@ -509,6 +492,7 @@ def cmd_density(ns) -> int:
     # Rows run t-major: every x for the first t, then the next t.
     t_row, x_row = np.divmod(np.arange(ts.size * xs.size), xs.size)
     written = []  # removed again if a later write fails, so a refused sweep leaves no file
+    reports = []  # printed once every file is kept
     try:
         for j, field, worst in checked:
             out = base.with_name(f"{base.stem}_j{j}{base.suffix or '.csv'}") if sweep else base
@@ -519,7 +503,9 @@ def cmd_density(ns) -> int:
                 f"dual_path_max_err={worst!r} (tol {DUAL_PATH_TOL:g})",
             ]
             columns = [(ts, t_row), (xs, x_row), field.values.T.ravel()]
-            _emit(out, "density", config, "t,x,rho", columns, f", dual-path check {worst:.3e}")
+            reports.append(
+                _emit(out, "density", config, "t,x,rho", columns, f", dual-path check {worst:.3e}")
+            )
             written.append(out)
             meta = out.with_name(out.name + ".meta")
             with meta.open("w", encoding="ascii", newline="\n") as fh:
@@ -535,6 +521,7 @@ def cmd_density(ns) -> int:
             if path.is_file() and not path.is_symlink():
                 path.unlink()
         raise
+    print(*reports, sep="\n")
     return 0
 
 
@@ -561,7 +548,7 @@ def cmd_decompose(ns) -> int:
     columns = [[str(n) for n in range(len(target))], target.real, target.imag, rec.real, rec.imag, errors]
     header = "n,target_re,target_im,reconstructed_re,reconstructed_im,abs_error"
     summary = f", max scaled error {scaled:.3e}"
-    _emit(ns.out, "decompose", config, header, columns, summary)
+    print(_emit(ns.out, "decompose", config, header, columns, summary))
     return 0
 
 
@@ -616,7 +603,7 @@ def cmd_moments(ns) -> int:
     failures = passed.count(False)
     summary = f", {len(rows) - failures} passed, {failures} failed"
     header = "n,computed,target,rel_error,passed"
-    _emit(ns.out, "moments", config, header, columns, summary)
+    print(_emit(ns.out, "moments", config, header, columns, summary))
     return 0 if failures == 0 else 1
 
 
@@ -712,7 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("uncertainty", cmd_uncertainty, "uncertainty-product sweep CSV; all families unless --j is set",
             j=None, amin=0.0, amax=10.0, asteps=201, out="uncertainty.csv")
     command("piv", cmd_piv, "residual scan of the three solutions",
-            xmin=-10.0, xmax=10.0, xsteps=2001, out="piv_scan.csv")
+            xmin=_PIV_GRID.x_min, xmax=_PIV_GRID.x_max, xsteps=_PIV_GRID.x_steps,
+            out="piv_scan.csv")
     grid = wavepacket.DEFAULT_GRID
     p = command("density", cmd_density,
                 "space-time density CSV; one file per family unless --j is set",

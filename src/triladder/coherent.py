@@ -280,7 +280,8 @@ def eigen_residual(spec: CoherentSpec) -> float:
     """|| a_g |alpha>_j - alpha |alpha>_j || at the spec's tail-rule size.
 
     a_g lowers by three levels: (a_g c)_{n-3} = sqrt(n (n-1) (n-2)) c_n,
-    with the weights read from the table.
+    with the weights read from the table. Of the spec it reads only
+    ``coeffs`` and ``alpha``.
     """
     coeffs = spec.coeffs
     lowered = np.zeros(coeffs.size, complex)

@@ -178,9 +178,10 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
 
 
 def density_fock(j, z: complex, grid: GridSpec) -> DensityField:
-    """Density field on a grid via the number-basis path: rho_fock on blocks
-    of at most 4096 x by 4096 t points (up to 33 MB of Hermite rows at
-    N <= 1020, 22 MB of rung phases), each x point's recurrence run once.
+    """Density field on a grid via the number-basis path: one rho_fock call per
+    block of at most 4096 x by 4096 t points (up to 33 MB of Hermite rows at
+    N <= 1020, 22 MB of rung phases). Past 4096 t points each further t block
+    walks the tail rule again and rebuilds its x block's Hermite rows.
     """
     xs, ts, b = grid.x_values()[:, None], grid.t_values()[None, :], 4096
     values = np.empty((xs.size, ts.size))

@@ -28,6 +28,11 @@ RUNS = {
     "density_default": ["density"],
     "density_31x7": ["density", "--xsteps", "31", "--tsteps", "7"],
     "density_1x1": ["density", "--xsteps", "1", "--tsteps", "1"],
+    # one cell off x = 0: pins the last bits of a one-cell Gaussian density
+    "density_1x1_offset": ["density", "--xmin", "-0.5", "--xmax", "1", "--xsteps", "1",
+                           "--tsteps", "1"],
+    # z = 0: the degenerate triangle, the number state |j>
+    "density_z0": ["density", "--z-re", "0", "--xsteps", "31", "--tsteps", "7"],
     "density_1601x61": ["density", "--xsteps", "1601", "--tsteps", "61"],
     "density_alt": ["density", "--z-re", "1.2", "--z-im", "-0.4", "--xmin", "-6", "--xmax", "7",
                     "--xsteps", "121", "--tmin", "0.5", "--tmax", "3", "--tsteps", "13"],
