@@ -17,6 +17,14 @@ NUL bytes deleted before one write. No Python object is made per cell, and
 the memory held is bounded by the block. On a 2-vCPU VM a default density
 file (96 641 rows) is written in 37-38 ms, against 70-73 ms when each float
 went through ``repr`` (in-process, best of 7).
+
+Each command imports the package modules it runs when it runs, so a fresh
+process loads (and, where no bytecode is written, compiles) only those:
+``piv`` loads ``painleve``; ``density`` loads ``wavepacket``, and with it
+``coherent``; ``uncertainty``, ``decompose`` and ``moments`` load ``coherent``;
+``verify`` loads all of these and ``fock``. The float renderer ``shortest``
+loads with the first float column written. The calls go through the module
+attributes (``wavepacket.rho_gaussian``), so wrappers set on them apply.
 """
 
 import argparse
@@ -25,13 +33,12 @@ import math
 import re
 import sys
 import types
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, coherent, fock, painleve, shortest, wavepacket
-from .grid import GridSpec
+from . import __version__
+from .grid import DEFAULT_GRID, GridSpec
 
 EIGEN_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
@@ -48,17 +55,18 @@ NON_PERIOD_FLOOR = 1e-3
 # (|alpha| steps by families) may ask for: its sample count times the bytes charged
 # per sample. A larger one exits 2 at once. Each charge is the peak RSS growth per
 # sample of the worst shape measured, plus the share of the memory at start that
-# keeps the peak at the limit under 1 GiB. Density, three-family sweeps: the worst
-# cell is on one x point at the default label, 144 B (168.3 -> 305.7 MiB from 1e6 to
-# 2e6 t points, 31.0 MiB at start; 96 B from 2e6 to 3e6). At the largest label
-# (|z| = 26.2, x in [-36, 36]) a cell costs 131 B on one x point (55 MiB at start),
-# 120 B on one t row and 58-64 B on 241 or 4096 rows or columns, where the Fock
-# blocks' Hermite rows and phases raise the memory at start to 70-85 MiB. A piv x
-# point costs 249 B (85.1 -> 132.5 MiB from 200 001 to 400 001 points, 37.5 MiB at
+# keeps the peak at the limit under 1 GiB. Density, three-family sweeps: every Fock
+# field is held while one Gaussian pass holds three psi grids, the term and its copy.
+# The worst cell is on one x point, 168 B at the default label and at the largest
+# (|z| = 26.2, x in [-36, 36]) alike (190.6 -> 350.9 MiB from 1e6 to 2e6 t points,
+# 27.7 MiB at start); at the limit, 6 135 000 t points, the peak is 1015 MiB. On 241
+# x points a cell costs 130 B at the default label and 104 B at the largest (4096 ->
+# 8192 t points), and 104 B from 1601 x 241 to 3201 x 241 (69.2 -> 107.4 MiB). A piv
+# x point costs 249 B (85.1 -> 132.5 MiB from 200 001 to 400 001 points, 37.5 MiB at
 # start); an uncertainty row 85 B (60.8 -> 84.9 MiB from 100 001 to 200 001 steps of
 # three rows, 36.5 MiB at start).
 GRID_MEMORY_LIMIT = 2**30
-_BYTES_PER_SAMPLE = dict(density=150, piv=260, uncertainty=90)
+_BYTES_PER_SAMPLE = dict(density=175, piv=260, uncertainty=90)
 
 
 def _worst(values) -> float:
@@ -82,13 +90,20 @@ def _within(worst, tol) -> bool:
 _ROWS_PER_WRITE = 16384
 
 
+def _render(floats):
+    """``shortest.cells`` of ``floats``; a command that writes no float loads no renderer."""
+    from . import shortest
+
+    return shortest.cells(floats)
+
+
 def _cells(column):
     """The cells of ``column`` as uint8 rows with NUL holes (see ``shortest.cells``):
     a float array (``repr`` of each value) or a list of ready strings."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         # a block at a time, so that the renderer's temporaries stay small
         starts = range(0, len(column), _ROWS_PER_WRITE)
-        blocks = [shortest.cells(column[s : s + _ROWS_PER_WRITE]) for s in starts]
+        blocks = [_render(column[s : s + _ROWS_PER_WRITE]) for s in starts]
         cells = np.zeros((len(column), max([0] + [b.shape[1] for b in blocks])), np.uint8)
         for s, b in zip(starts, blocks):
             cells[s : s + len(b), : b.shape[1]] = b
@@ -105,7 +120,7 @@ def _block_source(column):
         cells = _cells(table)
         return lambda start, stop: np.take(cells, rows[start:stop], axis=0)
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return lambda start, stop: shortest.cells(column[start:stop])
+        return lambda start, stop: _render(column[start:stop])
     cells = _cells(column)
     return lambda start, stop: cells[start:stop]
 
@@ -174,10 +189,13 @@ def _emit(path, command, config_lines, header, columns, summary="", results=()):
 # ---------------------------------------------------------------- verify --
 #
 # Every check takes whether its --inject-* flag is set and returns
-# (passed, detail); the suite has no other input.
+# (passed, detail); the suite has no other input. Each loads the modules it
+# runs, as each command does.
 
 
 def _check_fock_algebra(inject):
+    from . import fock
+
     n = 60
     interior = n - 3  # rows/columns with index <= n - 4
     lowering, _ = fock.build_deformed_ladders(n)
@@ -206,16 +224,18 @@ def _check_fock_algebra(inject):
     )
 
 
-_EXPECTED_PARAMS = {
-    (1, 2, 3): (Fraction(0), Fraction(-2, 9)),
-    (2, 1, 3): (Fraction(-1), Fraction(-8, 9)),
-    (3, 1, 2): (Fraction(-2), Fraction(-2, 9)),
-}
-
-
 def _check_piv_parameters(inject):
+    from fractions import Fraction
+
+    from . import painleve
+
+    expected = {  # the reference (a, b) table, exact
+        (1, 2, 3): (Fraction(0), Fraction(-2, 9)),
+        (2, 1, 3): (Fraction(-1), Fraction(-8, 9)),
+        (3, 1, 2): (Fraction(-2), Fraction(-2, 9)),
+    }
     problems = []
-    for ordering, (want_a, want_b) in _EXPECTED_PARAMS.items():
+    for ordering, (want_a, want_b) in expected.items():
         seed = painleve.ExtremalSeed(ordering)
         got_a, got_b = painleve.piv_parameters(seed)
         if inject:
@@ -241,6 +261,8 @@ _PIV_GRID = GridSpec(-10.0, 10.0, 2001)
 
 
 def _check_piv_residual(inject):
+    from . import painleve
+
     solutions = painleve.builtin_solutions()
     if inject:
         base = solutions[0]
@@ -260,6 +282,8 @@ _LABELS = tuple((j, a) for j in range(3) for a in (0.0, 1.0, 0.8 + 0.6j, 3.5 - 1
 
 
 def _check_cs_eigen(inject):
+    from . import coherent
+
     if not inject:
         worst = _worst([coherent.eigen_residual(coherent.CoherentSpec(j, a)) for j, a in _LABELS])
         return (
@@ -282,6 +306,8 @@ def _check_cs_eigen(inject):
 
 
 def _check_cs_statistics(inject):
+    from . import coherent
+
     minima_dev = _worst(
         [abs(coherent.a_norm_squared(j, 0.0) + 0.5 - (j + 0.5)) for j in range(3)]
     )
@@ -313,6 +339,8 @@ def _check_cs_statistics(inject):
 
 
 def _check_triangle(inject):
+    from . import coherent
+
     errors = []
     for j in range(3):
         for z in (1.0, 2.0, 3.0, 0.9 + 1.1j):
@@ -335,22 +363,24 @@ def _check_triangle(inject):
     )
 
 
-def _dual_path(j, z, grid, inject):
-    """The Gaussian-path field of family ``j`` at ``z`` on ``grid``, and max
-    |fock - gaussian| over every cell; ``inject`` adds 1e-6 to the Fock side.
-    The Fock field comes first, so a label past its limit raises before any
-    Gaussian grid work.
+def _dual_path(families, z, grid, inject):
+    """The Gaussian-path field of each of ``families`` at ``z`` on ``grid``, with
+    its max |fock - gaussian| over every cell; ``inject`` adds 1e-6 to the Fock
+    side. Every Fock field comes first, so a label past its limit raises before
+    any Gaussian grid work; then one pass gives every Gaussian field.
     """
-    fock = wavepacket.density_fock(j, z, grid).values
-    field = wavepacket.density_gaussian(j, z, grid)
-    return field, _worst(np.abs(fock + 1e-6 * inject - field.values))
+    from . import wavepacket
+
+    focks = [wavepacket.density_fock(j, z, grid).values for j in families]
+    fields = wavepacket.density_gaussians(families, z, grid)
+    return [(f, _worst(np.abs(v + 1e-6 * inject - f.values))) for v, f in zip(focks, fields)]
 
 
-_CHECK_GRID = dataclasses.replace(wavepacket.DEFAULT_GRID, x_steps=161, t_steps=41)
+_CHECK_GRID = dataclasses.replace(DEFAULT_GRID, x_steps=161, t_steps=41)
 
 
 def _check_density_dual(inject):
-    worst = _worst([_dual_path(j, 2.0, _CHECK_GRID, inject)[1] for j in range(3)])
+    worst = _worst([err for _, err in _dual_path(range(3), 2.0, _CHECK_GRID, inject)])
     return (
         _within(worst, DUAL_PATH_TOL),
         f"max |fock - gaussian| = {worst:.3e} at z=2,"
@@ -359,9 +389,11 @@ def _check_density_dual(inject):
 
 
 def _check_period(inject):
+    from . import wavepacket
+
     candidate = 2.0 * math.pi / 6.0 if inject else 2.0 * math.pi / 3.0
-    worst = _worst([wavepacket.period_check(j, 2.0, _CHECK_GRID, candidate) for j in range(3)])
-    off_period = wavepacket.period_check(0, 2.0, _CHECK_GRID, 2.0 * math.pi / 6.0)
+    worst = wavepacket.period_check(range(3), 2.0, _CHECK_GRID, candidate)
+    off_period = wavepacket.period_check((0,), 2.0, _CHECK_GRID, 2.0 * math.pi / 6.0)
     ok = (
         _within(worst, PERIOD_TOL)
         and math.isfinite(off_period)
@@ -406,6 +438,8 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_uncertainty(ns) -> int:
+    from . import coherent
+
     amin, amax, asteps = ns.amin, ns.amax, ns.asteps
     if amin < 0 or asteps < 1 or (asteps > 1 and amax <= amin) or amax < amin:
         raise _Refusal("invalid sweep range", code=2)
@@ -436,6 +470,8 @@ def cmd_uncertainty(ns) -> int:
 
 
 def cmd_piv(ns) -> int:
+    from . import painleve
+
     grid = ns.grid
     config = [
         f"y range [{grid.x_min!r}, {grid.x_max!r}] with {grid.x_steps} points",
@@ -484,17 +520,16 @@ def cmd_density(ns) -> int:
     families = [0, 1, 2] if sweep else [ns.j]
     base = Path(ns.out)
     xs, ts = grid.x_values(), grid.t_values()
-    checked = []  # every family passes the dual-path gate before any file is written
-    for j in families:
-        field, worst = _dual_path(j, z, grid, ns.inject_spotcheck)
+    # every family passes the dual-path gate, in family order, before any file is written
+    checked = _dual_path(families, z, grid, ns.inject_spotcheck)
+    for j, (_, worst) in zip(families, checked):
         _gate(f"dual-path check failed for j={j}: max |fock - gaussian| =", worst, DUAL_PATH_TOL)
-        checked.append((j, field, worst))
     # Rows run t-major: every x for the first t, then the next t.
     t_row, x_row = np.divmod(np.arange(ts.size * xs.size), xs.size)
     written = []  # removed again if a later write fails, so a refused sweep leaves no file
     reports = []  # printed once every file is kept
     try:
-        for j, field, worst in checked:
+        for j, (field, worst) in zip(families, checked):
             out = base.with_name(f"{base.stem}_j{j}{base.suffix or '.csv'}") if sweep else base
             config = [
                 f"j={j} z_re={z.real!r} z_im={z.imag!r}",
@@ -529,6 +564,8 @@ def cmd_density(ns) -> int:
 
 
 def cmd_decompose(ns) -> int:
+    from . import coherent
+
     z = complex(ns.z_re, ns.z_im)
     tri = coherent.triangle_decompose(z, ns.j)
     rec = tri.reconstruction()
@@ -578,6 +615,8 @@ def _read_samples(path: Path):
 
 
 def cmd_moments(ns) -> int:
+    from . import coherent
+
     sample_path = Path(ns.samples)
     try:
         samples = _read_samples(sample_path)
@@ -701,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("piv", cmd_piv, "residual scan of the three solutions",
             xmin=_PIV_GRID.x_min, xmax=_PIV_GRID.x_max, xsteps=_PIV_GRID.x_steps,
             out="piv_scan.csv")
-    grid = wavepacket.DEFAULT_GRID
+    grid = DEFAULT_GRID
     p = command("density", cmd_density,
                 "space-time density CSV; one file per family unless --j is set",
                 j=None, z_re=2.0, z_im=0.0,
@@ -715,6 +754,13 @@ def build_parser() -> argparse.ArgumentParser:
                 j=0, nmax=5, rtol=1e-3, out="moments.csv")
     p.add_argument("--samples", required=True, help="two-column file of (x, f) samples")
     return parser
+
+
+def _refusals():
+    """What ``main`` reports as a refusal: ``_Refusal``, and ``LabelRangeError``
+    once ``coherent``, which defines it, is loaded; no command raises it before."""
+    coherent = sys.modules.get(f"{__package__}.coherent")
+    return (_Refusal,) if coherent is None else (_Refusal, coherent.LabelRangeError)
 
 
 def main(argv=None) -> int:
@@ -739,7 +785,7 @@ def main(argv=None) -> int:
                 code=2,
             )
         return ns.func(ns)
-    except (_Refusal, coherent.LabelRangeError) as exc:  # or a label past its limit
+    except _refusals() as exc:  # or a label past its limit
         print(f"{ns.command}: {exc}", file=sys.stderr)
         return getattr(exc, "code", 1)
     except OSError as exc:  # moments refuses its own read errors; only writes get here

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridSpec"]
+__all__ = ["DEFAULT_GRID", "GridSpec"]
 
 
 @dataclass(frozen=True)
@@ -39,3 +39,8 @@ class GridSpec:
 
     def t_values(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.t_steps)
+
+
+# The density command's grid: it covers three full revivals of the deformed
+# states at the default z = 2.
+DEFAULT_GRID = GridSpec(-8.0, 8.0, 401, 0.0, 2.0 * math.pi, 241)

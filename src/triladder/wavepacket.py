@@ -13,8 +13,14 @@ closed form
 for each vertex of the triangle decomposition, with no truncation at all;
 each factor that depends on x alone or on t alone is computed on that
 axis, and only the exponent's sum and its exponential on the full grid.
-Their agreement validates the expansion coefficients, the Hermite
-evaluator, the triangle weights and the evolution law in one shot.
+The vertex labels z w^k are the same for the three families; only the
+roots-of-unity weights w^(-kj)/3 differ. So the vertex grids are evaluated
+once per label, and each family of a sweep filters them with its weights
+into its own psi: every family but the last multiplies a copy of the
+term, the last the term itself, so that each keeps the last bits of its
+own one-family evaluation. Their agreement validates the expansion
+coefficients, the Hermite evaluator, the triangle weights and the
+evolution law in one shot.
 """
 
 import math
@@ -26,20 +32,17 @@ from . import coherent
 from .grid import GridSpec
 
 __all__ = [
-    "DEFAULT_GRID",
     "DensityField",
     "hermite_basis",
     "rho_fock",
     "rho_gaussian",
     "density_fock",
     "density_gaussian",
+    "density_gaussians",
     "period_check",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-# Covers three full revivals of the deformed states at the default z = 2.
-DEFAULT_GRID = GridSpec(-8.0, 8.0, 401, 0.0, 2.0 * math.pi, 241)
 
 
 @dataclass(frozen=True)
@@ -119,15 +122,15 @@ def rho_fock(j, z: complex, x, t) -> np.ndarray:
     return float(rho) if rho.ndim == 0 else rho
 
 
-def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
-    """Density of the same state from the closed-form triangle superposition.
+def _rho_gaussians(families, z: complex, x, t) -> list:
+    """The Gaussian-path density of each of ``families`` at one label, in one pass.
 
-    The three vertex labels rotate rigidly as z_k e^(-it); the squared norm
-    of the superposition is the label Gram sum sum_{k,l} w_k* w_l e^(z_k* z_l),
-    which is time independent. No Fock truncation enters anywhere. x and t
-    broadcast against each other: -x^2/2 is computed on x, the rotated
-    label zeta and zeta^2/2 on t as given, and only the exponent's sum and
-    its exponential on the broadcast grid.
+    The triangle's labels z w^k do not depend on the family, only its
+    weights w^(-kj)/3 do. So each vertex term e^(h_k) is computed once, and
+    each family adds weight * term into its own psi. Every family but the
+    last multiplies a copy of the term, so that each product has the bits
+    ``rho_gaussian`` alone gives that family; with one family there is no
+    copy and no extra grid.
     """
     z = complex(z)
     x = np.asarray(x, dtype=float)
@@ -136,12 +139,14 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
     if z == 0:
         # Degenerate triangle: the normalized family-j state is the number
         # state |j>, stationary in time.
-        jj = coherent.cs_index(j)
-        rho = hermite_basis(jj + 1, x)[jj].reshape(x.shape) ** 2
-        return float(rho) if shape == () else np.broadcast_to(rho, shape).copy()
-    tri = coherent.triangle_decompose(z, j)
+        rhos = []
+        for j in map(coherent.cs_index, families):
+            rho = hermite_basis(j + 1, x)[j].reshape(x.shape) ** 2
+            rhos.append(float(rho) if shape == () else np.broadcast_to(rho, shape).copy())
+        return rhos
+    tris = [coherent.triangle_decompose(z, j) for j in families]
     rot = np.exp(-1j * t)
-    psi = np.zeros(shape, dtype=complex)
+    psis = [np.zeros(shape, dtype=complex) for _ in tris]
     term = np.empty(shape, dtype=complex)  # one buffer for each vertex's term in turn
     # The density CSVs pin the last bits of weight * term, and numpy's complex
     # multiply loops round them differently by operand order and overlap. They
@@ -153,28 +158,54 @@ def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
     # term[()]: in place, a one-cell grid rounds as array * scalar does, and
     # on term itself a 0-d grid leaves scalar arithmetic (numpy 2.4.6).
     in_place = term.nbytes >= 256 * 1024
+    # in place, a family before the last multiplies a copy, and the last the term
+    scratch = np.empty_like(term) if in_place and len(tris) > 1 else None
     # -x^2/2 -> -inf past |x| = 1.3e154: the density is 0 there; with |x| near
     # 1e308 the exponent is nan, left to the gates, which test finiteness
     with np.errstate(over="ignore", invalid="ignore"):
         gx = -x * x / 2.0
-        for weight, label in zip(tri.weights, tri.labels):
+        for k, label in enumerate(tris[0].labels):
             zeta = label * rot
             np.multiply(_SQRT2 * zeta, x, out=term)
             np.add(gx, term, out=term)
             np.subtract(term, zeta * zeta / 2.0, out=term)
             np.exp(term, out=term)
-            if in_place:
-                psi += np.multiply(term, weight, out=term)
-            else:
-                psi += weight * term[()]
-    psi *= np.pi**-0.25
-    norm2 = 0.0
-    for wk, lk in zip(tri.weights, tri.labels):
-        for wl, ll in zip(tri.weights, tri.labels):
-            norm2 += (wk.conjugate() * wl * np.exp(lk.conjugate() * ll)).real
-    # For j > 0 at small |z| the vertices cancel: a Gram sum <= 0 gives nan, which no gate passes.
-    rho = np.abs(psi) ** 2 / (norm2 if norm2 > 0 else math.nan)
-    return float(rho) if shape == () else rho
+            for i, (psi, tri) in enumerate(zip(psis, tris)):
+                weight = tri.weights[k]
+                if not in_place:
+                    psi += weight * term[()]
+                elif i < len(tris) - 1:
+                    np.copyto(scratch, term)
+                    psi += np.multiply(scratch, weight, out=scratch)
+                else:
+                    psi += np.multiply(term, weight, out=term)
+    del term, scratch
+    rhos = []
+    for psi, tri in zip(psis, tris):
+        psi *= np.pi**-0.25
+        norm2 = 0.0
+        for wk, lk in zip(tri.weights, tri.labels):
+            for wl, ll in zip(tri.weights, tri.labels):
+                norm2 += (wk.conjugate() * wl * np.exp(lk.conjugate() * ll)).real
+        # For j > 0 at small |z| the vertices cancel: a Gram sum <= 0 gives nan, which no gate passes.
+        rho = np.abs(psi) ** 2 / (norm2 if norm2 > 0 else math.nan)
+        rhos.append(float(rho) if shape == () else rho)
+    return rhos
+
+
+def rho_gaussian(j, z: complex, x, t) -> np.ndarray:
+    """Density of the same state from the closed-form triangle superposition.
+
+    The three vertex labels rotate rigidly as z_k e^(-it); the squared norm
+    of the superposition is the label Gram sum sum_{k,l} w_k* w_l e^(z_k* z_l),
+    which is time independent. No Fock truncation enters anywhere. x and t
+    broadcast against each other: -x^2/2 is computed on x, the rotated
+    label zeta and zeta^2/2 on t as given, and only the exponent's sum and
+    its exponential on the broadcast grid. The vertex grids are evaluated
+    once per label and then filtered by the family's weights; this is that
+    pass with one family, holding one term buffer beside psi.
+    """
+    return _rho_gaussians((j,), z, x, t)[0]
 
 
 def density_fock(j, z: complex, grid: GridSpec) -> DensityField:
@@ -199,14 +230,24 @@ def density_gaussian(j, z: complex, grid: GridSpec) -> DensityField:
     return DensityField(grid, values)
 
 
-def period_check(j, z: complex, grid: GridSpec, candidate: float = 2.0 * math.pi / 3.0) -> float:
-    """max |rho(x, t + candidate) - rho(x, t)| over the grid, on the Gaussian path.
+def density_gaussians(families, z: complex, grid: GridSpec) -> list[DensityField]:
+    """The ``density_gaussian`` field of each of ``families``, from one pass
+    over the vertex grids: for three families, three psi grids, the term
+    and a copy of it are held at once."""
+    xs = grid.x_values()[:, None]
+    ts = grid.t_values()[None, :]
+    return [DensityField(grid, values) for values in _rho_gaussians(families, z, xs, ts)]
+
+
+def period_check(families, z: complex, grid: GridSpec, candidate: float = 2.0 * math.pi / 3.0) -> float:
+    """max |rho(x, t + candidate) - rho(x, t)| over the grid and ``families``,
+    on the Gaussian path (one pass per time axis for all families).
 
     Vanishes (to rounding) for the fundamental period 2 pi / 3 and is
-    order one for shorter candidates at generic z.
+    order one for shorter candidates at generic z. NaN if any difference is.
     """
     xs = grid.x_values()[:, None]
     ts = grid.t_values()[None, :]
-    base = rho_gaussian(j, z, xs, ts)
-    shifted = rho_gaussian(j, z, xs, ts + candidate)
-    return float(np.max(np.abs(shifted - base)))
+    base = _rho_gaussians(families, z, xs, ts)
+    shifted = _rho_gaussians(families, z, xs, ts + candidate)
+    return float(np.max([np.max(np.abs(s - b)) for s, b in zip(shifted, base)]))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from triladder import cli, coherent, fock, painleve, wavepacket
-from triladder.grid import GridSpec
+from triladder.grid import DEFAULT_GRID, GridSpec
 
 
 def report(number, name, ok, detail):
@@ -173,9 +173,9 @@ def test_07_dual_path_density_oracle():
 
 
 def test_08_periodicity():
-    grid = wavepacket.DEFAULT_GRID
-    worst = max(wavepacket.period_check(j, 2.0, grid) for j in range(3))
-    off = wavepacket.period_check(0, 2.0, grid, candidate=2.0 * math.pi / 6.0)
+    grid = DEFAULT_GRID
+    worst = wavepacket.period_check(range(3), 2.0, grid)
+    off = wavepacket.period_check((0,), 2.0, grid, candidate=2.0 * math.pi / 6.0)
     ok = worst < 1e-10 and off > 1e-3
     report(
         8,

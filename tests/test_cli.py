@@ -13,7 +13,7 @@ import pytest
 
 import oracle
 from triladder import cli, coherent, wavepacket
-from triladder.grid import GridSpec
+from triladder.grid import DEFAULT_GRID, GridSpec
 
 
 def run(argv):
@@ -128,6 +128,37 @@ class TestVerify:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=60)
         assert done.stdout.splitlines()[-1] == "0 False"
+
+
+class TestModuleLoading:
+    # command -> the package modules it runs; fresh processes compile each one
+    # loaded, so a command loads only these (the package, cli and grid always)
+    LOADS = {
+        "verify": "coherent fock painleve wavepacket",
+        "density": "coherent shortest wavepacket",
+        "piv": "painleve shortest",
+        "uncertainty": "coherent shortest",
+        "decompose": "coherent shortest",
+        "moments": "coherent",  # its columns are ready strings, so no float renderer
+    }
+    ARGS = {"density": ["--xsteps", "31", "--tsteps", "7"],
+            "moments": ["--samples", "w.txt", "--nmax", "1"]}
+
+    @pytest.mark.parametrize("command", LOADS)
+    def test_command_loads_only_its_modules(self, tmp_path, command):
+        write_exp_weight(tmp_path / "w.txt")
+        script = ("import sys; from triladder import cli; code = cli.main(sys.argv[1:]);"
+                  " print(code, 'fractions' in sys.modules,"
+                  " *sorted(m for m in sys.modules if m.startswith('triladder.')))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, command, *self.ARGS.get(command, [])],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        code, fractions, *loaded = done.stdout.splitlines()[-1].split()
+        assert code == "0", done.stderr
+        # the exact Fraction table is built by verify's piv-parameters check and by painleve
+        assert fractions == str(command in ("verify", "piv"))
+        want = {"cli", "grid", *self.LOADS[command].split()}
+        assert loaded == sorted("triladder." + name for name in want)
 
 
 class TestUncertainty:
@@ -707,7 +738,7 @@ class TestUnpinnedBytes:
 
     def test_density_sweep(self, tmp_path, capsys):
         z = 0.9 + 1.1j
-        t_axis = wavepacket.DEFAULT_GRID.t_min, wavepacket.DEFAULT_GRID.t_max, 3
+        t_axis = DEFAULT_GRID.t_min, DEFAULT_GRID.t_max, 3
         grid = GridSpec(-3.0, 3.0, 7, *t_axis)  # 21 rows: 5 blocks
         assert run(["density", "--z-re", "0.9", "--z-im", "1.1", "--xmin", "-3", "--xmax", "3",
                     "--xsteps", "7", "--tsteps", "3", "--out", str(tmp_path / "rho.csv")]) == 0
@@ -932,7 +963,7 @@ class TestParser:
 
     @pytest.mark.parametrize("argv,err", [
         (["density", "--j", "0", "--xsteps", "100000000", "--tsteps", "100000"],
-         "density: a 100000000 x 100000 grid needs about 1.5e+15 bytes,"),
+         "density: a 100000000 x 100000 grid needs about 1.75e+15 bytes,"),
         (["piv", "--xsteps", "1000000000"],
          "piv: a 1000000000 x 1 grid needs about 2.6e+11 bytes,"),
         (["uncertainty", "--asteps", "100000000"],
@@ -1020,7 +1051,7 @@ class TestParser:
 
     def test_density_defaults_are_the_default_grid(self):
         ns = cli.build_parser().parse_args(["density"])
-        grid = wavepacket.DEFAULT_GRID
+        grid = DEFAULT_GRID
         assert (ns.xmin, ns.xmax, ns.xsteps) == (grid.x_min, grid.x_max, grid.x_steps)
         assert (ns.tmin, ns.tmax, ns.tsteps) == (grid.t_min, grid.t_max, grid.t_steps)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from triladder import cli, coherent, wavepacket
-from triladder.grid import GridSpec
+from triladder.grid import DEFAULT_GRID, GridSpec
 
 import oracle
 
@@ -288,7 +288,7 @@ class TestRungContraction:
 
     def test_grid_peak_memory(self):
         # an intermediate of nx * nt * K complex values would be about 90 MB
-        grid = wavepacket.DEFAULT_GRID
+        grid = DEFAULT_GRID
         xs, ts = grid.x_values(), grid.t_values()
         wavepacket.rho_fock(0, 8.0, xs[:, None], ts[None, :])
         tracemalloc.start()
@@ -337,23 +337,36 @@ class TestGaussianFactors:
             assert np.array_equal(got, gaussian_full_mesh(j, z, x, t))
 
     @pytest.mark.parametrize("grid", [
-        wavepacket.DEFAULT_GRID,  # 1.5 MB of complex cells
+        DEFAULT_GRID,  # 401 x 241, 1.5 MB of complex cells
+        GridSpec(-8.0, 8.0, 1601, 0.0, 2 * math.pi, 61),  # 1.6 MB
+        GridSpec(-8.0, 8.0, 161, 0.0, 2 * math.pi, 41),  # 103 KB
         GridSpec(-8.0, 8.0, 41, 0.0, 2 * math.pi, 25),  # 16 KB
+        GridSpec(-8.0, 8.0, 31, 0.0, 2 * math.pi, 7),
         GridSpec(-8.0, 8.0, 43, 0.0, 2 * math.pi, 381),  # 16383 cells, 16 B below 256 KiB
         GridSpec(-8.0, 8.0, 128, 0.0, 2 * math.pi, 128),  # 16384 cells, 256 KiB
         GridSpec(0.3, 1.0, 1, 0.4, 1.0, 1),  # one cell
-    ], ids=["default", "small", "16383", "16384", "one-cell"])
-    @pytest.mark.parametrize("j,z", [(0, 2.0), (1, 0.3), (2, 1.3 + 1.5j)])
+        GridSpec(-0.5, 1.0, 1, 0.0, 2 * math.pi, 1),  # one cell, as density_1x1_offset writes it
+    ], ids=["default", "1601x61", "161x41", "small", "31x7", "16383", "16384", "one-cell",
+            "1x1-offset"])
+    @pytest.mark.parametrize("j,z", [(0, 2.0), (1, 0.3), (2, 1.3 + 1.5j), (0, 0.9 + 1.1j),
+                                     (1, 5.0), (2, 8.0), (0, 1.2 - 0.4j), (1, 0)])
     def test_bits_on_both_sides_of_the_elision_size(self, grid, j, z):
         # numpy computes weight * exp(...) in place once the temporary is
         # 256 KiB or more, with other last bits than out of place, and the
         # density CSVs pin those bits: the default grid takes the in-place
         # loop, the small one the other; on one cell the in-place
-        # scalar-first loop differs from the out-of-place one as well
+        # scalar-first loop differs from the out-of-place one as well. The
+        # one pass over all three families, which copies the term for all
+        # but the last, keeps every family's bits, as does the call for j.
         xs, ts = grid.x_values()[:, None], grid.t_values()[None, :]
+        wants = [oracle.rho_gaussian_per_family(k, z, xs, ts) for k in range(3)]
+        for k, field in enumerate(wavepacket.density_gaussians(range(3), z, grid)):
+            assert np.array_equal(field.values.view(np.uint64), wants[k].view(np.uint64)), k
         got = wavepacket.rho_gaussian(j, z, xs, ts)
-        want = gaussian_full_mesh(j, z, xs, ts)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), wants[j].view(np.uint64))
+        if grid.x_steps * grid.t_steps < 20000:  # the expression itself, where it is quick
+            want = gaussian_full_mesh(j, z, xs, ts)
+            assert np.array_equal(wants[j].view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("j,z", [(1, 0.3), (2, 1.3 + 1.5j)])
     def test_bits_at_single_points(self, j, z):
@@ -370,17 +383,21 @@ class TestGaussianFactors:
 
     def test_grid_peak_memory(self):
         # one complex buffer holds each vertex term in turn; a temporary
-        # per operation of the exponent would peak near 4.8 MB on this grid
-        grid = wavepacket.DEFAULT_GRID
+        # per operation of the exponent would peak near 4.8 MB on this grid.
+        # A sweep adds a psi grid per family and one copy of the term
+        # (1.55 MB each), not a term per vertex or per family.
+        grid = DEFAULT_GRID
         xs, ts = grid.x_values()[:, None], grid.t_values()[None, :]
-        wavepacket.rho_gaussian(1, 1.3 + 1.5j, xs, ts)
-        tracemalloc.start()
-        try:
-            wavepacket.rho_gaussian(1, 1.3 + 1.5j, xs, ts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.2e6
+        for call, limit in [(lambda: wavepacket.rho_gaussian(1, 1.3 + 1.5j, xs, ts), 4.2e6),
+                            (lambda: wavepacket.density_gaussians(range(3), 2.0, grid), 8.5e6)]:
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit
 
 
 class TestTimeStructure:
@@ -421,7 +438,7 @@ class TestPeriodicity:
 
     @pytest.mark.parametrize("j,z", [(0, 2.0), (1, 2.0), (2, 1.5)])
     def test_third_period(self, j, z):
-        assert wavepacket.period_check(j, z, self.GRID) < 1e-10
+        assert wavepacket.period_check((j,), z, self.GRID) < 1e-10
 
     def test_fock_path_period(self):
         grid = GridSpec(-8.0, 8.0, 81, 0.0, 2 * math.pi, 7)
@@ -432,6 +449,6 @@ class TestPeriodicity:
         assert np.max(np.abs(shifted - base)) < 1e-10
 
     def test_sixth_period_rejected(self):
-        dev = wavepacket.period_check(0, 2.0, self.GRID, candidate=2 * math.pi / 6)
+        dev = wavepacket.period_check((0,), 2.0, self.GRID, candidate=2 * math.pi / 6)
         assert dev > 1e-3
 
