@@ -55,18 +55,18 @@ NON_PERIOD_FLOOR = 1e-3
 # (|alpha| steps by families) may ask for: its sample count times the bytes charged
 # per sample. A larger one exits 2 at once. Each charge is the peak RSS growth per
 # sample of the worst shape measured, plus the share of the memory at start that
-# keeps the peak at the limit under 1 GiB. Density, three-family sweeps: every Fock
-# field is held while one Gaussian pass holds three psi grids, the term and its copy.
-# The worst cell is on one x point, 168 B at the default label and at the largest
-# (|z| = 26.2, x in [-36, 36]) alike (190.6 -> 350.9 MiB from 1e6 to 2e6 t points,
-# 27.7 MiB at start); at the limit, 6 135 000 t points, the peak is 1015 MiB. On 241
-# x points a cell costs 130 B at the default label and 104 B at the largest (4096 ->
-# 8192 t points), and 104 B from 1601 x 241 to 3201 x 241 (69.2 -> 107.4 MiB). A piv
-# x point costs 249 B (85.1 -> 132.5 MiB from 200 001 to 400 001 points, 37.5 MiB at
-# start); an uncertainty row 85 B (60.8 -> 84.9 MiB from 100 001 to 200 001 steps of
-# three rows, 36.5 MiB at start).
+# keeps the peak at the limit under 1 GiB. Density, three-family sweeps: one Gaussian
+# pass holds three psi grids, the term and its copy beside the first family's Fock
+# field. The worst cell is on one x point, 152 B at the default label and at the
+# largest (|z| = 26.2, x in [-36, 36]) alike (175.4 -> 320.3 MiB from 1e6 to 2e6 t
+# points, 27.6 MiB at start); at the limit, 6 710 886 t points, the peak is 1004 MiB
+# (1020 at the largest label). On 241 x points a cell costs 114 B at the default
+# label and 64 B at the largest (4096 -> 8192 t points), and 88 B from 1601 x 241 to
+# 3201 x 241 (63.3 -> 95.7 MiB). A piv x point costs 249 B (85.1 -> 132.5 MiB from
+# 200 001 to 400 001 points, 37.5 MiB at start); an uncertainty row 85 B (60.8 ->
+# 84.9 MiB from 100 001 to 200 001 steps of three rows, 36.5 MiB at start).
 GRID_MEMORY_LIMIT = 2**30
-_BYTES_PER_SAMPLE = dict(density=175, piv=260, uncertainty=90)
+_BYTES_PER_SAMPLE = dict(density=160, piv=260, uncertainty=90)
 
 
 def _worst(values) -> float:
@@ -90,20 +90,15 @@ def _within(worst, tol) -> bool:
 _ROWS_PER_WRITE = 16384
 
 
-def _render(floats):
-    """``shortest.cells`` of ``floats``; a command that writes no float loads no renderer."""
-    from . import shortest
-
-    return shortest.cells(floats)
-
-
 def _cells(column):
     """The cells of ``column`` as uint8 rows with NUL holes (see ``shortest.cells``):
     a float array (``repr`` of each value) or a list of ready strings."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        from . import shortest  # here, so that a command that writes no float loads no renderer
+
         # a block at a time, so that the renderer's temporaries stay small
         starts = range(0, len(column), _ROWS_PER_WRITE)
-        blocks = [_render(column[s : s + _ROWS_PER_WRITE]) for s in starts]
+        blocks = [shortest.cells(column[s : s + _ROWS_PER_WRITE]) for s in starts]
         cells = np.zeros((len(column), max([0] + [b.shape[1] for b in blocks])), np.uint8)
         for s, b in zip(starts, blocks):
             cells[s : s + len(b), : b.shape[1]] = b
@@ -120,7 +115,9 @@ def _block_source(column):
         cells = _cells(table)
         return lambda start, stop: np.take(cells, rows[start:stop], axis=0)
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return lambda start, stop: _render(column[start:stop])
+        from . import shortest
+
+        return lambda start, stop: shortest.cells(column[start:stop])
     cells = _cells(column)
     return lambda start, stop: cells[start:stop]
 
@@ -366,14 +363,23 @@ def _check_triangle(inject):
 def _dual_path(families, z, grid, inject):
     """The Gaussian-path field of each of ``families`` at ``z`` on ``grid``, with
     its max |fock - gaussian| over every cell; ``inject`` adds 1e-6 to the Fock
-    side. Every Fock field comes first, so a label past its limit raises before
-    any Gaussian grid work; then one pass gives every Gaussian field.
+    side. ``families`` ascend, and j = 0 has the lowest label limit, so the
+    first family's Fock field comes first: a label past any family's limit
+    raises before any Gaussian grid work. Then one pass gives every Gaussian
+    field, and each other Fock field is built and reduced in turn, so that
+    one Fock field is held at a time.
     """
     from . import wavepacket
 
-    focks = [wavepacket.density_fock(j, z, grid).values for j in families]
+    fock = wavepacket.density_fock(families[0], z, grid).values
     fields = wavepacket.density_gaussians(families, z, grid)
-    return [(f, _worst(np.abs(v + 1e-6 * inject - f.values))) for v, f in zip(focks, fields)]
+    checked = []
+    for i, (j, field) in enumerate(zip(families, fields)):
+        if i:
+            fock = wavepacket.density_fock(j, z, grid).values
+        checked.append((field, _worst(np.abs(fock + 1e-6 * inject - field.values))))
+        del fock
+    return checked
 
 
 _CHECK_GRID = dataclasses.replace(DEFAULT_GRID, x_steps=161, t_steps=41)

@@ -2,8 +2,8 @@
 
 Three kinds live here, each independent of the code it checks: the dense
 float64 oracles (position and momentum matrices, number states built by
-repeated cubed raising, the closed-form time evolution of a family
-state, and the Gaussian-path density one family at a time), 50-digit values (the mean occupation as a direct sum, and the
+repeated cubed raising, and the closed-form time evolution of a family
+state), 50-digit values (the mean occupation as a direct sum, and the
 oscillator eigenfunctions from ``mpmath.hermite``), and a row-at-a-time
 CSV formatter for the CLI's block writer. None of them is run by a
 command, a ``verify`` check or the benchmark.
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from triladder import coherent, fock, wavepacket
+from triladder import coherent, fock
 
 DIGITS = 50
 
@@ -72,49 +72,6 @@ def evolve(spec: coherent.CoherentSpec, t: float) -> tuple[complex, coherent.Coh
     phase = cmath.exp(-1j * (spec.j + 0.5) * t)
     rotated = spec.alpha * cmath.exp(-3j * t)
     return phase, coherent.CoherentSpec(spec.j, rotated)
-
-
-def rho_gaussian_per_family(j, z: complex, x, t) -> np.ndarray:
-    """The Gaussian-path density of family ``j`` alone, its vertex grids computed for it.
-
-    This is ``wavepacket.rho_gaussian`` as it was before one pass served
-    several families: the same numpy operations in the same order, so the
-    pass must match it bit for bit. The product weight * term is taken in
-    place from 256 KiB of complex cells and out of place, scalar first,
-    below that (see the comment in ``wavepacket``).
-    """
-    z = complex(z)
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(x.shape, t.shape)
-    if z == 0:
-        jj = coherent.cs_index(j)
-        rho = wavepacket.hermite_basis(jj + 1, x)[jj].reshape(x.shape) ** 2
-        return float(rho) if shape == () else np.broadcast_to(rho, shape).copy()
-    tri = coherent.triangle_decompose(z, j)
-    rot = np.exp(-1j * t)
-    psi = np.zeros(shape, dtype=complex)
-    term = np.empty(shape, dtype=complex)
-    in_place = term.nbytes >= 256 * 1024
-    with np.errstate(over="ignore", invalid="ignore"):
-        gx = -x * x / 2.0
-        for weight, label in zip(tri.weights, tri.labels):
-            zeta = label * rot
-            np.multiply(math.sqrt(2.0) * zeta, x, out=term)
-            np.add(gx, term, out=term)
-            np.subtract(term, zeta * zeta / 2.0, out=term)
-            np.exp(term, out=term)
-            if in_place:
-                psi += np.multiply(term, weight, out=term)
-            else:
-                psi += weight * term[()]
-    psi *= np.pi**-0.25
-    norm2 = 0.0
-    for wk, lk in zip(tri.weights, tri.labels):
-        for wl, ll in zip(tri.weights, tri.labels):
-            norm2 += (wk.conjugate() * wl * np.exp(lk.conjugate() * ll)).real
-    rho = np.abs(psi) ** 2 / (norm2 if norm2 > 0 else math.nan)
-    return float(rho) if shape == () else rho
 
 
 def mean_occupation(j: int, abs_alpha: float):

@@ -963,7 +963,7 @@ class TestParser:
 
     @pytest.mark.parametrize("argv,err", [
         (["density", "--j", "0", "--xsteps", "100000000", "--tsteps", "100000"],
-         "density: a 100000000 x 100000 grid needs about 1.75e+15 bytes,"),
+         "density: a 100000000 x 100000 grid needs about 1.6e+15 bytes,"),
         (["piv", "--xsteps", "1000000000"],
          "piv: a 1000000000 x 1 grid needs about 2.6e+11 bytes,"),
         (["uncertainty", "--asteps", "100000000"],
