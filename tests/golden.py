@@ -76,6 +76,8 @@ RUNS = {
                        "--tmin", "-8e307", "--tmax", "8e307"],
     "density_oversized": ["density", "--j", "0", "--xsteps", "100000000", "--tsteps", "100000"],
     "uncertainty_oversized": ["uncertainty", "--asteps", "100000000"],
+    # a sweep's files are named from --out's file name; '' names none
+    "density_out_empty": ["density", "--xsteps", "5", "--tsteps", "3", "--out", ""],
 }
 
 # the sample files every run finds in its directory, beside weight.txt

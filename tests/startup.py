@@ -7,11 +7,17 @@ Each round runs ``verify``, ``density``, ``piv --xsteps 20001`` and
 given ``src`` first on PYTHONPATH and one BLAS thread, in a fresh temporary
 directory. With two trees the rounds alternate between them, and which tree
 goes first alternates too, so that a slow phase of the host falls on both.
-The script prints, per command and for the whole round, the median wall time
-of each tree and, with two trees, the change of the medians and in how many
-rounds the second tree was faster. Time of a process is start-up (interpreter,
-imports, and compiling the package where PYTHONDONTWRITEBYTECODE is set) plus
-the command's own work.
+Each round also runs ``python -c "import numpy"`` in the same environment,
+outside the round's sum: the floor of interpreter start-up, numpy's import
+and the interpreter's exit that every command pays. The script prints, per
+command, for the whole round and for that floor, the median wall time of
+each tree and, with two trees, the change of the medians and in how many
+rounds the second tree was faster. Time of a process runs from its start to
+its end: start-up (interpreter, imports, and compiling the package where
+PYTHONDONTWRITEBYTECODE is set), the command's own work, and the
+interpreter's exit, whose collection of the import-time heap ``cli.entry``
+skips by freezing it. A command's time above the floor is what the package
+adds.
 
 pytest does not collect this file: its 15 rounds take 20-40 s on a 2-vCPU VM.
 """
@@ -31,20 +37,22 @@ COMMANDS = {
     "piv": ["piv", "--xsteps", "20001"],
     "uncertainty": ["uncertainty"],
 }
+FLOOR = ["-c", "import numpy"]
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def run_round(src: Path) -> dict:
-    """Wall seconds of each command, each in a fresh process, from ``src``."""
+    """Wall seconds of each command and of the floor, each in a fresh process, from ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), **ONE_THREAD)
+    runs = {name: ["-m", "triladder.cli", *args] for name, args in COMMANDS.items()}
     times = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, args in COMMANDS.items():
+        for name, args in {**runs, "floor": FLOOR}.items():
             start = time.perf_counter()
-            subprocess.run([sys.executable, "-m", "triladder.cli", *args], cwd=tmp, env=env,
+            subprocess.run([sys.executable, *args], cwd=tmp, env=env,
                            capture_output=True, timeout=300, check=True)
             times[name] = time.perf_counter() - start
-    times["round"] = sum(times.values())
+    times["round"] = sum(times[name] for name in COMMANDS)
     return times
 
 
@@ -61,7 +69,7 @@ def main(argv) -> int:
     print(f"{ROUNDS} rounds; PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', 'unset')}")
     print(f"{'':<12}" + "".join(f"{str(t):>24}" for t in trees)
           + ("   change  wins" if len(trees) == 2 else ""))
-    for name in [*COMMANDS, "round"]:
+    for name in [*COMMANDS, "round", "floor"]:
         series = [[r[name] for r in tree_runs] for tree_runs in runs]
         line = f"{name:<12}" + "".join(f"{median(s):>22.4f} s" for s in series)
         if len(trees) == 2:

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import math
 import os
@@ -865,6 +866,62 @@ class TestWriteErrors:
         assert run(["uncertainty", "--asteps", "3", "--out", ""]) == 2
         assert capsys.readouterr().err.startswith("uncertainty: cannot write ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["", ".", "/"])
+    def test_sweep_to_a_path_without_a_name_is_refused_first(self, tmp_path, capsys,
+                                                             monkeypatch, out):
+        # each family's file is named from the path's; the sweep once computed
+        # every field and then ended in a traceback from Path.with_name
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_dual_path", lambda *args: pytest.fail("a field was computed"))
+        assert run(["density", "--xsteps", "5", "--tsteps", "3", "--out", out]) == 2
+        assert capsys.readouterr() == (
+            "", f"density: cannot write {Path(out)}: the path names no file; no file written\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestEntry:
+    """``entry``, the console script and ``python -m triladder.cli``: ``main``,
+    then ``gc.freeze``, then exit with ``main``'s code."""
+
+    @pytest.mark.parametrize("ending", [0, 1, 2, SystemExit(2)],
+                             ids=["0", "1", "2", "parser-error"])
+    def test_exits_with_mains_code_after_freezing(self, monkeypatch, ending):
+        events = []
+
+        def main():
+            events.append("main")
+            if isinstance(ending, SystemExit):  # argparse's exit 2 leaves main this way
+                raise ending
+            return ending
+
+        monkeypatch.setattr(cli, "main", main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == (ending.code if isinstance(ending, SystemExit) else ending)
+        assert events == ["main", "freeze"]
+
+    @pytest.mark.parametrize("argv,code", [
+        (["uncertainty", "--asteps", "3"], 0),
+        (["density", "--j", "1", "--z-re", "1e-5", "--xsteps", "31", "--tsteps", "5"], 1),
+    ], ids=["uncertainty", "density-refusal"])
+    def test_fresh_process_writes_what_main_writes(self, tmp_path, capsysbinary, monkeypatch,
+                                                   argv, code):
+        # the bytes of a process that skips the exit collection, against main's
+        # in this one: nothing written before exit depends on that collection
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        fresh.mkdir()
+        here.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "triladder.cli", *argv], cwd=fresh, env=env,
+                              capture_output=True, timeout=60)
+        monkeypatch.chdir(here)
+        assert run(argv) == code
+        assert (done.returncode, done.stdout, done.stderr) == (code, *capsysbinary.readouterr())
+        files = [{p.name: p.read_bytes() for p in work.iterdir()} for work in (fresh, here)]
+        assert files[0] == files[1]
+        assert bool(files[0]) == (code == 0)
 
 
 class TestParser:

@@ -2,7 +2,9 @@
 
 Each drawn run of ``uncertainty``, ``piv``, ``density``, ``decompose`` or
 ``moments`` goes through ``cli.main`` in process, with warnings as errors,
-and must end in one of two ways:
+from a fresh working directory and to a drawn ``--out`` (mostly a plain file
+name; else a path with no file name or one in a missing directory), and must
+end in one of two ways:
 
 - exit 0, with every data field of its files finite and each gated
   command's files carrying their gate line with a finite value, or
@@ -17,6 +19,7 @@ after writing its (finite) file.
 import contextlib
 import io
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -33,6 +36,8 @@ _MAGNITUDES = st.builds(
 )
 LABELS = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda m: -m))
 FAMILIES = st.sampled_from([[], ["--j", "0"], ["--j", "1"], ["--j", "2"]])
+# --out, relative to the run's directory: half the runs write a plain file
+OUTS = st.one_of(st.just("out.csv"), st.sampled_from(["", ".", "/", "missing/dir/x.csv"]))
 
 
 def ranges(ends):
@@ -62,22 +67,25 @@ def label_flags(draw):
 def uncertainty_argv(draw):
     amin, amax = draw(ranges(st.one_of(st.just(0.0), _MAGNITUDES)))
     sweep = flag("amin", amin) + flag("amax", amax)
-    return ["uncertainty", *draw(FAMILIES), *sweep, *flag("asteps", draw(st.integers(1, 41)))]
+    return ["uncertainty", *draw(FAMILIES), *sweep, *flag("asteps", draw(st.integers(1, 41))),
+            *flag("out", draw(OUTS))]
 
 
 @st.composite
 def piv_argv(draw):
-    return ["piv", *draw(grid_flags(t_axis=False))]
+    return ["piv", *draw(grid_flags(t_axis=False)), *flag("out", draw(OUTS))]
 
 
 @st.composite
 def density_argv(draw):
-    return ["density", *draw(FAMILIES), *label_flags(draw), *draw(grid_flags(t_axis=True))]
+    return ["density", *draw(FAMILIES), *label_flags(draw), *draw(grid_flags(t_axis=True)),
+            *flag("out", draw(OUTS))]
 
 
 @st.composite
 def decompose_argv(draw):
-    return ["decompose", *flag("j", draw(st.integers(0, 2))), *label_flags(draw)]
+    return ["decompose", *flag("j", draw(st.integers(0, 2))), *label_flags(draw),
+            *flag("out", draw(OUTS))]
 
 
 @st.composite
@@ -88,7 +96,7 @@ def moments_argv(draw):
     rows = zip([0.0, *sorted(positions)], weights)
     samples = "".join(f"{x!r} {f!r}\n" for x, f in rows)
     argv = ["moments", "--samples", "samples.txt", *flag("j", draw(st.integers(0, 2)))]
-    return argv + flag("nmax", draw(st.integers(1, 60))), samples
+    return argv + flag("nmax", draw(st.integers(1, 60))) + flag("out", draw(OUTS)), samples
 
 
 # the header line that records what each gated command's gate passed
@@ -108,17 +116,20 @@ def data_fields(text):
 
 def run(argv, samples=None):
     """Run ``argv`` in a fresh directory; (exit code, stdout, stderr, files written)."""
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         if samples is not None:
             (work / "samples.txt").write_text(samples)
-            argv = [a if a != "samples.txt" else str(work / a) for a in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main([*argv, "--out", str(work / "out.csv")])
-            except SystemExit as exc:  # parser.error
-                code = exc.code
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        except SystemExit as exc:  # parser.error
+            code = exc.code
+        finally:
+            os.chdir(home)
         files = {p.name: p.read_text() for p in work.iterdir() if p.name != "samples.txt"}
     return code, out.getvalue(), err.getvalue(), files
 
