@@ -104,7 +104,7 @@ def main(argv) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1")
     flags = subprocess.run(
-        [sys.executable, "-c", "from triladder import cli; print(*(f for _, f, _ in cli.CHECKS))"],
+        [sys.executable, "-c", "from triladder import cli; print(*(c[1] for c in cli.CHECKS))"],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
     runs = {"verify": ["verify"],

@@ -215,7 +215,7 @@ def test_10_verify_command_and_fault_injection(capsys):
 
     flips_ok = True
     flip_report = []
-    targets = {flag: name for name, flag, _ in cli.CHECKS}
+    targets = {flag: name for name, flag in cli.CHECKS}
     for flag, target in sorted(targets.items()):
         code = cli.main(["verify", f"--inject-{flag}"])
         lines = capsys.readouterr().out.strip().splitlines()

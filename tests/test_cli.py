@@ -1,10 +1,15 @@
 import argparse
+import errno
 import gc
 import hashlib
 import math
 import os
+import resource
+import signal
+import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -13,7 +18,7 @@ import numpy as np
 import pytest
 
 import oracle
-from triladder import cli, coherent, wavepacket
+from triladder import checks, cli, coherent, wavepacket
 from triladder.grid import DEFAULT_GRID, GridSpec
 
 
@@ -22,7 +27,7 @@ def run(argv):
 
 
 # --inject-* flag -> the one check it corrupts
-INJECT_TARGETS = {flag: name for name, flag, _ in cli.CHECKS}
+INJECT_TARGETS = {flag: name for name, flag in cli.CHECKS}
 
 
 def read_rows(path):
@@ -75,6 +80,10 @@ class TestVerify:
         failed = [l.split()[1] for l in out if l.startswith("FAIL")]
         assert failed == [target]
         assert out[-1] == "CHECKS passed=7 failed=1"
+
+    def test_checks_run_in_the_order_the_flags_are_declared(self):
+        # the parser reads the flags from cli.CHECKS; the suite runs checks.SUITE by name
+        assert list(checks.SUITE) == [name for name, _ in cli.CHECKS]
 
     def test_truncation_override_reports_suggestion(self, capsys):
         # --inject-eigen truncates each family to 5 levels at alpha = 4
@@ -135,7 +144,7 @@ class TestModuleLoading:
     # command -> the package modules it runs; fresh processes compile each one
     # loaded, so a command loads only these (the package, cli and grid always)
     LOADS = {
-        "verify": "coherent fock painleve wavepacket",
+        "verify": "checks coherent fock painleve wavepacket",
         "density": "coherent shortest wavepacket",
         "piv": "painleve shortest",
         "uncertainty": "coherent shortest",
@@ -160,6 +169,22 @@ class TestModuleLoading:
         assert fractions == str(command in ("verify", "piv"))
         want = {"cli", "grid", *self.LOADS[command].split()}
         assert loaded == sorted("triladder." + name for name in want)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"], ["density", "--xsteps", "31", "--tsteps", "7"], ["piv"],
+        ["uncertainty", "--asteps", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_only_verify_compiles_checks(self, tmp_path, argv):
+        # run as the benchmark runs it: cli is __main__, and checks, which imports
+        # cli, must find that module and not import a second copy of it
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "triladder.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert ("triladder.checks" in imported) == (argv[0] == "verify")
+        assert "triladder.cli" not in imported
 
 
 class TestUncertainty:
@@ -852,7 +877,7 @@ class TestWriteErrors:
 
     @pytest.mark.parametrize("blocked", ["out_j2.csv", "out_j1.csv.meta"])
     def test_failed_sweep_write_leaves_no_file(self, tmp_path, capsys, blocked):
-        # the files written before the failing one are removed again, unannounced
+        # the files written before the failing one are never published, nor announced
         (tmp_path / blocked).mkdir()
         argv = ["density", "--xsteps", "31", "--tsteps", "5", "--out", str(tmp_path / "out.csv")]
         assert run(argv) == 2
@@ -860,6 +885,42 @@ class TestWriteErrors:
         assert out == ""
         assert err == f"density: cannot write {tmp_path / blocked}: Is a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
+    @pytest.mark.parametrize("argv,target", [
+        (["piv", "--xsteps", "200001", "--out", "p.csv"], "p.csv"),
+        (["density", "--out", "sw.csv"], "sw_j0.csv"),
+        (["density", "--j", "0", "--out", "one.csv"], "one.csv"),
+    ], ids=["piv", "density-sweep", "density-one"])
+    def test_write_that_fails_partway_leaves_no_file(self, tmp_path, argv, target):
+        # each file is larger than the 1 024 000 bytes the process may write to
+        # one file; with SIGXFSZ ignored, the write that crosses it fails with EFBIG
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1024000, 1024000))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "triladder.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120,
+                              preexec_fn=limit_file_size)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"{argv[0]}: cannot write {target}: {os.strerror(errno.EFBIG)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_exception_mid_sweep_removes_every_temp_file(self, tmp_path, monkeypatch):
+        write_csv = cli._write_csv
+        calls = []
+
+        def fail_on_second(path, *args):
+            calls.append(write_csv(path, *args))
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return calls[-1]
+
+        monkeypatch.setattr(cli, "_write_csv", fail_on_second)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run(["density", "--xsteps", "31", "--tsteps", "5", "--out", str(tmp_path / "o.csv")])
+        assert len(calls) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_path_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -878,6 +939,74 @@ class TestWriteErrors:
         assert capsys.readouterr() == (
             "", f"density: cannot write {Path(out)}: the path names no file; no file written\n")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPublishing:
+    """A regular or absent target is written beside itself and moved into
+    place whole; any other target is opened in place, as given."""
+
+    ARGV = ["uncertainty", "--asteps", "3"]
+
+    def expected(self, tmp_path):
+        ref = tmp_path / "ref" / "u.csv"
+        ref.parent.mkdir()
+        assert run([*self.ARGV, "--out", str(ref)]) == 0
+        return ref.read_bytes()
+
+    def test_replaces_a_regular_file_with_the_umask_mode(self, tmp_path, capsys):
+        out = tmp_path / "u.csv"
+        out.write_text("old")
+        out.chmod(0o600)
+        assert run([*self.ARGV, "--out", str(out)]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert out.read_bytes() == self.expected(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref", "u.csv"]
+
+    def test_the_written_path_exists_when_the_writer_returns(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a wrapper on _write_csv may stat what it returns, before the file is published
+        write_csv, sizes = cli._write_csv, []
+
+        def stat_result(*args):
+            path = write_csv(*args)
+            sizes.append(path.stat().st_size)
+            return path
+
+        monkeypatch.setattr(cli, "_write_csv", stat_result)
+        out = tmp_path / "u.csv"
+        assert run([*self.ARGV, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out} (9 rows)\n"
+        assert sizes == [out.stat().st_size]
+
+    def test_a_device_is_written_in_place(self, capsys):
+        assert run([*self.ARGV, "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == f"wrote {os.devnull} (9 rows)\n"
+        assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+        assert list(Path(os.devnull).parent.glob(".triladder-*")) == []
+
+    def test_a_fifo_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run([*self.ARGV, "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received == [self.expected(tmp_path)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "ref"]
+
+    def test_a_symlink_is_written_through(self, tmp_path, capsys):
+        (tmp_path / "data").mkdir()
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "data" / "u.csv")
+        assert run([*self.ARGV, "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert (tmp_path / "data" / "u.csv").read_bytes() == self.expected(tmp_path)
+        assert [p.name for p in (tmp_path / "data").iterdir()] == ["u.csv"]
 
 
 class TestEntry:
