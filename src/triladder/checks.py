@@ -199,7 +199,7 @@ def _check_triangle(inject):
 
 
 def _check_density_dual(inject):
-    worst = _worst([err for _, err in _dual_path(range(3), 2.0, _CHECK_GRID, inject)])
+    worst = _worst([err for _, err, _ in _dual_path(range(3), 2.0, _CHECK_GRID, inject)])
     return (
         _within(worst, DUAL_PATH_TOL),
         f"max |fock - gaussian| = {worst:.3e} at z=2,"

@@ -188,10 +188,10 @@ class _Refusal(Exception):
         self.code = code
 
 
-def _gate(what, worst, tol):
-    """Refuse unless ``worst`` passes ``_within``."""
+def _gate(what, worst, tol, where=""):
+    """Refuse unless ``worst`` passes ``_within``; ``where`` follows the value."""
     if not _within(worst, tol):
-        raise _Refusal(f"{what} {worst:.3e}, not below {tol:g}; no file written")
+        raise _Refusal(f"{what} {worst:.3e}{where}, not below {tol:g}; no file written")
 
 
 @contextlib.contextmanager
@@ -270,23 +270,28 @@ _PIV_GRID = GridSpec(-10.0, 10.0, 2001)
 
 def _dual_path(families, z, grid, inject):
     """The Gaussian-path field of each of ``families`` at ``z`` on ``grid``, with
-    its max |fock - gaussian| over every cell; ``inject`` adds 1e-6 to the Fock
-    side. ``families`` ascend, and j = 0 has the lowest label limit, so the
-    first family's Fock field comes first: a label past any family's limit
-    raises before any Gaussian grid work. Then one pass gives every Gaussian
-    field, and each other Fock field is built and reduced in turn, so that
-    one Fock field is held at a time.
+    its max |fock - gaussian| over every cell and that cell's (x, t): the first
+    cell, x outer and t inner, that holds the max, or a nan if any does.
+    ``inject`` adds 1e-6 to the Fock side. ``families`` ascend, and j = 0 has
+    the lowest label limit, so the first family's Fock field comes first: a
+    label past any family's limit raises before any Gaussian grid work. Then
+    one pass gives every Gaussian field, and each other Fock field is built
+    and reduced in turn, so that one Fock field is held at a time.
     """
     from . import wavepacket
 
     fock = wavepacket.density_fock(families[0], z, grid).values
     fields = wavepacket.density_gaussians(families, z, grid)
+    xs, ts = grid.x_values(), grid.t_values()
     checked = []
     for i, (j, field) in enumerate(zip(families, fields)):
         if i:
             fock = wavepacket.density_fock(j, z, grid).values
-        checked.append((field, _worst(np.abs(fock + 1e-6 * inject - field.values))))
+        diff = np.abs(fock + 1e-6 * inject - field.values)
         del fock
+        ix, it = np.unravel_index(np.argmax(diff), diff.shape)  # the first nan, else the first max
+        checked.append((field, float(diff[ix, it]), (float(xs[ix]), float(ts[it]))))
+        del diff
     return checked
 
 
@@ -421,13 +426,14 @@ def cmd_density(ns) -> int:
     xs, ts = grid.x_values(), grid.t_values()
     # every family passes the dual-path gate, in family order, before any file is written
     checked = _dual_path(families, z, grid, ns.inject_spotcheck)
-    for j, (_, worst) in zip(families, checked):
-        _gate(f"dual-path check failed for j={j}: max |fock - gaussian| =", worst, DUAL_PATH_TOL)
+    for j, (_, worst, (x, t)) in zip(families, checked):
+        _gate(f"dual-path check failed for j={j}: max |fock - gaussian| =", worst, DUAL_PATH_TOL,
+              f" at x={x!r}, t={t!r}")
     # Rows run t-major: every x for the first t, then the next t.
     t_row, x_row = np.divmod(np.arange(ts.size * xs.size), xs.size)
     reports = []  # printed once every file is published
     with _Outputs() as outputs:  # a sweep's files are published together
-        for j, out, (field, worst) in zip(families, outs, checked):
+        for j, out, (field, worst, _) in zip(families, outs, checked):
             config = [
                 f"j={j} z_re={z.real!r} z_im={z.imag!r}",
                 f"x range [{grid.x_min!r}, {grid.x_max!r}] with {grid.x_steps} points",

@@ -1,12 +1,13 @@
 """Position-space densities of the evolving deformed coherent states.
 
 Two independent evaluation paths exist on purpose. The Fock path walks
-only the family's ladder n = 3k + j: the Hermite rows are built once on
-the x values as given, the weighted rung phases c_k e^(-3ikt) once on the
-t values as given, and one contraction over the rung index k gives psi.
-On an (nx, 1) by (1, nt) grid that is a single (nx x K) by (K x nt)
-matrix product, with K = N/3 rungs. The Gaussian path evaluates the
-closed form
+only the family's ladder n = 3k + j: the real Hermite rows are built once
+on the x values as given, the weighted rung phases c_k e^(-3ikt) once on
+the t values as given, and one contraction over the rung index k gives
+psi in real arithmetic, with the phases read as (re, im) pairs of reals.
+On an (nx, 1) by (1, nt) grid that is a single real (nx x K) by (K x 2nt)
+matrix product, with K = N/3 rungs, whose result read as complex is psi.
+The Gaussian path evaluates the closed form
 
     <x|z> = pi^(-1/4) exp(-x^2/2 + sqrt(2) z x - z^2/2)
 
@@ -95,11 +96,16 @@ def rho_fock(j, z: complex, x, t) -> np.ndarray:
     psi(x, t) = sum_k c_k e^(-3ikt) psi_{3k+j}(x), with the global phase
     e^(-i(j+1/2)t) dropped since it leaves |psi|^2 unchanged. The sum
     runs to the tail-rule size N of alpha = z^3. x and t broadcast against
-    each other. The Hermite rows are built on x and the K = N/3 weighted
-    phases c_k e^(-3ikt) on t as given, and one einsum contracts the rung
-    index k: on an (nx, 1) by (1, nt) grid that is one (nx x K) by
-    (K x nt) matrix product, with N * nx basis values and K * nt phases in
-    memory; M flat points hold N * M and K * M.
+    each other. The real Hermite rows are built on x, and the K = N/3
+    weighted phases c_k e^(-3ikt) on t as given, e^(-3ikt) by one
+    cumulative product of e^(-3it) down the rungs. The rung index k is
+    contracted in real arithmetic, with each complex phase read as its
+    (re, im) pair of reals: on an (nx, 1) by (1, nt) grid one real
+    (nx x K) by (K x 2nt) matrix product gives psi's (re, im) pairs, with
+    N * nx basis values and K * nt complex phases in memory and no complex
+    copy of the basis. Any other shapes take a multiply-sum over k for the
+    real and the imaginary part on the same operands; M flat points hold
+    N * M basis values and K * M phases.
     From |z| = 5.64e102, where z^3 overflows, ``LabelRangeError`` is raised.
     """
     z = complex(z)
@@ -109,15 +115,28 @@ def rho_fock(j, z: complex, x, t) -> np.ndarray:
     spec = coherent.CoherentSpec(j, z**3)
     coeffs = coherent.build_cs(spec)[spec.j :: 3]
     x = np.asarray(x, dtype=float)
-    rows = hermite_basis(spec.truncation, x)[spec.j :: 3].reshape(-1, *x.shape)
+    t = np.asarray(t, dtype=float)
+    rows = hermite_basis(spec.truncation, x)[spec.j :: 3]
+    # row k: e^(-3ikt), one cumulative product of e^(-3it) down the rungs
+    weighted = np.empty((len(coeffs), t.size), dtype=complex)
+    weighted[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # nan from |t| = 6e307, refused by the gates
-        step = np.exp(-3j * np.asarray(t, dtype=float))
-    weighted = np.empty((len(coeffs), *step.shape), dtype=complex)
-    phase = np.ones_like(step)
-    for k, c in enumerate(coeffs):
-        weighted[k] = c * phase
-        phase = phase * step
-    psi = np.einsum("k...,k...->...", rows, weighted, optimize=True)
+        weighted[1:] = np.exp(-3j * t.ravel())
+    np.cumprod(weighted, axis=0, out=weighted)
+    weighted *= coeffs[:, None]
+    pairs = weighted.view(float)  # K x 2 t.size: the (re, im) of each phase
+    # One einsum for every shape gives the grid the same bits, but keeps only about
+    # half of this product's gain on the fock_field benchmark, and on 20 000 flat
+    # points it takes 2.4 times as long as the two multiply-sums below.
+    if x.shape == (x.size, 1) and t.shape == (1, t.size):
+        # (nx x K) @ (K x 2nt) in real arithmetic: its rows are psi's (re, im) pairs
+        psi = (rows.T @ pairs).view(complex)
+    else:
+        psi = np.empty(np.broadcast_shapes(x.shape, t.shape), dtype=complex)
+        rows = rows.reshape(-1, *x.shape)
+        pairs = pairs.reshape(-1, *t.shape, 2)
+        np.einsum("k...,k...->...", rows, pairs[..., 0], out=psi.real)
+        np.einsum("k...,k...->...", rows, pairs[..., 1], out=psi.imag)
     rho = np.abs(psi) ** 2
     return float(rho) if rho.ndim == 0 else rho
 

@@ -30,6 +30,17 @@ def run(argv):
 INJECT_TARGETS = {flag: name for name, flag in cli.CHECKS}
 
 
+def worst_cell(j, z, grid, inject=False):
+    """The cell a dual-path refusal names, as it prints it: where
+    |fock - gaussian| (1e-6 more with ``inject``) first peaks on ``grid``, or
+    its first nan. Recomputed here for the refusals whose peak lies among
+    cells that differ only by rounding, which varies between numpy builds."""
+    diff = np.abs(wavepacket.density_fock(j, z, grid).values + 1e-6 * inject
+                  - wavepacket.density_gaussian(j, z, grid).values)
+    ix, it = np.unravel_index(np.argmax(diff), diff.shape)
+    return f" at x={float(grid.x_values()[ix])!r}, t={float(grid.t_values()[it])!r}"
+
+
 def read_rows(path):
     header = None
     rows = []
@@ -381,18 +392,48 @@ class TestDensity:
         assert not out.exists()
         assert "no file written" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("j,z_re,worst", [("2", "1e-8", "nan"), ("1", "1e-200", "nan"),
-                                              ("1", "1e-5", "2.327e-08")],
-                             ids=["2-1e-8", "1-1e-200", "1-1e-5"])
-    def test_cancelled_triangle_fails_the_spot_check(self, tmp_path, capsys, j, z_re, worst):
+    @pytest.mark.parametrize("j,z_re,worst,at", [
+        ("2", "1e-8", "nan", " at x=-8.0, t=0.0"),
+        ("1", "1e-200", "nan", " at x=-8.0, t=0.0"),
+        ("1", "1e-5", "2.327e-08", None),
+    ], ids=["2-1e-8", "1-1e-200", "1-1e-5"])
+    def test_cancelled_triangle_fails_the_spot_check(self, tmp_path, capsys, j, z_re, worst, at):
         # the Gaussian path's Gram sum cancels to at most 0 at the first two
         # labels, which once ended in a DensityField traceback, and to 2.3e-8
-        # of the Fock path at the third, which the 1e-6 spot check let through
+        # of the Fock path at the third, which the 1e-6 spot check let through;
+        # a nan field names its first cell
         out = tmp_path / "rho.csv"
         assert run(["density", "--j", j, "--z-re", z_re, "--out", str(out)]) == 1
+        at = at or worst_cell(int(j), float(z_re), DEFAULT_GRID)
         assert capsys.readouterr() == ("", (
             f"density: dual-path check failed for j={j}: max |fock - gaussian| ="
-            f" {worst}, not below 1e-08; no file written\n"
+            f" {worst}{at}, not below 1e-08; no file written\n"
+        ))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("marks,worst,at", [
+        ({(40, 5): 1e-3, (12, 1): 5e-4}, "1.000e-03", (40, 5)),
+        ({(30, 2): math.nan, (20, 6): math.inf, (10, 3): 1e-3}, "nan", (30, 2)),
+    ], ids=["peak", "first-nan"])
+    def test_refusal_names_the_cell(self, tmp_path, capsys, monkeypatch, marks, worst, at):
+        # the cells are (x index, t index); a nan is named even where an inf
+        # comes before it with x outer and t inner
+        rho_fock = wavepacket.rho_fock
+
+        def marked(j, z, x, t):
+            rho = rho_fock(j, z, x, t)
+            for cell, value in marks.items():
+                rho[cell] += value
+            return rho
+
+        monkeypatch.setattr(wavepacket, "rho_fock", marked)
+        out = tmp_path / "rho.csv"
+        assert run(["density", "--j", "1", *self.ARGS, "--out", str(out)]) == 1
+        grid = GridSpec(-8.0, 8.0, 81, 0.0, 2 * math.pi, 7)
+        x, t = float(grid.x_values()[at[0]]), float(grid.t_values()[at[1]])
+        assert capsys.readouterr() == ("", (
+            f"density: dual-path check failed for j=1: max |fock - gaussian| ="
+            f" {worst} at x={x!r}, t={t!r}, not below 1e-08; no file written\n"
         ))
         assert list(tmp_path.iterdir()) == []
 
@@ -405,7 +446,7 @@ class TestDensity:
         assert run(["density", "--z-re", z_re, "--out", str(tmp_path / "d.csv")]) == 1
         assert capsys.readouterr() == ("", (
             f"density: dual-path check failed for j={j}: max |fock - gaussian| ="
-            f" {worst}, not below 1e-08; no file written\n"
+            f" {worst}{worst_cell(j, float(z_re), DEFAULT_GRID)}, not below 1e-08; no file written\n"
         ))
         assert list(tmp_path.iterdir()) == []
 
@@ -454,20 +495,20 @@ class TestDensity:
         assert len(err.splitlines()) == 1 and err.endswith("no file written\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("axis", [
-        ["--xmin", "-8e307", "--xmax", "8e307"],
-        ["--tmin", "-8e307", "--tmax", "8e307"],
-        ["--xmin", "0", "--xmax", "1.7e308"],
+    @pytest.mark.parametrize("axis,at", [
+        (["--xmin", "-8e307", "--xmax", "8e307"], "x=8e+307, t=0.0"),
+        (["--tmin", "-8e307", "--tmax", "8e307"], "x=-8.0, t=-8e+307"),
+        (["--xmin", "0", "--xmax", "1.7e308"], "x=8.5e+307, t=0.0"),
     ], ids=["x", "t", "x-hermite"])
-    def test_grid_ends_near_float64_limit_refuse_in_one_line(self, tmp_path, capsys, axis):
+    def test_grid_ends_near_float64_limit_refuse_in_one_line(self, tmp_path, capsys, axis, at):
         # the spans are finite, but the Gaussian exponent, the Fock phase
         # e^(-3it) and the Hermite recurrence overflow to nan there; numpy
-        # once warned before the refusal
+        # once warned before the refusal. The line names the first nan cell.
         argv = ["density", "--j", "0", "--xsteps", "3", "--tsteps", "2", *axis]
         assert run([*argv, "--out", str(tmp_path / "rho.csv")]) == 1
         assert capsys.readouterr() == ("", (
             "density: dual-path check failed for j=0: max |fock - gaussian| ="
-            " nan, not below 1e-08; no file written\n"
+            f" nan at {at}, not below 1e-08; no file written\n"
         ))
         assert list(tmp_path.iterdir()) == []
 
@@ -811,7 +852,7 @@ class TestReportLines:
                      "piv: max residual nan, not below 1e-10; no file written\n", id="piv"),
         pytest.param(["density", "--j", "0", *TestDensity.ARGS, "--inject-spotcheck"],
                      "density: dual-path check failed for j=0: max |fock - gaussian| ="
-                     " 1.000e-06, not below 1e-08; no file written\n", id="density"),
+                     " 1.000e-06{at}, not below 1e-08; no file written\n", id="density"),
         pytest.param(["uncertainty", "--amax", "2e5", "--asteps", "3"],
                      "uncertainty: the a_norm_squared series is not finite at"
                      " |alpha|=100000.0, j=0 (it overflows from about |alpha| = 1.9e4);"
@@ -820,6 +861,8 @@ class TestReportLines:
     def test_gate_message(self, tmp_path, capsys, argv, err):
         out = tmp_path / "out.csv"
         assert run([*argv, "--out", str(out)]) == 1
+        if "{at}" in err:  # every injected cell is off by 1e-6: the peak is rounding's pick
+            err = err.format(at=worst_cell(0, 2.0, GridSpec(-8.0, 8.0, 81, 0.0, 2 * math.pi, 7), True))
         assert capsys.readouterr() == ("", err)
         assert list(tmp_path.iterdir()) == []
 
@@ -830,7 +873,7 @@ class TestReportLines:
         assert run(["density", "--j", "2", *TestDensity.ARGS, "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", (
             "density: dual-path check failed for j=2: max |fock - gaussian| ="
-            " nan, not below 1e-08; no file written\n"
+            " nan at x=-8.0, t=0.0, not below 1e-08; no file written\n"
         ))
         assert list(tmp_path.iterdir()) == []
 

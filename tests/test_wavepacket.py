@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -263,12 +264,28 @@ def fock_per_rung(j, z, x, t):
     return np.abs(psi) ** 2
 
 
+def fock_direct_sum(j, z, x, t):
+    """|sum_n c_n e^(-int) psi_n(x)|^2 over every level in 50 digits; the
+    ladder's global phase e^(-i(j+1/2)t) leaves it unchanged."""
+    mpmath = pytest.importorskip("mpmath")
+    spec = coherent.CoherentSpec(j, complex(z) ** 3)
+    with mpmath.workdps(oracle.DIGITS):
+        psi = mpmath.fsum(
+            mpmath.mpc(c.real, c.imag) * mpmath.expj(-n * mpmath.mpf(float(t))) * oracle.hermite_function(n, float(x))
+            for n, c in enumerate(spec.coeffs.tolist()) if c
+        )
+        return float(abs(psi) ** 2)
+
+
 class TestRungContraction:
     XS = np.linspace(-8.0, 8.0, 41)
     TS = np.linspace(0.0, 2 * math.pi, 9)
 
     @pytest.mark.parametrize("j", [0, 1, 2])
-    @pytest.mark.parametrize("z", [2.0, 1.3 + 1.5j, 8.0])
+    @pytest.mark.parametrize("z", [
+        2.0, 1.3 + 1.5j, 8.0,
+        *(pytest.param(r * cmath.exp(0.7j), id=f"{r}e^0.7i") for r in (0.5, 2.0, 8.0)),
+    ])
     def test_every_input_shape_matches_per_rung_sum(self, j, z):
         mesh_x, mesh_t = np.meshgrid(self.XS, self.TS, indexing="ij")
         cases = [
@@ -285,6 +302,14 @@ class TestRungContraction:
         got = wavepacket.rho_fock(j, z, 1.3, 0.7)
         assert type(got) is float
         assert got == pytest.approx(float(fock_per_rung(j, z, 1.3, 0.7)), rel=0, abs=1e-15)
+        # the grid and its points flattened, and ten of its cells against the
+        # sum over every level in 50 digits
+        grid = wavepacket.rho_fock(j, z, self.XS[:, None], self.TS[None, :])
+        flat = wavepacket.rho_fock(j, z, mesh_x.ravel(), mesh_t.ravel())
+        np.testing.assert_allclose(flat.reshape(grid.shape), grid, rtol=0, atol=1e-15)
+        cells = [(4 * i, i % 9) for i in range(10)]
+        worst = max(abs(grid[c] - fock_direct_sum(j, z, self.XS[c[0]], self.TS[c[1]])) for c in cells)
+        assert worst < 1e-14
 
     def test_grid_peak_memory(self):
         # an intermediate of nx * nt * K complex values would be about 90 MB
