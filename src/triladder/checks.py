@@ -1,10 +1,11 @@
 """The invariant suite that ``triladder verify`` runs, with its tolerances and inputs.
 
-Every check takes whether its ``--inject-*`` flag is set and returns
-(passed, detail); the suite has no other input. ``SUITE`` maps each check's
-name to its function, in the order of ``cli.CHECKS``, which names the flag
-of each, so that the parser declares the flags without loading this module.
-Each check loads the package modules it runs, as each command does.
+A check is one row of ``cli.CHECKS``, its name and ``--inject-*`` flag, plus
+the function here named after it, with ``_`` for ``-`` (``density-dual-path``
+runs ``density_dual_path``); ``cli.CHECKS`` alone orders them, so that the
+parser declares the flags without loading this module. Every check takes
+whether its flag is set and returns (passed, detail); the suite has no other
+input. Each check loads the package modules it runs, as each command does.
 
 The gates the data commands share with the suite (``_worst``, ``_within``,
 ``_dual_path``, ``RESIDUAL_TOL``, ``DUAL_PATH_TOL``, ``TRIANGLE_TOL``) and the
@@ -36,7 +37,7 @@ _LABELS = tuple((j, a) for j in range(3) for a in (0.0, 1.0, 0.8 + 0.6j, 3.5 - 1
 _CHECK_GRID = dataclasses.replace(DEFAULT_GRID, x_steps=161, t_steps=41)
 
 
-def _check_fock_algebra(inject):
+def fock_algebra(inject):
     from . import fock
 
     n = 60
@@ -67,7 +68,7 @@ def _check_fock_algebra(inject):
     )
 
 
-def _check_piv_parameters(inject):
+def piv_parameters(inject):
     from fractions import Fraction
 
     from . import painleve
@@ -99,7 +100,7 @@ def _check_piv_parameters(inject):
     )
 
 
-def _check_piv_residual(inject):
+def piv_residual(inject):
     from . import painleve
 
     solutions = painleve.builtin_solutions()
@@ -116,7 +117,7 @@ def _check_piv_residual(inject):
     )
 
 
-def _check_cs_eigen(inject):
+def cs_eigen(inject):
     from . import coherent
 
     if not inject:
@@ -140,7 +141,7 @@ def _check_cs_eigen(inject):
     return not failures, "; ".join(failures)
 
 
-def _check_cs_statistics(inject):
+def cs_statistics(inject):
     from . import coherent
 
     minima_dev = _worst(
@@ -173,7 +174,7 @@ def _check_cs_statistics(inject):
     )
 
 
-def _check_triangle(inject):
+def triangle(inject):
     from . import coherent
 
     errors = []
@@ -198,7 +199,7 @@ def _check_triangle(inject):
     )
 
 
-def _check_density_dual(inject):
+def density_dual_path(inject):
     worst = _worst([err for _, err, _ in _dual_path(range(3), 2.0, _CHECK_GRID, inject)])
     return (
         _within(worst, DUAL_PATH_TOL),
@@ -207,7 +208,7 @@ def _check_density_dual(inject):
     )
 
 
-def _check_period(inject):
+def period(inject):
     from . import wavepacket
 
     candidate = 2.0 * math.pi / 6.0 if inject else 2.0 * math.pi / 3.0
@@ -224,15 +225,3 @@ def _check_period(inject):
         f" 2pi/6 candidate dev={off_period:.3e} (must exceed {NON_PERIOD_FLOOR:g})",
     )
 
-
-# check name -> check, in report order (the names and order of cli.CHECKS)
-SUITE = {
-    "fock-algebra": _check_fock_algebra,
-    "piv-parameters": _check_piv_parameters,
-    "piv-residual": _check_piv_residual,
-    "cs-eigen": _check_cs_eigen,
-    "cs-statistics": _check_cs_statistics,
-    "triangle": _check_triangle,
-    "density-dual-path": _check_density_dual,
-    "period": _check_period,
-}

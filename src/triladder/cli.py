@@ -14,9 +14,8 @@ Each block is one uint8 matrix: float columns rendered by ``shortest.cells``
 (``repr``'s text, computed in uint64 over the whole column), the rows of
 columns given as a table of distinct values, and the separators, with its
 NUL bytes deleted before one write. No Python object is made per cell, and
-the memory held is bounded by the block. On a 2-vCPU VM a default density
-file (96 641 rows) is written in 37-38 ms, against 70-73 ms when each float
-went through ``repr`` (in-process, best of 7).
+the memory held is bounded by the block; one ``repr`` per float took most
+of a file's write (CHANGES.md, "Column-block CSV writer").
 
 Files are published whole (``_Outputs``): an absent or regular target is
 written to a hidden temp file beside it and moved onto it with
@@ -30,24 +29,22 @@ Each command imports the package modules it runs when it runs, so a fresh
 process loads (and, where no bytecode is written, compiles) only those:
 ``piv`` loads ``painleve``; ``density`` loads ``wavepacket``, and with it
 ``coherent``; ``uncertainty``, ``decompose`` and ``moments`` load ``coherent``;
-``verify`` loads all of these, ``fock`` and ``checks``. The eight checks and
-the tolerances only they read live in ``checks``, which no other command
-runs: without them this module compiles in 4.3-4.6 ms instead of 5.5 ms on
-a 2-vCPU VM (best of 15, where no bytecode is written), about 1 ms less for
-each other command's process. ``CHECKS`` here names each check and its
-``--inject-*`` flag, so that the parser needs no ``checks``. The float
-renderer ``shortest`` loads with the first float column written. The calls
-go through the module attributes (``wavepacket.rho_gaussian``), so wrappers
-set on them apply.
+``verify`` loads all of these, ``fock`` and ``checks``. The checks and the
+tolerances only they read live in ``checks``, which no other command loads,
+so that no other process compiles them where no bytecode is written
+(CHANGES.md, "Each CLI command loads only its own modules"). A check is one
+row of ``CHECKS`` here, its name and ``--inject-*`` flag, plus the ``checks``
+function of that name with ``_`` for ``-``; the parser reads the flags from
+``CHECKS`` without ``checks``. The float renderer ``shortest`` loads with the
+first float column written. The calls go through the module attributes
+(``wavepacket.rho_gaussian``), so wrappers set on them apply.
 
 ``entry``, which the console script and ``python -m triladder.cli`` run,
 calls ``gc.freeze()`` once ``main`` has returned or raised, and then exits.
 Interpreter shutdown runs a full cyclic collection, which would traverse
 every object numpy and the package made at import; no output depends on
-it, and frozen objects are left out of it. On a 2-vCPU VM this saves about
-12 ms per process (a bare ``import numpy`` process exits 16 ms after its
-last statement, 4 ms with the freeze). ``main`` is unchanged, so in-process
-callers collect as before.
+it, and frozen objects are left out of it (CHANGES.md, "PR 30"). ``main``
+is unchanged, so in-process callers collect as before.
 """
 
 import argparse
@@ -76,8 +73,8 @@ DUAL_PATH_TOL = 1e-8
 # per sample. A larger one exits 2 at once. Each charge is the peak RSS growth per
 # sample of the worst shape measured, plus the share of the memory at start that
 # keeps the peak at the limit under 1 GiB. Density, three-family sweeps: one Gaussian
-# pass holds three psi grids, the term and its copy beside the first family's Fock
-# field. The worst cell is on one x point, 152 B at the default label and at the
+# pass holds three psi grids, the term and a scratch grid beside the first family's
+# Fock field. The worst cell is on one x point, 152 B at the default label and at the
 # largest (|z| = 26.2, x in [-36, 36]) alike (175.4 -> 320.3 MiB from 1e6 to 2e6 t
 # points, 27.6 MiB at start); at the limit, 6 710 886 t points, the peak is 1004 MiB
 # (1020 at the largest label). On 241 x points a cell costs 114 B at the default
@@ -103,10 +100,9 @@ def _within(worst, tol) -> bool:
     return math.isfinite(worst) and worst < tol
 
 
-# 16 384 rows keep the renderer's uint64 temporaries (128 KiB each) in cache and
-# were the fastest block: a default density run took 220, 187, 171, 208 and 194 ms
-# at 4096, 8192, 16 384, 32 768 and 65 536 rows (in-process medians of 6 on a
-# 2-vCPU VM), and its peak RSS grows with the block (45 MiB here, 62 at 65 536).
+# 16 384 rows keep the renderer's uint64 temporaries (128 KiB each) in cache: the
+# fastest of the blocks tried, 4096 to 65 536 rows; the peak RSS grows with the block
+# (CHANGES.md, "CSV floats are rendered by a vectorised shortest-round-trip kernel").
 _ROWS_PER_WRITE = 16384
 
 
@@ -155,9 +151,7 @@ def _write_csv(path, comments, header, columns):
     a value repeated over many rows is rendered once. Each block of
     ``_ROWS_PER_WRITE`` rows is one uint8 matrix, the cells of each column
     side by side with the separators; the block's NUL bytes are deleted and
-    the rest written at once. Of a default
-    density file's 37.5 ms, rendering the floats takes about 16 ms, deleting
-    the NULs 7 ms and laying out the blocks 2.5 ms.
+    the rest written at once.
     """
     path = Path(path)
     rows = _row_count(columns[0])
@@ -298,8 +292,8 @@ def _dual_path(families, z, grid, inject):
 # ---------------------------------------------------------------- verify --
 
 
-# (check name, --inject-* flag that corrupts exactly this check), in report
-# order; triladder.checks.SUITE maps each name to its check
+# The one table of checks, in report order: (name, --inject-* flag that corrupts
+# exactly this check); each runs the triladder.checks function of its name, _ for -
 CHECKS = (
     ("fock-algebra", "commutator"),
     ("piv-parameters", "piv-sign"),
@@ -317,7 +311,8 @@ def cmd_verify(ns) -> int:
 
     failed = 0
     for name, flag in CHECKS:
-        passed, detail = checks.SUITE[name](getattr(ns, "inject_" + flag.replace("-", "_")))
+        check = getattr(checks, name.replace("-", "_"))
+        passed, detail = check(getattr(ns, "inject_" + flag.replace("-", "_")))
         failed += not passed
         print(f"{'PASS' if passed else 'FAIL'} {name:<18} {detail}")
     print(
@@ -513,6 +508,8 @@ def _read_samples(path: Path):
 def cmd_moments(ns) -> int:
     from . import coherent
 
+    if ns.rtol <= 0:
+        raise _Refusal(f"rtol must be above 0, got {ns.rtol!r}: no rel_error is below it", code=2)
     sample_path = Path(ns.samples)
     try:
         samples = _read_samples(sample_path)

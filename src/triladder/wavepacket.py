@@ -17,11 +17,11 @@ axis, and only the exponent's sum and its exponential on the full grid.
 The vertex labels z w^k are the same for the three families; only the
 roots-of-unity weights w^(-kj)/3 differ. So the vertex grids are evaluated
 once per label, and each family of a sweep filters them with its weights
-into its own psi: every family but the last multiplies a copy of the
-term, the last the term itself, so that each keeps the last bits of its
-own one-family evaluation. Their agreement validates the expansion
-coefficients, the Hermite evaluator, the triangle weights and the
-evolution law in one shot.
+into its own psi: every family but the last writes its product with the
+term into a scratch grid, the last multiplies the term in place, so that
+each keeps the last bits of its own one-family evaluation. Their
+agreement validates the expansion coefficients, the Hermite evaluator,
+the triangle weights and the evolution law in one shot.
 """
 
 import math
@@ -147,9 +147,9 @@ def _rho_gaussians(families, z: complex, x, t) -> list:
     The triangle's labels z w^k do not depend on the family, only its
     weights w^(-kj)/3 do. So each vertex term e^(h_k) is computed once, and
     each family adds weight * term into its own psi. Every family but the
-    last multiplies a copy of the term, so that each product has the bits
-    ``rho_gaussian`` alone gives that family; with one family there is no
-    copy and no extra grid.
+    last writes term * weight into a scratch grid, and the last multiplies
+    the term in place, so that each product has the bits ``rho_gaussian``
+    alone gives that family; with one family there is no scratch grid.
     """
     z = complex(z)
     x = np.asarray(x, dtype=float)
@@ -177,7 +177,7 @@ def _rho_gaussians(families, z: complex, x, t) -> list:
     # term[()]: in place, a one-cell grid rounds as array * scalar does, and
     # on term itself a 0-d grid leaves scalar arithmetic (numpy 2.4.6).
     in_place = term.nbytes >= 256 * 1024
-    # in place, a family before the last multiplies a copy, and the last the term
+    # in place, a family before the last multiplies into scratch, the last into the term
     scratch = np.empty_like(term) if in_place and len(tris) > 1 else None
     # -x^2/2 -> -inf past |x| = 1.3e154: the density is 0 there; with |x| near
     # 1e308 the exponent is nan, left to the gates, which test finiteness
@@ -194,8 +194,7 @@ def _rho_gaussians(families, z: complex, x, t) -> list:
                 if not in_place:
                     psi += weight * term[()]
                 elif i < len(tris) - 1:
-                    np.copyto(scratch, term)
-                    psi += np.multiply(scratch, weight, out=scratch)
+                    psi += np.multiply(term, weight, out=scratch)
                 else:
                     psi += np.multiply(term, weight, out=term)
     del term, scratch
@@ -252,7 +251,7 @@ def density_gaussian(j, z: complex, grid: GridSpec) -> DensityField:
 def density_gaussians(families, z: complex, grid: GridSpec) -> list[DensityField]:
     """The ``density_gaussian`` field of each of ``families``, from one pass
     over the vertex grids: for three families, three psi grids, the term
-    and a copy of it are held at once."""
+    and one scratch grid for the products are held at once."""
     xs = grid.x_values()[:, None]
     ts = grid.t_values()[None, :]
     return [DensityField(grid, values) for values in _rho_gaussians(families, z, xs, ts)]

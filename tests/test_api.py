@@ -114,3 +114,21 @@ def test_state_modules_leave_the_dense_oracle_unimported():
     loaded = done.stdout.split()
     assert "triladder.coherent" in loaded and "triladder.wavepacket" in loaded
     assert "triladder.fock" not in loaded
+
+
+def test_benchmark_wrappers_install_and_restore(monkeypatch):
+    # bench/tracing.py wraps package attributes by name, so renaming one fails here
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    from triladder import cli, painleve, wavepacket
+
+    owners = [cli, coherent, coherent.CoherentSpec, fock, painleve, wavepacket]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        wrapped = [(owner, attr) for owner, attr, _ in tracer._restore]
+    finally:
+        tracer.uninstall()
+    assert wrapped and all(owner in owners for owner, _ in wrapped)
+    assert [dict(vars(owner)) for owner in owners] == before

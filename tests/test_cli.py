@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import oracle
-from triladder import checks, cli, coherent, wavepacket
+from triladder import cli, coherent, wavepacket
 from triladder.grid import DEFAULT_GRID, GridSpec
 
 
@@ -91,10 +91,6 @@ class TestVerify:
         failed = [l.split()[1] for l in out if l.startswith("FAIL")]
         assert failed == [target]
         assert out[-1] == "CHECKS passed=7 failed=1"
-
-    def test_checks_run_in_the_order_the_flags_are_declared(self):
-        # the parser reads the flags from cli.CHECKS; the suite runs checks.SUITE by name
-        assert list(checks.SUITE) == [name for name, _ in cli.CHECKS]
 
     def test_truncation_override_reports_suggestion(self, capsys):
         # --inject-eigen truncates each family to 5 levels at alpha = 4
@@ -1136,6 +1132,18 @@ class TestParser:
         assert exc.value.code == 2
         assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rtol", ["0", "-0.0", "-1"])
+    def test_nonpositive_rtol_refused(self, tmp_path, capsys, rtol):
+        # moments --rtol 0 once wrote a file that no moment could pass and exited 1
+        write_exp_weight(tmp_path / "w.txt")
+        out = tmp_path / "m.csv"
+        assert run(["moments", "--samples", str(tmp_path / "w.txt"), "--rtol", rtol,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"moments: rtol must be above 0, got {float(rtol)!r}: no rel_error is below it\n"
+        ))
+        assert not out.exists()
 
     def test_every_float_flag_takes_a_negative_exponent_form(self):
         # argparse alone reads -1e-3 as an unknown option, not a value

@@ -36,6 +36,8 @@ _MAGNITUDES = st.builds(
 )
 LABELS = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda m: -m))
 FAMILIES = st.sampled_from([[], ["--j", "0"], ["--j", "1"], ["--j", "2"]])
+# moments --rtol: 0 and negatives are refused, every positive one is a gate
+RTOLS = st.sampled_from([1e-3, 1e-300, 1e300, 0.0, -1e-300, -1.0])
 # --out, relative to the run's directory: half the runs write a plain file
 OUTS = st.one_of(st.just("out.csv"), st.sampled_from(["", ".", "/", "missing/dir/x.csv"]))
 
@@ -96,7 +98,8 @@ def moments_argv(draw):
     rows = zip([0.0, *sorted(positions)], weights)
     samples = "".join(f"{x!r} {f!r}\n" for x, f in rows)
     argv = ["moments", "--samples", "samples.txt", *flag("j", draw(st.integers(0, 2)))]
-    return argv + flag("nmax", draw(st.integers(1, 60))) + flag("out", draw(OUTS)), samples
+    argv += flag("nmax", draw(st.integers(1, 60))) + flag("rtol", draw(RTOLS))
+    return argv + flag("out", draw(OUTS)), samples
 
 
 # the header line that records what each gated command's gate passed
@@ -195,4 +198,7 @@ def test_decompose(argv):
 # the second moment's integral overflows: refused
 @example((["moments", "--samples", "samples.txt", "--nmax", "3"], "0 1\n1e300 1\n"))
 def test_moments(drawn):
-    check_contract(*drawn)
+    argv, samples = drawn
+    code = check_contract(argv, samples)
+    if "--rtol" in argv and float(argv[argv.index("--rtol") + 1]) <= 0:
+        assert code == 2

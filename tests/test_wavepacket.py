@@ -381,8 +381,9 @@ class TestGaussianFactors:
         # density CSVs pin those bits: the default grid takes the in-place
         # loop, the small one the other; on one cell the in-place
         # scalar-first loop differs from the out-of-place one as well. The
-        # one pass over all three families, which copies the term for all
-        # but the last, keeps every family's bits, as does the call for j.
+        # one pass over all three families, which multiplies the term into a
+        # scratch grid for all but the last, keeps every family's bits, as
+        # does the call for j.
         xs, ts = grid.x_values()[:, None], grid.t_values()[None, :]
         wants = [gaussian_full_mesh(k, z, xs, ts) for k in range(3)]
         for k, field in enumerate(wavepacket.density_gaussians(range(3), z, grid)):
@@ -406,8 +407,8 @@ class TestGaussianFactors:
     def test_grid_peak_memory(self):
         # one complex buffer holds each vertex term in turn; a temporary
         # per operation of the exponent would peak near 4.8 MB on this grid.
-        # A sweep adds a psi grid per family and one copy of the term
-        # (1.55 MB each), not a term per vertex or per family.
+        # A sweep adds a psi grid per family and one scratch grid for the
+        # products (1.55 MB each), not a term per vertex or per family.
         grid = DEFAULT_GRID
         xs, ts = grid.x_values()[:, None], grid.t_values()[None, :]
         for call, limit in [(lambda: wavepacket.rho_gaussian(1, 1.3 + 1.5j, xs, ts), 4.2e6),
